@@ -7,8 +7,9 @@ bug, not an overhead:
 - **observe=off** (``observe=None``, the default): the only cost is a
   handful of ``is None`` checks, so the trial must stay within 2% of
   the ``full_trial.naive_s`` baseline in ``BENCH_pipeline.json`` — the
-  scalar end-to-end reference, the same code path this bench runs
-  (``fast_s`` now times the ``repro.vec`` batch core, a different
+  scalar end-to-end reference, so every trial here pins
+  ``use_vectorized_core=False`` to run that same code path
+  (``fast_s`` times the default ``repro.vec`` batch core, a different
   engine; re-run ``bench_perf_pipeline.py`` first on a new machine);
 - **observe=off, idle TelemetryServer attached**: a live
   :class:`repro.obs.TelemetryServer` bound on an ephemeral port but
@@ -25,6 +26,7 @@ future PRs have an overhead trajectory to compare against
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -38,8 +40,9 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BASELINE_PATH = REPO_ROOT / "BENCH_pipeline.json"
 OUTPUT_PATH = REPO_ROOT / "BENCH_obs.json"
 
-#: Same trial the full_trial baseline in BENCH_pipeline.json times.
-TRIAL_CONFIG = PipelineConfig(seed=11)
+#: Same trial (on the same scalar core) the full_trial.naive_s baseline
+#: in BENCH_pipeline.json times.
+TRIAL_CONFIG = PipelineConfig(seed=11, use_vectorized_core=False)
 
 #: observe=off may not cost more than this over the recorded baseline.
 MAX_OFF_OVERHEAD = 0.02
@@ -57,7 +60,7 @@ def _best_of(fn, repeats=3):
 
 
 def _run(observe):
-    config = PipelineConfig(seed=TRIAL_CONFIG.seed, observe=observe)
+    config = dataclasses.replace(TRIAL_CONFIG, observe=observe)
     return SecureLocalizationPipeline(config).run()
 
 

@@ -10,10 +10,15 @@ like a fast one:
 - **metrics collection** (`_requester_counts`): one grid query per
   malicious beacon vs an O(N) scan per malicious beacon.
 - **full trial**: end-to-end `run()` with the vectorized batch core
-  (``use_vectorized_core=True``, the ``repro.vec`` SoA kernels) vs the
-  scalar event-driven reference. The ``PipelineResult`` objects must
-  compare equal to the last bit, and the speedup is asserted
-  >= 10x (``--quick`` smoke mode relaxes the floor, not the equality).
+  (the default ``use_vectorized_core=True``, the ``repro.vec`` SoA
+  kernels) vs the scalar event-driven reference. The ``PipelineResult``
+  objects must compare equal to the last bit, and the speedup is
+  asserted >= 10x (``--quick`` smoke mode relaxes the floor, not the
+  equality).
+
+Every config here pins ``use_vectorized_core=False``: the spatial-index
+scans only run on the scalar core, and the full-trial reference must be
+the scalar oracle, not the default batch core.
 
 Every measurement lands in ``BENCH_pipeline.json`` at the repo root so
 future PRs have a perf trajectory to compare against; per-phase cost
@@ -35,12 +40,12 @@ from repro.experiments.series import FigureData
 BASELINE_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_pipeline.json"
 
 #: The paper's Section 4 deployment — the workload the fast paths exist for.
-PAPER_CONFIG = PipelineConfig()
+PAPER_CONFIG = PipelineConfig(use_vectorized_core=False)
 
 #: The full-trial comparison runs the paper deployment end to end, once
 #: per path (~1.7 s scalar): the honest number, since it includes the
 #: build/calibration work the batch core cannot touch.
-TRIAL_CONFIG = PipelineConfig(seed=11)
+TRIAL_CONFIG = PipelineConfig(seed=11, use_vectorized_core=False)
 
 #: Smoke-mode deployment (--quick): same shape, ~6x fewer nodes.
 QUICK_TRIAL_CONFIG = PipelineConfig(
@@ -51,6 +56,7 @@ QUICK_TRIAL_CONFIG = PipelineConfig(
     field_height_ft=500.0,
     rtt_calibration_samples=300,
     seed=11,
+    use_vectorized_core=False,
 )
 
 ASSERTED_REACHABILITY_SPEEDUP = 3.0

@@ -24,7 +24,6 @@ Paper section: §4 (end-to-end simulation evaluation)
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
@@ -68,16 +67,6 @@ RTT_BUCKETS_CYCLES = linear_buckets(14_000.0, 250.0, 17) + (
     100_000.0,
     1_000_000.0,
 )
-
-
-def _vec_core_default() -> bool:
-    """Default for ``use_vectorized_core``: the env switch, else False.
-
-    Setting ``REPRO_USE_VECTORIZED_CORE=1`` flips the default on — this
-    is how the CI matrix runs the whole tier-1 suite through the batch
-    path without editing every test's config.
-    """
-    return os.environ.get("REPRO_USE_VECTORIZED_CORE", "") == "1"
 
 
 @dataclass(frozen=True)
@@ -142,21 +131,21 @@ class PipelineConfig:
     notice_interval_cycles: float = 2_000_000.0
     notice_rounds: int = 4
     network_loss_rate: float = 0.0
-    #: Route reachability and metrics scans through the grid spatial
-    #: index (the fast path). False falls back to the naive O(N * N_b)
-    #: scans — kept as a reference oracle; results are bit-identical
-    #: either way (asserted by tests/core/test_pipeline_spatial.py).
+    #: Route the scalar core's (and the replay tier's) reachability and
+    #: metrics scans through the grid spatial index. False falls back to
+    #: the naive O(N * N_b) scans — kept as a reference oracle; results
+    #: are bit-identical either way (asserted by
+    #: tests/core/test_pipeline_spatial.py).
     use_spatial_index: bool = True
     #: Route the detection/localization phases and the metrics scans
-    #: through the :mod:`repro.vec` batch kernels. Falls back to the
-    #: scalar path silently when NumPy is absent or the configuration
-    #: is outside the batch path's supported envelope (ARQ loss,
-    #: flooded revocation, event budgets — see
-    #: :func:`repro.vec.vectorized_core_supported`). Results match the
-    #: scalar path under the parity rules in docs/PERFORMANCE.md:
-    #: everything bit-identical except localization errors (≤ ~1e-3 ft).
-    #: Defaults to the ``REPRO_USE_VECTORIZED_CORE=1`` env switch.
-    use_vectorized_core: bool = field(default_factory=_vec_core_default)
+    #: through the :mod:`repro.vec` batch kernels (the default fast
+    #: path). Falls back to the scalar path silently when the
+    #: configuration is outside the batch path's supported envelope
+    #: (rival detectors, ARQ loss, flooded revocation, event budgets —
+    #: see :func:`repro.vec.vectorized_core_supported`). False selects
+    #: the scalar event-driven oracle; results are bit-identical either
+    #: way (parity rules in docs/PERFORMANCE.md).
+    use_vectorized_core: bool = True
     #: Declarative fault-injection scenario (see :mod:`repro.faults` and
     #: docs/FAULTS.md). ``None`` — or an all-zero :class:`FaultConfig` —
     #: leaves every code path bit-identical to the fault-free pipeline
@@ -314,8 +303,8 @@ class SecureLocalizationPipeline:
         self.notice_distributor = None
         self._built = False
         self._probes_sent = 0
-        #: Lazily resolved: config switch AND supported envelope AND
-        #: NumPy importable. None until first queried.
+        #: Lazily resolved: config switch AND supported envelope. None
+        #: until first queried.
         self._vec_active: Optional[bool] = None
         #: Batch-path work counters (waves closed, deliveries batched,
         #: noise/RTT draws batched); folded into observability at
@@ -409,7 +398,7 @@ class SecureLocalizationPipeline:
             sampler=calibration_sampler,
         )
         if calibration_sampler is not None:
-            self._vec_bump("vec_calibration_rtts", cfg.rtt_calibration_samples)
+            self._vec_bump("calibration_rtts", cfg.rtt_calibration_samples)
         if rtt_histograms:
             self.network.rtt_observer = self._make_rtt_observer(obs)
 
@@ -693,11 +682,11 @@ class SecureLocalizationPipeline:
     def _vectorized_active(self) -> bool:
         """Whether this run goes through the :mod:`repro.vec` batch path.
 
-        Resolved once per pipeline: the config must opt in *and* the
-        configuration must be inside the batch path's supported
-        envelope (NumPy present, no ARQ channels, oracle revocation, no
-        event budget). Unsupported combinations fall back to the scalar
-        path silently — same results, scalar speed.
+        Resolved once per pipeline: the config switch must be on (the
+        default) *and* the configuration must be inside the batch path's
+        supported envelope (paper detector, no ARQ channels, oracle
+        revocation, no event budget). Unsupported combinations fall back
+        to the scalar path silently — same results, scalar speed.
         """
         if self._vec_active is None:
             if not self.config.use_vectorized_core:

@@ -146,14 +146,15 @@ def _linearized_seed(anchors: np.ndarray, ranges: np.ndarray) -> np.ndarray:
     lx = anchors[-1, 0]
     ly = anchors[-1, 1]
     d_last = ranges[-1]
-    mx = 2.0 * (lx - anchors[:-1, 0])
-    my = 2.0 * (ly - anchors[:-1, 1])
-    b_rows = (
-        ranges[:-1] ** 2
-        - d_last**2
-        - (anchors[:-1, 0] ** 2 + anchors[:-1, 1] ** 2)
-        + (lx**2 + ly**2)
-    )
+    ax = anchors[:-1, 0]
+    ay = anchors[:-1, 1]
+    d = ranges[:-1]
+    mx = 2.0 * (lx - ax)
+    my = 2.0 * (ly - ay)
+    # Squares are explicit products: ``**`` on a NumPy scalar calls libm
+    # ``pow``, which is not always correctly rounded, while the batched
+    # solver squares arrays — explicit products keep the two identical.
+    b_rows = d * d - d_last * d_last - (ax * ax + ay * ay) + (lx * lx + ly * ly)
     p = float(np.sum(mx * mx))
     q = float(np.sum(mx * my))
     r = float(np.sum(my * my))

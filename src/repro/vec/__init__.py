@@ -9,25 +9,17 @@ calibrated window, the discrepancy check
 ``|estimated - derived| > threshold``, and a batched Gauss-Newton
 multilateration solver.
 
-The scalar event-driven pipeline remains the reference oracle;
+The batch core is the pipeline's default path. The scalar event-driven
+pipeline (``use_vectorized_core=False``) remains the reference oracle;
 :func:`vectorized_core_supported` gates the configurations the batch
 path reproduces draw-for-draw (see ``docs/PERFORMANCE.md`` for the
 parity rules, and ``repro.verify.differential_vectorized_core`` for the
-oracle that asserts tolerance-identical outcomes). When NumPy is not
-importable the package degrades gracefully: the predicate returns False
-and the pipeline silently stays on the scalar path.
+oracle that asserts bit-identical outcomes).
 
 Paper section: §2.1, §2.2.2, §4 (batched kernels for the paper's hot math)
 """
 
 from __future__ import annotations
-
-try:  # pragma: no cover - exercised implicitly by every vec test
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    HAVE_NUMPY = False
 
 
 def vectorized_core_supported(config) -> bool:
@@ -52,8 +44,7 @@ def vectorized_core_supported(config) -> bool:
     pipeline module.
     """
     return (
-        HAVE_NUMPY
-        and config.alert_loss_rate == 0.0
+        config.alert_loss_rate == 0.0
         and config.request_loss_rate == 0.0
         and config.revocation_dissemination == "oracle"
         and config.max_events is None

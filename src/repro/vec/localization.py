@@ -202,7 +202,8 @@ def _batched_seed(
     """Every row's linearized seed at once — ``_linearized_seed`` batched.
 
     Elementwise ops and per-row contiguous sums replicate the scalar
-    seed (formulas, degeneracy test, and Cramer solve) bit for bit.
+    seed (formulas, degeneracy test, and Cramer solve) bit for bit;
+    both square by explicit products, never ``**``.
 
     Returns:
         ``(x, y, seeded)`` — seed coordinates per row, and a mask that
@@ -212,13 +213,16 @@ def _batched_seed(
     lx = axs[:, -1]
     ly = ays[:, -1]
     d_last = ranges[:, -1]
-    mx = 2.0 * (lx[:, None] - axs[:, :-1])
-    my = 2.0 * (ly[:, None] - ays[:, :-1])
+    ax = axs[:, :-1]
+    ay = ays[:, :-1]
+    d = ranges[:, :-1]
+    mx = 2.0 * (lx[:, None] - ax)
+    my = 2.0 * (ly[:, None] - ay)
     b_rows = (
-        ranges[:, :-1] ** 2
-        - (d_last**2)[:, None]
-        - (axs[:, :-1] ** 2 + ays[:, :-1] ** 2)
-        + (lx**2 + ly**2)[:, None]
+        d * d
+        - (d_last * d_last)[:, None]
+        - (ax * ax + ay * ay)
+        + (lx * lx + ly * ly)[:, None]
     )
     p = np.sum(mx * mx, axis=1)
     q = np.sum(mx * my, axis=1)

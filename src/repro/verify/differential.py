@@ -360,11 +360,14 @@ def differential_pipeline_axes(
 ) -> DifferentialReport:
     """Bit-identity of the semantics-neutral pipeline knobs.
 
-    For each scenario, one small randomized deployment runs four times:
-    the baseline, ``use_spatial_index=False``, ``observe=ObserveConfig()``,
-    and ``faults=FaultConfig()`` (all-zero). All four metric dicts must
-    be identical to the last bit — these knobs are documented as
-    changing *how* the pipeline computes, never *what*.
+    For each scenario, one small randomized deployment runs five times:
+    the default-core baseline, ``observe=ObserveConfig()`` and
+    ``faults=FaultConfig()`` (all-zero) against it, and the scalar
+    oracle with and without ``use_spatial_index`` — the index only
+    routes the scalar core's scans, so that axis is compared there.
+    Each pair of metric dicts must be identical to the last bit — these
+    knobs are documented as changing *how* the pipeline computes, never
+    *what*.
     """
     from repro.core.pipeline import PipelineConfig, SecureLocalizationPipeline
     from repro.experiments.runner import collect_metrics
@@ -388,23 +391,28 @@ def differential_pipeline_axes(
         )
         kwargs.update(overrides)
 
-        def run(component: str, **extra) -> Dict[str, float]:
+        def run(**extra) -> Dict[str, float]:
             config = PipelineConfig(**kwargs, **extra)
             return collect_metrics(SecureLocalizationPipeline(config).run())
 
-        baseline = run("baseline")
+        baseline = run()
+        scalar_baseline = run(use_vectorized_core=False)
         variants: List[tuple] = [
-            ("use_spatial_index=False", dict(use_spatial_index=False)),
-            ("observe=ObserveConfig()", dict(observe=ObserveConfig())),
-            ("faults=FaultConfig()", dict(faults=FaultConfig())),
+            (
+                "use_spatial_index=False",
+                scalar_baseline,
+                dict(use_vectorized_core=False, use_spatial_index=False),
+            ),
+            ("observe=ObserveConfig()", baseline, dict(observe=ObserveConfig())),
+            ("faults=FaultConfig()", baseline, dict(faults=FaultConfig())),
         ]
-        for label, extra in variants:
-            metrics = run(label, **extra)
-            if not _metrics_equal(baseline, metrics):
+        for label, reference, extra in variants:
+            metrics = run(**extra)
+            if not _metrics_equal(reference, metrics):
                 diff_keys = sorted(
                     k
-                    for k in baseline.keys() | metrics.keys()
-                    if baseline.get(k) != metrics.get(k)
+                    for k in reference.keys() | metrics.keys()
+                    if reference.get(k) != metrics.get(k)
                 )
                 report.divergences.append(
                     Divergence(
@@ -470,7 +478,9 @@ def differential_vectorized_core(
             kwargs["network_loss_rate"] = 0.1
         elif envelope == 3:
             kwargs["wormhole_false_alarm_rate"] = rng.choice([0.05, 0.2])
-        scalar = SecureLocalizationPipeline(PipelineConfig(**kwargs)).run()
+        scalar = SecureLocalizationPipeline(
+            PipelineConfig(**kwargs, use_vectorized_core=False)
+        ).run()
         vectorized = SecureLocalizationPipeline(
             PipelineConfig(**kwargs, use_vectorized_core=True)
         ).run()

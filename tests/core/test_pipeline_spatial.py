@@ -30,7 +30,11 @@ WORMHOLE = ((60.0, 60.0), (330.0, 300.0))
 
 
 def _config(seed, wormhole, fast):
-    cfg = PipelineConfig(seed=seed, wormhole_endpoints=wormhole, **SMALL)
+    # The index routes the scalar core's scans (the batch core builds its
+    # own arrays), so both sides run on the scalar oracle.
+    cfg = PipelineConfig(
+        seed=seed, wormhole_endpoints=wormhole, use_vectorized_core=False, **SMALL
+    )
     return cfg if fast else dataclasses.replace(cfg, use_spatial_index=False)
 
 

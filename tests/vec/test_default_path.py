@@ -1,0 +1,91 @@
+"""The batch core is the default path; the scalar core is the oracle.
+
+``PipelineConfig()`` runs through :mod:`repro.vec`: fault-free configs
+take the turbo tier, and configurations outside the batch envelope
+(rival detectors, ARQ channels, flooded revocation, event budgets) fall
+back to the scalar event loop with the switch still on. Only
+``use_vectorized_core=False`` selects the scalar oracle on purpose.
+"""
+
+import pytest
+
+from repro.core.pipeline import PipelineConfig, SecureLocalizationPipeline
+from repro.obs import ObserveConfig
+
+SMALL = dict(
+    n_total=130,
+    n_beacons=20,
+    n_malicious=3,
+    field_width_ft=420.0,
+    field_height_ft=420.0,
+    m_detecting_ids=2,
+    rtt_calibration_samples=200,
+    wormhole_endpoints=((60.0, 60.0), (330.0, 300.0)),
+    seed=5,
+)
+
+#: Every batch-path counter a default (turbo) trial bumps.
+TURBO_VEC_COUNTERS = {
+    "vec_calibration_rtts",
+    "vec_deliveries",
+    "vec_noise_batched",
+    "vec_rtt_batched",
+    "vec_waves",
+}
+
+
+def _vec_counters(pipeline):
+    counters = pipeline.profile_snapshot()["counters"]
+    return {name for name in counters if name.startswith("vec_")}
+
+
+def test_default_config_selects_the_batch_core():
+    assert PipelineConfig().use_vectorized_core is True
+
+
+def test_default_trial_runs_the_turbo_tier(monkeypatch):
+    import repro.vec.turbo as turbo
+
+    calls = []
+    for name in ("run_detection_turbo", "run_localization_turbo"):
+        original = getattr(turbo, name)
+
+        def spy(pipeline, _name=name, _original=original):
+            calls.append(_name)
+            return _original(pipeline)
+
+        monkeypatch.setattr(turbo, name, spy)
+    pipeline = SecureLocalizationPipeline(
+        PipelineConfig(observe=ObserveConfig(), **SMALL)
+    )
+    pipeline.run()
+    assert pipeline._vectorized_active()
+    assert calls == ["run_detection_turbo", "run_localization_turbo"]
+    assert _vec_counters(pipeline) == TURBO_VEC_COUNTERS
+    counters = pipeline.obs.registry.snapshot()["counters"]
+    assert {key for key in counters if key.startswith("vec_batch_total")} == {
+        f'vec_batch_total{{kind="{name[len("vec_"):]}"}}'
+        for name in TURBO_VEC_COUNTERS
+    }
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(detector="mahalanobis"),
+        dict(alert_loss_rate=0.1),
+        dict(request_loss_rate=0.1),
+        dict(revocation_dissemination="flood"),
+        dict(max_events=10**9),
+    ],
+    ids=["rival", "alert-arq", "request-arq", "flood", "max-events"],
+)
+def test_configs_outside_the_envelope_fall_back_to_scalar(overrides):
+    config = PipelineConfig(**SMALL, **overrides)
+    assert config.use_vectorized_core
+    pipeline = SecureLocalizationPipeline(config)
+    pipeline.run()
+    assert not pipeline._vectorized_active()
+    assert _vec_counters(pipeline) == set()
+    # The scalar event loop did the work.
+    assert pipeline.engine.events_processed > 0

@@ -16,14 +16,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
+from repro.crypto.manager import KeyManager
+from repro.errors import ConfigurationError, InsufficientReferencesError, SolverError
+from repro.localization.beacon import NonBeaconAgent
+from repro.localization.multilateration import _linearized_seed, mmse_multilaterate
+from repro.localization.references import LocationReference
 from repro.sim.timing import RttModel
+from repro.utils.geometry import Point
 from repro.vec.geometry import (
     count_within_range,
     pairwise_distances,
     within_range_mask,
     within_range_matrix,
 )
+from repro.vec.localization import _batched_seed, batched_estimate_errors
 from repro.vec.measurement import (
     batched_calibration_rtts,
     batched_rtt,
@@ -38,6 +44,24 @@ finite = st.floats(
 )
 coordinate = st.one_of(
     finite, st.sampled_from([0.0, -0.0, float("nan"), float("inf")])
+)
+
+#: Values whose square by libm ``pow`` (``**`` on a NumPy scalar) is one
+#: ulp off the correctly rounded ``x * x`` — the first is the anchor
+#: coordinate behind the regression case below. Mixing them into the
+#: solver strategies makes a ``**`` squaring on either side show up.
+POW_MISMATCH = (
+    912.2172985764824,
+    310.1475693193326,
+    715.7291514387905,
+    659.6924967151385,
+    857.4137724295325,
+)
+field_ft = st.one_of(
+    st.floats(min_value=0.0, max_value=1000.0), st.sampled_from(POW_MISMATCH)
+)
+range_ft = st.one_of(
+    st.floats(min_value=0.0, max_value=1500.0), st.sampled_from(POW_MISMATCH)
 )
 
 
@@ -266,3 +290,117 @@ def test_discrepancy_mask_matches_scalar_comparison(rows, scalar_threshold):
 def test_rtt_exceeds_mask_matches_scalar_comparison(rtts, x_max):
     mask = rtt_exceeds_mask(np.array(rtts, dtype=np.float64), x_max)
     assert mask.tolist() == [float(r) > x_max for r in rtts]
+
+
+# ----------------------------------------------------------------------
+# MMSE multilateration: batched seed and solver vs the scalar solver
+# ----------------------------------------------------------------------
+@st.composite
+def same_size_reference_rows(draw):
+    """1-6 rows of ``n`` (x, y, range) references, one shared ``n``."""
+    n = draw(st.integers(3, 9))
+    row = st.lists(st.tuples(field_ft, field_ft, range_ft), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=1, max_size=6))
+
+
+@given(rows=same_size_reference_rows())
+@settings(max_examples=150, deadline=None)
+def test_batched_seed_rows_bit_identical_to_linearized_seed(rows):
+    data = np.array(rows, dtype=np.float64)  # (rows, n, 3)
+    axs = np.ascontiguousarray(data[:, :, 0])
+    ays = np.ascontiguousarray(data[:, :, 1])
+    ranges = np.ascontiguousarray(data[:, :, 2])
+    xs, ys, seeded = _batched_seed(axs, ays, ranges)
+    for row in range(len(rows)):
+        anchors = np.stack([axs[row], ays[row]], axis=1)
+        try:
+            seed = _linearized_seed(anchors, ranges[row])
+        except InsufficientReferencesError:
+            assert not seeded[row]
+            continue
+        assert seeded[row]
+        assert (float(xs[row]), float(ys[row])) == (float(seed[0]), float(seed[1]))
+
+
+def _agent(node_id, truth, references):
+    agent = NonBeaconAgent(node_id, Point(*truth), KeyManager())
+    agent.references = [
+        LocationReference(beacon_id, Point(x, y), distance)
+        for beacon_id, x, y, distance in references
+    ]
+    return agent
+
+
+def _scalar_errors(agents):
+    """The scalar metrics-phase loop: ``mmse_multilaterate`` per agent."""
+    errors = []
+    for agent in agents:
+        try:
+            agent.estimate_position()
+        except InsufficientReferencesError:
+            continue
+        errors.append(agent.location_error_ft())
+    return errors
+
+
+@given(
+    population=st.lists(
+        st.tuples(
+            st.tuples(field_ft, field_ft),
+            st.lists(
+                st.tuples(st.integers(0, 11), field_ft, field_ft, range_ft),
+                max_size=10,
+            ),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_batched_estimate_errors_bit_identical_to_mmse_multilaterate(population):
+    # Beacon ids repeat (0-11) so dedup-latest-per-id is exercised, and
+    # agents with < 3 distinct references are skipped on both sides.
+    def agents():
+        return [_agent(i, truth, refs) for i, (truth, refs) in enumerate(population)]
+
+    scalar_agents = agents()
+    try:
+        expected = _scalar_errors(scalar_agents)
+    except SolverError:
+        with pytest.raises(SolverError):
+            batched_estimate_errors(agents())
+        return
+    batched_agents = agents()
+    assert batched_estimate_errors(batched_agents) == expected
+    assert [a.estimated_position for a in batched_agents] == [
+        a.estimated_position for a in scalar_agents
+    ]
+
+
+#: One agent from the default deployment (``PipelineConfig(p_prime=0.05,
+#: seed=1348037906)``) whose last anchor x, squared with ``**``, rounded
+#: one ulp away from ``x * x``: the scalar and batched solvers then
+#: returned 529.5505102120433 and 529.5505102120442 ft. Two of the
+#: references are wormhole-replayed from far beacons.
+REGRESSION_TRUTH = (739.3716040226375, 705.1916255019851)
+REGRESSION_REFERENCES = (
+    (39.17153843497579, 229.3428329176269, 68.9281608832946),
+    (123.07598518845609, 108.43608793635329, 53.113439088651596),
+    (688.9577033081041, 665.8924108461486, 55.37568012160166),
+    (836.2298219757607, 674.4878457126148, 96.7659504141701),
+    (671.6887723297069, 597.0403205608894, 135.47103000149468),
+    (856.7704990394103, 620.9458124530975, 144.0332268845057),
+    (825.7551340156068, 820.7560188118804, 154.00636697985578),
+    (912.2172985764824, 706.0481023452177, 81.5320746838196),
+)
+
+
+def test_pow_rounding_regression_agent_solves_identically():
+    refs = [(i, *ref) for i, ref in enumerate(REGRESSION_REFERENCES)]
+    scalar = mmse_multilaterate(
+        [LocationReference(i, Point(x, y), d) for i, x, y, d in refs]
+    )
+    agent = _agent(0, REGRESSION_TRUTH, refs)
+    assert batched_estimate_errors([agent]) == [529.5505102120442]
+    assert agent.estimated_position == scalar.position
+    assert scalar.position.distance_to(Point(*REGRESSION_TRUTH)) == 529.5505102120442

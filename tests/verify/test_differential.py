@@ -5,6 +5,8 @@ smaller seeded slice keeps the unit suite fast while still exercising
 every component and the divergence-reporting plumbing.
 """
 
+import math
+
 import pytest
 
 from repro.verify import (
@@ -57,6 +59,21 @@ class TestVectorizedCore:
     def test_scalar_vs_vectorized_bit_identical(self):
         report = differential_vectorized_core(2, seed=0)
         assert report.ok, "\n".join(d.detail for d in report.divergences)
+
+    def test_one_ulp_on_the_batch_core_is_reported(self, monkeypatch):
+        # Non-vacuity: the scalar side must really be the scalar oracle.
+        # Were it the default core, both sides would share the nudge.
+        import repro.vec.localization as vec_localization
+
+        batched = vec_localization.batched_estimate_errors
+
+        def nudged(agents):
+            return [math.nextafter(e, math.inf) for e in batched(agents)]
+
+        monkeypatch.setattr(vec_localization, "batched_estimate_errors", nudged)
+        report = differential_vectorized_core(1, seed=0)
+        assert len(report.divergences) == 1
+        assert "localization_errors_ft" in report.divergences[0].detail
 
 
 class TestReport:
