@@ -1,15 +1,15 @@
 """Revocation-service throughput and decision latency (BENCH_revocation.json).
 
 Correctness before speed, as everywhere in this repo: the bench first
-replays a captured §4 pipeline alert stream through the sharded service
-and asserts bit-identity with the in-process ``BaseStation`` — in
+replays a captured §4 pipeline alert stream through the single-writer
+service and asserts bit-identity with the in-process ``BaseStation`` — in
 ``--quick`` mode (CI) that identity check is the whole bench.
 
 The full run then measures, per persistence backend:
 
-- **sustained alerts/sec**: a synthetic high-cardinality stream (shallow
-  conflict waves, the service's intended regime) ingested in
-  ``BATCH_SIZE`` batches through ``RevocationService.ingest``;
+- **sustained alerts/sec**: a synthetic high-cardinality stream
+  submitted in ``BATCH_SIZE`` batches, each committed by an explicit
+  ``RevocationService.flush``;
 - **decision latency**: the wall-clock time of each batch commit — the
   interval between a batch's last submission and its futures resolving,
   which is exactly the latency an alert's decision observes — reported
@@ -47,11 +47,9 @@ OUTPUT_PATH = REPO_ROOT / "BENCH_revocation.json"
 
 #: Ingestion batch size for the throughput/latency measurements.
 BATCH_SIZE = 256
-#: Shard count for every measurement.
-N_SHARDS = 4
 #: Synthetic stream size (full mode).
 N_ALERTS = 20_000
-#: Synthetic ID space (wide => shallow conflict waves).
+#: Synthetic ID space (about four alerts per detector and per target).
 N_NODES = 5_000
 
 
@@ -64,7 +62,7 @@ def synthetic_stream(seed, n_alerts, n_nodes):
     ]
 
 
-def assert_identity(n_shards=3, batch_size=32):
+def assert_identity(batch_size=32):
     """Replay a captured pipeline stream; assert service == BaseStation."""
     stream = capture_stream(
         PipelineConfig(
@@ -78,7 +76,6 @@ def assert_identity(n_shards=3, batch_size=32):
     for restart_after in (None, len(stream.alerts) // 2):
         report = replay_stream(
             stream,
-            n_shards=n_shards,
             batch_size=batch_size,
             restart_after=restart_after,
             snapshot_every=16,
@@ -115,7 +112,6 @@ def measure_backend(kind, alerts, tmp_root, expected_state):
     async def _run():
         service = RevocationService(
             RevocationConfig(),
-            n_shards=N_SHARDS,
             backend=backend,
             batch_size=len(alerts) + 1,  # explicit flushes only
         )
@@ -134,7 +130,6 @@ def measure_backend(kind, alerts, tmp_root, expected_state):
         return {
             "alerts": len(alerts),
             "batch_size": BATCH_SIZE,
-            "n_shards": N_SHARDS,
             "seconds": round(seconds, 4),
             "alerts_per_sec": round(len(alerts) / seconds),
             "batch_commit_latency_ms": {
@@ -155,7 +150,6 @@ def measure_recovery(alerts, tmp_root, expected_state):
     async def _commit():
         service = RevocationService(
             RevocationConfig(),
-            n_shards=N_SHARDS,
             backend=backend,
             batch_size=BATCH_SIZE,
         )
@@ -164,9 +158,7 @@ def measure_recovery(alerts, tmp_root, expected_state):
         await service.stop()
 
     async def _recover():
-        service = RevocationService(
-            RevocationConfig(), n_shards=N_SHARDS, backend=backend
-        )
+        service = RevocationService(RevocationConfig(), backend=backend)
         t0 = time.perf_counter()
         await service.start()
         seconds = time.perf_counter() - t0

@@ -49,9 +49,7 @@ from repro.core.revocation import (
     CounterState,
     RevocationConfig,
     apply_alert,
-    apply_target,
     evaluate_alert,
-    evaluate_target,
 )
 from repro.core.distributed import (
     DistributedConfig,
@@ -86,9 +84,7 @@ __all__ = [
     "CounterState",
     "RevocationConfig",
     "apply_alert",
-    "apply_target",
     "evaluate_alert",
-    "evaluate_target",
     "DistributedConfig",
     "DistributedRevocationProtocol",
     "RevocationLedger",

@@ -20,10 +20,10 @@ getting it revoked first), and the per-detector quota caps how much damage
 colluding reporters can do (``N_a * (tau_report + 1)`` accepted alerts).
 
 The decision logic itself is factored out as a pure counter machine —
-:class:`CounterState` plus :func:`evaluate_alert` / :func:`evaluate_target`
-/ :func:`apply_alert` — so the in-process :class:`BaseStation` and the
-sharded, persistent :mod:`repro.revocation` service run the *same*
-transition function and stay bit-identical by construction.
+:class:`CounterState` plus :func:`evaluate_alert` / :func:`apply_alert` —
+so the in-process :class:`BaseStation` and the persistent, single-writer
+:mod:`repro.revocation` service run the *same* transition function and
+stay bit-identical by construction.
 
 Paper section: §3.1 (base-station revocation)
 """
@@ -83,9 +83,9 @@ class CounterState:
     This is the *pure* core the paper's revocation scheme reduces to: two
     counter maps plus the revoked set. :class:`BaseStation` wraps one of
     these with authentication, logging, and dissemination;
-    :class:`repro.revocation.service.RevocationService` shards one across
-    per-target shard workers. Both apply alerts through the same
-    :func:`apply_alert` transition, so their decisions cannot drift.
+    :class:`repro.revocation.service.RevocationService` wraps one with
+    batched ingestion and a durable ledger. Both apply alerts through the
+    same :func:`apply_alert` transition, so their decisions cannot drift.
     """
 
     alert_counters: Dict[int, int] = field(default_factory=dict)
@@ -120,25 +120,12 @@ class CounterState:
         )
 
 
-def evaluate_target(
-    state: CounterState, config: RevocationConfig, target_id: int
-) -> AlertDecision:
-    """The target-side half of the §3.1 decision (detector quota already
-    checked).
-
-    This is the exact decision a per-target shard makes once the
-    ingestion front-end has cleared the detector's report quota: reject
-    when the target is already revoked, otherwise accept and revoke when
-    the target's alert counter would pass ``tau_alert``. Pure — no
-    mutation; commit via :func:`apply_alert`.
-    """
-    if target_id in state.revoked:
-        return AlertDecision(False, "target-already-revoked", False)
-    return AlertDecision(
-        True,
-        "accepted",
-        state.alert_counters.get(target_id, 0) + 1 > config.tau_alert,
-    )
+# The four possible decisions; shared instances, since every alert lands
+# on one of them and AlertDecision is immutable.
+_QUOTA_EXCEEDED = AlertDecision(False, "quota-exceeded", False)
+_TARGET_REVOKED = AlertDecision(False, "target-already-revoked", False)
+_ACCEPTED = AlertDecision(True, "accepted", False)
+_ACCEPTED_REVOKES = AlertDecision(True, "accepted", True)
 
 
 def evaluate_alert(
@@ -151,32 +138,17 @@ def evaluate_alert(
 
     Check order matches the paper (and the reason strings the audit log
     records): the detector's report quota first, then the target's
-    revocation status. Pure — no mutation; commit via
-    :func:`apply_alert`.
+    revocation status; an accepted alert revokes its target when the
+    target's alert counter would pass ``tau_alert``. Pure — no mutation;
+    commit via :func:`apply_alert`.
     """
     if state.report_counters.get(detector_id, 0) > config.tau_report:
-        return AlertDecision(False, "quota-exceeded", False)
-    return evaluate_target(state, config, target_id)
-
-
-def apply_target(
-    state: CounterState, config: RevocationConfig, target_id: int
-) -> AlertDecision:
-    """Commit the target-side half of one alert to ``state``.
-
-    This is the transition a per-target shard runs on its own state
-    (whose ``report_counters`` stay empty — detector quotas live at the
-    ingestion front-end): bump the target's alert counter and revoke at
-    the threshold crossing. Rejections mutate nothing.
-    """
-    decision = evaluate_target(state, config, target_id)
-    if decision.accepted:
-        state.alert_counters[target_id] = (
-            state.alert_counters.get(target_id, 0) + 1
-        )
-        if decision.revokes_target:
-            state.revoked.add(target_id)
-    return decision
+        return _QUOTA_EXCEEDED
+    if target_id in state.revoked:
+        return _TARGET_REVOKED
+    if state.alert_counters.get(target_id, 0) + 1 > config.tau_alert:
+        return _ACCEPTED_REVOKES
+    return _ACCEPTED
 
 
 def apply_alert(
@@ -187,20 +159,22 @@ def apply_alert(
 ) -> AlertDecision:
     """Evaluate one alert and commit its effects to ``state``.
 
-    Composes the two halves exactly as the sharded service runs them —
-    detector quota at the front-end, then :func:`apply_target` at the
-    target's shard — so single-state and sharded execution share the
-    same committed transitions. Rejected alerts leave the state
-    untouched (the two §3.1 asymmetries — revoked detectors still count,
-    quota-exhausted detectors never do — fall out of the check order).
+    An accepted alert bumps the target's alert counter and the
+    detector's report counter, and revokes the target at the threshold
+    crossing. Rejected alerts leave the state untouched (the two §3.1
+    asymmetries — revoked detectors still count, quota-exhausted
+    detectors never do — fall out of the check order).
     """
-    if state.report_counters.get(detector_id, 0) > config.tau_report:
-        return AlertDecision(False, "quota-exceeded", False)
-    decision = apply_target(state, config, target_id)
+    decision = evaluate_alert(state, config, detector_id, target_id)
     if decision.accepted:
+        state.alert_counters[target_id] = (
+            state.alert_counters.get(target_id, 0) + 1
+        )
         state.report_counters[detector_id] = (
             state.report_counters.get(detector_id, 0) + 1
         )
+        if decision.revokes_target:
+            state.revoked.add(target_id)
     return decision
 
 
@@ -265,8 +239,8 @@ class BaseStation:
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
 
     # The paper's two counter maps and the revoked set live in the
-    # extracted CounterState (shared with the sharded revocation
-    # service); these views keep the historical attribute surface.
+    # extracted CounterState (shared with the revocation service);
+    # these views keep the historical attribute surface.
     @property
     def alert_counters(self) -> Dict[int, int]:
         """Per-target accepted-alert counts (suspiciousness levels)."""

@@ -10,7 +10,7 @@ Usage::
     python -m repro.experiments figure12 --profile --out results/
     python -m repro.experiments figure12 --backend queue --workers 4
     python -m repro.experiments --worker /shared/queue   # standalone worker
-    python -m repro.experiments revocation --trials 3 --shards 4
+    python -m repro.experiments revocation --trials 3
     python -m repro.experiments revocation --persistence sqlite \
         --state-dir /tmp/revocation --restart-fraction 0.5
     python -m repro.experiments trial --detector mahalanobis
@@ -24,7 +24,7 @@ prints the markdown comparison report; ``--out`` also writes
 selects the detection strategy for the ``trial`` target's pipeline.
 
 The ``revocation`` target captures each trial's §3.1 alert stream,
-replays it through the sharded, persistent revocation service
+replays it through the persistent, single-writer revocation service
 (``repro.revocation``, see docs/REVOCATION.md), and verifies the
 service's decisions and final counter state are bit-identical to the
 in-process base station — optionally with a crash/recovery injected
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
             "'trial' (one fully observed paper-default pipeline run), "
             "'arena' (every registered detector head-to-head on identical "
             "scenarios), or 'revocation' (replay captured alert streams "
-            "through the sharded revocation service and verify "
+            "through the revocation service and verify "
             "bit-identity); optional with --worker"
         ),
     )
@@ -272,12 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
             "revocation: captured pipeline trials to replay; "
             "arena: seeded trials per grid point (default: 3)"
         ),
-    )
-    revocation.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        help="revocation: service shard count (default: 4)",
     )
     revocation.add_argument(
         "--persistence",
@@ -582,8 +576,8 @@ def _run_revocation(args) -> int:
 
     Captures ``--trials`` reduced-deployment pipeline alert streams
     (fanning out over the runner's workers), replays each through a
-    ``--shards``-way :class:`repro.revocation.RevocationService` on the
-    chosen ``--persistence`` backend (optionally crash-recovering after
+    :class:`repro.revocation.RevocationService` on the chosen
+    ``--persistence`` backend (optionally crash-recovering after
     ``--restart-fraction`` of the stream), and prints one JSON report
     per stream. Exit code 1 means at least one replay diverged from the
     in-process base station — which the tests assert never happens.
@@ -635,7 +629,6 @@ def _run_revocation(args) -> int:
             )
         reports = replay_sweep(
             streams,
-            n_shards=args.shards,
             restart_fraction=args.restart_fraction,
             snapshot_every=args.snapshot_every,
             make_backend=_next_backend,
@@ -650,7 +643,7 @@ def _run_revocation(args) -> int:
     total_alerts = sum(report.n_alerts for report in reports)
     print(
         f"revocation: {len(reports)} stream(s), {total_alerts} alert(s), "
-        f"{args.shards} shard(s), {args.persistence} persistence, "
+        f"{args.persistence} persistence, "
         f"{len(failures)} divergence(s)",
         file=sys.stderr,
     )

@@ -1,4 +1,4 @@
-"""Revocation as a service: the §3.1 base station, sharded and durable.
+"""Revocation as a service: the §3.1 base station, durable and replayable.
 
 The paper's base station is an in-process counter machine
 (:class:`repro.core.revocation.BaseStation`). This package promotes it
@@ -6,23 +6,20 @@ to a standalone trust service while preserving its decisions bit for
 bit:
 
 - :mod:`repro.revocation.service` — an asyncio ingestion front-end that
-  batches alert submissions, level-orders each batch into conflict-free
-  waves, and fans the waves out to per-target shards running the same
-  :func:`repro.core.revocation.apply_target` transition the base
-  station composes; shard metric snapshots merge through
-  :func:`repro.obs.merge_snapshots` into exactly the single-station
-  registry;
+  batches alert submissions and commits each batch with a single
+  writer: MAC check, then the same
+  :func:`repro.core.revocation.apply_alert` transition the base station
+  runs, in submission order, on one counter state;
 - :mod:`repro.revocation.persistence` — pluggable durability (memory /
   JSONL / SQLite) behind an append-only decision ledger plus periodic
   state snapshots, so a restarted service reconverges bit-identically;
 - :mod:`repro.revocation.replay` — capture §4 pipeline alert streams
   and replay them through the service, asserting identity with the
-  in-process base station (any shard count, any backend, with or
+  in-process base station (any batch size, any backend, with or
   without an injected crash).
 
-See ``docs/REVOCATION.md`` for the architecture and the equivalence
-argument, and ``benchmarks/bench_revocation.py`` for throughput/latency
-numbers.
+See ``docs/REVOCATION.md`` for the architecture, and
+``benchmarks/bench_revocation.py`` for throughput/latency numbers.
 
 Paper section: §3.1 (alert quotas, suspiciousness counters, revocation)
 """
@@ -44,14 +41,9 @@ from repro.revocation.replay import (
     replay_stream,
     replay_sweep,
 )
-from repro.revocation.service import (
-    AlertSubmission,
-    RevocationService,
-    partition_waves,
-)
+from repro.revocation.service import RevocationService
 
 __all__ = [
-    "AlertSubmission",
     "BACKEND_KINDS",
     "CapturedStream",
     "JsonlBackend",
@@ -64,7 +56,6 @@ __all__ = [
     "capture_stream",
     "capture_streams",
     "make_backend",
-    "partition_waves",
     "replay_stream",
     "replay_sweep",
 ]

@@ -2,10 +2,10 @@
 
 The acceptance bar for the revocation service is *bit-identity with the
 paper*: feeding the exact alert stream a §4 simulation produced into the
-sharded, persistent service must reproduce the in-process
+persistent, single-writer service must reproduce the in-process
 :class:`repro.core.revocation.BaseStation`'s decisions — every
 accept/reject reason, the revoked set, and both counter maps — for any
-shard count, any persistence backend, and with or without a crash and
+batch size, any persistence backend, and with or without a crash and
 recovery injected mid-stream.
 
 The flow has three module-level (hence picklable, hence
@@ -119,7 +119,6 @@ class ReplayReport:
     """
 
     key: str
-    n_shards: int
     backend_kind: str
     n_alerts: int
     restart_after: Optional[int]
@@ -136,7 +135,6 @@ class ReplayReport:
         """JSON-ready form (the CLI prints these)."""
         return {
             "key": self.key,
-            "n_shards": self.n_shards,
             "backend": self.backend_kind,
             "n_alerts": self.n_alerts,
             "restart_after": self.restart_after,
@@ -154,7 +152,6 @@ _MISMATCH_CAP = 10
 async def _replay_async(
     stream: CapturedStream,
     *,
-    n_shards: int,
     backend: PersistenceBackend,
     batch_size: int,
     restart_after: Optional[int],
@@ -176,7 +173,6 @@ async def _replay_async(
     def new_service() -> RevocationService:
         return RevocationService(
             config,
-            n_shards=n_shards,
             backend=backend,
             batch_size=batch_size,
             snapshot_every=snapshot_every,
@@ -212,7 +208,6 @@ async def _replay_async(
 
     report = ReplayReport(
         key=stream.key,
-        n_shards=n_shards,
         backend_kind=backend.kind,
         n_alerts=len(stream.alerts),
         restart_after=restart_after,
@@ -250,7 +245,6 @@ async def _replay_async(
 def replay_stream(
     stream: CapturedStream,
     *,
-    n_shards: int = 4,
     backend: Optional[PersistenceBackend] = None,
     batch_size: int = 128,
     restart_after: Optional[int] = None,
@@ -265,8 +259,6 @@ def replay_stream(
 
     Args:
         stream: a :func:`capture_stream` product.
-        n_shards: service shard count (any value must — and does — give
-            identical decisions).
         backend: persistence backend (fresh in-memory by default). Must
             be empty unless you intend recovery-then-continue semantics.
         batch_size: ingestion batch size.
@@ -312,7 +304,6 @@ def replay_stream(
         report, telemetries = asyncio.run(
             _replay_async(
                 stream,
-                n_shards=n_shards,
                 backend=backend,
                 batch_size=batch_size,
                 restart_after=restart_after,
@@ -340,7 +331,6 @@ def replay_stream(
 def replay_sweep(
     streams: Sequence[CapturedStream],
     *,
-    n_shards: int = 4,
     batch_size: int = 128,
     restart_fraction: Optional[float] = None,
     snapshot_every: Optional[int] = None,
@@ -353,7 +343,6 @@ def replay_sweep(
 
     Args:
         streams: :func:`capture_streams` output.
-        n_shards: shard count for every replay.
         batch_size: ingestion batch size for every replay.
         restart_fraction: when set (0..1), inject a crash/recovery after
             that fraction of each stream's alerts.
@@ -386,7 +375,6 @@ def replay_sweep(
             reports.append(
                 replay_stream(
                     stream,
-                    n_shards=n_shards,
                     backend=backend,
                     batch_size=batch_size,
                     restart_after=restart_after,

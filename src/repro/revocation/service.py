@@ -1,32 +1,24 @@
-"""Revocation as a service: asyncio alert ingestion over sharded counters.
+"""Revocation as a service: the §3.1 counter machine behind one writer.
 
 The paper's §3.1 base station is a sequential counter machine. This
 module promotes it to a long-running, auditable trust service without
 changing a single decision:
 
-- an **ingestion front-end** accepts alert submissions, buffers them into
-  batches (``batch_size``), and owns the per-detector report quotas;
-- a **wave scheduler** level-orders each batch: an alert's wave is one
-  past the latest wave of any earlier alert sharing its detector or its
-  target. Alerts inside one wave touch pairwise-disjoint counters, so
-  shards may process a wave in any order and the outcome still equals
-  sequential §3.1 processing (proved by the dependency argument in
-  ``docs/REVOCATION.md`` and asserted against :class:`BaseStation` in
-  tests);
-- **per-target shards** (``shard = target_id % n_shards``) each own the
-  alert counters and revoked flags of their targets and run
-  :func:`repro.core.revocation.apply_target` — the same committed
-  transition the in-process base station composes;
+- an **ingestion front-end** buffers alert submissions into batches
+  (``batch_size``);
+- a **single writer** — each :meth:`RevocationService.flush` — walks
+  its batch once, in submission order: it checks the MAC, then runs
+  :func:`repro.core.revocation.apply_alert`, the same transition the
+  in-process :class:`~repro.core.revocation.BaseStation` runs, on the
+  service's one :class:`~repro.core.revocation.CounterState`. Decisions
+  therefore equal sequential §3.1 processing by construction (and are
+  asserted against :class:`BaseStation` in tests);
 - an **append-only decision ledger** records every processed alert's
-  fate in sequence order; batches land durably (see
-  :mod:`repro.revocation.persistence`) before any decision future
-  resolves, and periodic snapshots bound replay time. A restarted
-  service reconverges bit-identically — even under a *different* shard
-  count, because shard placement is derived, not stored.
-
-Shard/front-end telemetry is merged with the order-insensitive
-:func:`repro.obs.merge_snapshots` reduction, so the merged §3.1 registry
-of a sharded run equals the single base station's registry bit for bit.
+  fate in sequence order; each batch lands durably (see
+  :mod:`repro.revocation.persistence`) in one append before any of its
+  decision futures resolves, and periodic snapshots bound replay time.
+  A restarted service recommits the ledger through ``apply_alert`` and
+  reconverges bit-identically.
 
 Paper section: §3.1 (alert quotas, suspiciousness counters, revocation)
 """
@@ -35,25 +27,14 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.revocation import (
     AlertRecord,
     BaseStation,
     CounterState,
     RevocationConfig,
-    apply_target,
-    evaluate_alert,
+    apply_alert,
 )
 from repro.errors import ConfigurationError, RevocationError
 from repro.obs import (
@@ -70,94 +51,11 @@ from repro.revocation.persistence import (
 )
 
 
-@dataclass(frozen=True)
-class AlertSubmission:
-    """One alert on its way into the service (submission order = seq)."""
-
-    detector_id: int
-    target_id: int
-    time: float = 0.0
-    tag: Optional[bytes] = None
-    verify: bool = False
-
-
-@dataclass
-class _PendingAlert:
-    """A buffered submission awaiting its batch: payload + result future."""
-
-    seq: int
-    submission: AlertSubmission
-    future: "asyncio.Future[AlertRecord]"
-
-
-def partition_waves(
-    items: Sequence[Tuple[int, int]]
-) -> List[List[int]]:
-    """Level-schedule a batch of ``(detector_id, target_id)`` pairs.
-
-    Returns wave lists of *indices* into ``items``. An item's wave is one
-    past the highest wave of any earlier item sharing its detector or its
-    target, so within a wave all detectors are distinct and all targets
-    are distinct. Two alerts that share neither counter commute — their
-    §3.1 decisions read and write disjoint state — hence processing wave
-    ``k`` completely before wave ``k+1`` reproduces sequential order
-    exactly, while everything inside a wave may run shard-parallel.
-    """
-    last_detector: Dict[int, int] = {}
-    last_target: Dict[int, int] = {}
-    waves: List[List[int]] = []
-    for index, (detector_id, target_id) in enumerate(items):
-        level = (
-            max(
-                last_detector.get(detector_id, -1),
-                last_target.get(target_id, -1),
-            )
-            + 1
-        )
-        if level == len(waves):
-            waves.append([])
-        waves[level].append(index)
-        last_detector[detector_id] = level
-        last_target[target_id] = level
-    return waves
-
-
-class _Shard:
-    """One per-target shard: its counter slice, queue, and registry."""
-
-    def __init__(self, shard_id: int) -> None:
-        self.shard_id = shard_id
-        self.state = CounterState()
-        self.queue: "asyncio.Queue[Optional[Tuple[List[Tuple[int, int]], asyncio.Future]]]" = (
-            asyncio.Queue()
-        )
-        self.task: Optional[asyncio.Task] = None
-        self.alerts_processed = 0
-
-    def metric_snapshot(self) -> Dict[str, Any]:
-        """This shard's slice of the §3.1 registry (mergeable snapshot).
-
-        Emits ``bs_alert_counter{target=...}`` gauges for its targets and
-        its share of ``revocations_total``; shards own disjoint targets,
-        so :func:`repro.obs.merge_snapshots` over all shards (plus the
-        front-end's snapshot) reproduces the single base station's
-        registry exactly.
-        """
-        registry = MetricsRegistry()
-        registry.counter("revocations_total").inc(len(self.state.revoked))
-        for target_id, count in self.state.alert_counters.items():
-            registry.gauge("bs_alert_counter", target=target_id).set(count)
-        return registry.snapshot()
-
-
 class RevocationService:
-    """Sharded, persistent, asyncio front-end for §3.1 revocation.
+    """Persistent, single-writer asyncio front-end for §3.1 revocation.
 
     Args:
         config: the two thresholds (``tau_report`` / ``tau_alert``).
-        n_shards: per-target shard workers (``target_id % n_shards``).
-            Any count yields identical decisions; more shards spread the
-            per-wave work.
         backend: persistence (ledger + snapshots); defaults to a fresh
             :class:`repro.revocation.persistence.MemoryBackend`. The
             caller owns the backend's lifetime (close it after
@@ -178,22 +76,22 @@ class RevocationService:
             :meth:`start`). ``/metrics`` is the union of the §3.1
             registry (:meth:`registry_snapshot`), the ``svc_*``
             operational counters, a wall-clock
-            ``svc_flush_latency_seconds`` histogram, and liveness
-            gauges (``svc_ledger_seq_lag``, ``svc_pending_alerts``,
-            per-shard ``svc_shard_pending_alerts``). The live plane
-            never feeds back into the deterministic registries.
+            ``svc_flush_latency_seconds`` histogram, and the liveness
+            gauges ``svc_ledger_seq_lag`` and ``svc_pending_alerts``.
+            The live plane never feeds back into the deterministic
+            registries.
 
     Lifecycle: ``await start()`` (recovers from the backend's snapshot +
-    ledger tail, then spawns shard workers), ``await submit(...)`` /
-    ``await ingest(...)``, ``await stop()``. :meth:`crash` simulates a
-    hard failure for recovery tests.
+    ledger), ``await submit(...)`` / ``await ingest(...)``,
+    ``await stop()``. :meth:`crash` simulates a hard failure for recovery
+    tests; a failed ledger append crashes the service the same way.
+    Either way, recovery is a new service on the same backend.
     """
 
     def __init__(
         self,
         config: Optional[RevocationConfig] = None,
         *,
-        n_shards: int = 4,
         backend: Optional[PersistenceBackend] = None,
         batch_size: int = 256,
         snapshot_every: Optional[int] = None,
@@ -202,10 +100,6 @@ class RevocationService:
         observe: Optional[ObserveConfig] = None,
         telemetry_port: Optional[int] = None,
     ) -> None:
-        if not isinstance(n_shards, int) or n_shards < 1:
-            raise ConfigurationError(
-                f"n_shards must be an int >= 1, got {n_shards!r}"
-            )
         if not isinstance(batch_size, int) or batch_size < 1:
             raise ConfigurationError(
                 f"batch_size must be an int >= 1, got {batch_size!r}"
@@ -217,23 +111,22 @@ class RevocationService:
                 f"snapshot_every must be an int >= 1 or None, got {snapshot_every!r}"
             )
         self.config = config if config is not None else RevocationConfig()
-        self.n_shards = n_shards
         self.backend = backend if backend is not None else MemoryBackend()
         self.batch_size = batch_size
         self.snapshot_every = snapshot_every
         self.key_manager = key_manager
         self.on_revoke = on_revoke
-        self.shards = [_Shard(i) for i in range(n_shards)]
-        #: Front-end state: detector report quotas (the other §3.1 map).
-        self.report_counters: Dict[int, int] = {}
+        self._state = CounterState()
         #: Committed decision log in sequence order (rebuilt on recovery).
         self.decisions: List[AlertRecord] = []
         #: Highest committed (durable) sequence number.
         self.last_seq = 0
         self._snapshot_seq = 0
-        self._pending: List[_PendingAlert] = []
-        self._next_seq = 0
-        self._flush_lock = asyncio.Lock()
+        #: Buffered ``(detector, target, time, tag, verify, future)``
+        #: submissions; the i-th one commits as seq ``last_seq + 1 + i``.
+        self._pending: List[
+            Tuple[int, int, float, Optional[bytes], bool, asyncio.Future]
+        ] = []
         self._started = False
         self._crashed = False
         self.obs: Optional[Observability] = None
@@ -252,13 +145,11 @@ class RevocationService:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "RevocationService":
-        """Recover state from the backend and spawn the shard workers."""
+        """Recover committed state from the backend and accept submissions."""
         self._check_alive()
         if self._started:
             return self
         self._recover()
-        for shard in self.shards:
-            shard.task = asyncio.create_task(self._shard_worker(shard))
         self._started = True
         if self._telemetry_port is not None and self.telemetry_server is None:
             from repro.obs import TelemetryServer
@@ -272,20 +163,15 @@ class RevocationService:
         return self
 
     async def stop(self) -> None:
-        """Flush pending submissions and stop the shard workers.
+        """Flush pending submissions and stop accepting new ones.
 
         The backend stays open (the caller owns it); call
-        :meth:`snapshot` first when a final snapshot is wanted.
+        :meth:`snapshot` first when a final snapshot is wanted. A later
+        :meth:`start` recovers from the backend again.
         """
         if not self._started or self._crashed:
             return
         await self.flush()
-        for shard in self.shards:
-            await shard.queue.put(None)
-        for shard in self.shards:
-            if shard.task is not None:
-                await shard.task
-                shard.task = None
         self._started = False
         if self.telemetry_server is not None:
             self.telemetry_server.stop()
@@ -300,16 +186,11 @@ class RevocationService:
         committed survives, which is exactly the guarantee the recovery
         tests pin down.
         """
-        for shard in self.shards:
-            if shard.task is not None:
-                shard.task.cancel()
-                shard.task = None
-            shard.state = CounterState()
-        for pending in self._pending:
-            if not pending.future.done():
-                pending.future.cancel()
+        for *_, future in self._pending:
+            if not future.done():
+                future.cancel()
         self._pending = []
-        self.report_counters = {}
+        self._state = CounterState()
         self.decisions = []
         self._crashed = True
         self._started = False
@@ -341,23 +222,11 @@ class RevocationService:
         The future resolves when the alert's batch commits (durably in
         the ledger). A full buffer triggers an automatic :meth:`flush`.
         """
-        self._check_alive()
         if not self._started:
+            self._check_alive()
             raise RevocationError("service not started; await start() first")
-        self._next_seq += 1
-        pending = _PendingAlert(
-            seq=self._next_seq,
-            submission=AlertSubmission(
-                detector_id=detector_id,
-                target_id=target_id,
-                time=time,
-                tag=tag,
-                verify=verify,
-            ),
-            future=asyncio.get_running_loop().create_future(),
-        )
-        self._pending.append(pending)
-        future = pending.future
+        future = asyncio.get_running_loop().create_future()
+        self._pending.append((detector_id, target_id, time, tag, verify, future))
         if len(self._pending) >= self.batch_size:
             await self.flush()
         return future
@@ -378,167 +247,100 @@ class RevocationService:
         return [future.result() for future in futures]
 
     async def flush(self) -> None:
-        """Process the buffered batch: waves, shards, ledger, futures."""
+        """Commit the buffered batch: decide, append to the ledger, resolve.
+
+        Runs to completion without yielding to the event loop, so the
+        batch is the only writer of the counter state while it commits.
+        """
         self._check_alive()
-        async with self._flush_lock:
-            batch, self._pending = self._pending, []
-            if not batch:
-                return
-            t0 = time.perf_counter() if self._live_registry is not None else 0.0
-            if self.obs is not None and self.obs.config.spans:
-                with self.obs.span("svc:flush", batch=len(batch)):
-                    await self._process_batch(batch)
-            else:
-                await self._process_batch(batch)
-            if self._live_registry is not None:
-                self._live_registry.histogram(
-                    "svc_flush_latency_seconds",
-                    buckets=exponential_buckets(0.0001, 4.0, 8),
-                ).observe(time.perf_counter() - t0)
+        batch, self._pending = self._pending, []
+        if not batch:
+            return
+        t0 = time.perf_counter() if self._live_registry is not None else 0.0
+        if self.obs is not None and self.obs.config.spans:
+            with self.obs.span("svc:flush", batch=len(batch)):
+                self._commit(batch)
+        else:
+            self._commit(batch)
+        if self._live_registry is not None:
+            self._live_registry.histogram(
+                "svc_flush_latency_seconds",
+                buckets=exponential_buckets(0.0001, 4.0, 8),
+            ).observe(time.perf_counter() - t0)
 
-    async def _process_batch(self, batch: List[_PendingAlert]) -> None:
-        """Decide one batch and commit it to the ledger in seq order."""
-        outcomes: Dict[int, Tuple[bool, str, bool]] = {}
-        eligible: List[_PendingAlert] = []
-        for pending in batch:
-            sub = pending.submission
-            if sub.verify and not self._verify_tag(sub):
-                outcomes[pending.seq] = (False, "bad-auth", False)
-                if self.obs is not None and self.obs.config.metrics:
-                    self.obs.registry.counter("svc_auth_failures_total").inc()
-                continue
-            eligible.append(pending)
-
-        waves = partition_waves(
-            [
-                (p.submission.detector_id, p.submission.target_id)
-                for p in eligible
-            ]
-        )
-        for wave_indices in waves:
-            await self._process_wave([eligible[i] for i in wave_indices], outcomes)
-
-        records: List[Dict[str, Any]] = []
+    def _commit(self, batch) -> None:
+        """Decide one batch in submission order and append it to the ledger."""
+        state, config, key_manager = self._state, self.config, self.key_manager
+        seq = self.last_seq
+        ledger: List[Dict[str, Any]] = []
+        records: List[AlertRecord] = []
         revoked_now: List[int] = []
-        for pending in batch:
-            accepted, reason, revokes = outcomes[pending.seq]
-            records.append(
+        auth_failures = 0
+        for detector_id, target_id, when, tag, verify, _ in batch:
+            seq += 1
+            if verify and (
+                tag is None
+                or key_manager is None
+                or not key_manager.verify_alert_payload(
+                    detector_id,
+                    BaseStation.alert_payload(detector_id, target_id),
+                    tag,
+                )
+            ):
+                accepted, reason, revokes = False, "bad-auth", False
+                auth_failures += 1
+            else:
+                accepted, reason, revokes = apply_alert(
+                    state, config, detector_id, target_id
+                )
+                if revokes:
+                    revoked_now.append(target_id)
+            ledger.append(
                 {
                     "schema": LEDGER_SCHEMA_VERSION,
-                    "seq": pending.seq,
-                    "detector": pending.submission.detector_id,
-                    "target": pending.submission.target_id,
+                    "seq": seq,
+                    "detector": detector_id,
+                    "target": target_id,
                     "accepted": accepted,
                     "reason": reason,
                     "revokes": revokes,
-                    "time": pending.submission.time,
+                    "time": when,
                 }
             )
-            if revokes:
-                revoked_now.append(pending.submission.target_id)
-        # Durability point: the batch is visible to recovery exactly when
-        # this append returns; futures resolve only after it.
-        self.backend.append_records(records)
-        self.last_seq = batch[-1].seq
-        for pending in batch:
-            accepted, reason, _ = outcomes[pending.seq]
-            record = AlertRecord(
-                detector_id=pending.submission.detector_id,
-                target_id=pending.submission.target_id,
-                accepted=accepted,
-                reason=reason,
-                time=pending.submission.time,
+            records.append(
+                AlertRecord(detector_id, target_id, accepted, reason, when)
             )
-            self.decisions.append(record)
-            if not pending.future.done():
-                pending.future.set_result(record)
+        # Durability point: the batch is visible to recovery exactly when
+        # this append returns; futures resolve only after it. The state
+        # already holds the batch, so a failed append leaves this object
+        # ahead of its ledger: it crashes, and recovery starts afresh.
+        try:
+            self.backend.append_records(ledger)
+        except Exception as error:
+            for *_, future in batch:
+                if not future.done():
+                    future.set_exception(error)
+            self.crash()
+            raise
+        self.last_seq = seq
+        self.decisions.extend(records)
+        for (*_, future), record in zip(batch, records):
+            if not future.done():
+                future.set_result(record)
         if self.obs is not None and self.obs.config.metrics:
             registry = self.obs.registry
             registry.counter("svc_batches_total").inc()
-            registry.counter("svc_waves_total").inc(len(waves))
             registry.counter("svc_alerts_ingested_total").inc(len(batch))
-        for target_id in revoked_now:
-            if self.on_revoke is not None:
+            if auth_failures:
+                registry.counter("svc_auth_failures_total").inc(auth_failures)
+        if self.on_revoke is not None:
+            for target_id in revoked_now:
                 self.on_revoke(target_id)
         if (
             self.snapshot_every is not None
             and self.last_seq - self._snapshot_seq >= self.snapshot_every
         ):
-            await self.snapshot()
-
-    async def _process_wave(
-        self,
-        wave: List[_PendingAlert],
-        outcomes: Dict[int, Tuple[bool, str, bool]],
-    ) -> None:
-        """Quota-gate one wave, fan it out to shards, fold results back."""
-        by_shard: Dict[int, List[Tuple[int, int]]] = {}
-        for pending in wave:
-            sub = pending.submission
-            if (
-                self.report_counters.get(sub.detector_id, 0)
-                > self.config.tau_report
-            ):
-                outcomes[pending.seq] = (False, "quota-exceeded", False)
-                continue
-            by_shard.setdefault(sub.target_id % self.n_shards, []).append(
-                (pending.seq, sub.target_id)
-            )
-        if not by_shard:
-            return
-        loop = asyncio.get_running_loop()
-        replies = []
-        for shard_id, items in sorted(by_shard.items()):
-            reply: asyncio.Future = loop.create_future()
-            await self.shards[shard_id].queue.put((items, reply))
-            replies.append(reply)
-            if self.obs is not None and self.obs.config.metrics:
-                self.obs.registry.counter(
-                    "svc_shard_dispatch_total", shard=shard_id
-                ).inc(len(items))
-        shard_results: Dict[int, Tuple[bool, str, bool]] = {}
-        for reply in replies:
-            for seq, accepted, reason, revokes in await reply:
-                shard_results[seq] = (accepted, reason, revokes)
-        # Fold shard decisions back front-end side: accepted alerts spend
-        # one unit of their detector's report quota (each detector occurs
-        # at most once per wave, so this is race-free by construction).
-        for pending in wave:
-            if pending.seq not in shard_results:
-                continue
-            accepted, reason, revokes = shard_results[pending.seq]
-            outcomes[pending.seq] = (accepted, reason, revokes)
-            if accepted:
-                detector_id = pending.submission.detector_id
-                self.report_counters[detector_id] = (
-                    self.report_counters.get(detector_id, 0) + 1
-                )
-
-    async def _shard_worker(self, shard: _Shard) -> None:
-        """One shard's loop: apply the target-side transition per item."""
-        while True:
-            item = await shard.queue.get()
-            if item is None:
-                return
-            items, reply = item
-            results = []
-            for seq, target_id in items:
-                decision = apply_target(shard.state, self.config, target_id)
-                results.append(
-                    (seq, decision.accepted, decision.reason, decision.revokes_target)
-                )
-            shard.alerts_processed += len(items)
-            if not reply.done():
-                reply.set_result(results)
-
-    def _verify_tag(self, sub: AlertSubmission) -> bool:
-        """Check the per-beacon base-station MAC on one submission."""
-        if self.key_manager is None:
-            return False
-        payload = BaseStation.alert_payload(sub.detector_id, sub.target_id)
-        return sub.tag is not None and self.key_manager.verify_alert_payload(
-            sub.detector_id, payload, sub.tag
-        )
+            self._write_snapshot()
 
     # ------------------------------------------------------------------
     # Snapshot / recovery
@@ -546,12 +348,15 @@ class RevocationService:
     async def snapshot(self) -> Dict[str, Any]:
         """Write (and return) a snapshot of the committed state."""
         self._check_alive()
+        return self._write_snapshot()
+
+    def _write_snapshot(self) -> Dict[str, Any]:
         document = {
             "schema": LEDGER_SCHEMA_VERSION,
             "seq": self.last_seq,
             "tau_report": self.config.tau_report,
             "tau_alert": self.config.tau_alert,
-            "state": self.counter_state().to_dict(),
+            "state": self._state.to_dict(),
         }
         self.backend.write_snapshot(document)
         self._snapshot_seq = self.last_seq
@@ -560,13 +365,15 @@ class RevocationService:
         return document
 
     def _recover(self) -> None:
-        """Rebuild committed state from snapshot + ledger tail.
+        """Rebuild committed state and the decision log from scratch.
 
-        Every replayed (non-``bad-auth``) record is *recomputed* through
-        :func:`repro.core.revocation.evaluate_alert` and must match its
-        recorded fate — a corrupted or reordered ledger fails loudly
-        instead of silently diverging. Shard placement is re-derived, so
-        recovery works under any ``n_shards``.
+        Starts from the backend's snapshot (if any) and recommits every
+        later non-``bad-auth`` ledger record through
+        :func:`repro.core.revocation.apply_alert`; the returned decision
+        must match the recorded fate, so a corrupted or reordered ledger
+        fails loudly instead of silently diverging. The whole ledger is
+        read to rebuild :attr:`decisions`, so a stop/start cycle on one
+        object reconverges to the same log rather than appending to it.
         """
         state = CounterState()
         after_seq = 0
@@ -584,10 +391,8 @@ class RevocationService:
                 )
             state = CounterState.from_dict(snapshot.get("state") or {})
             after_seq = int(snapshot.get("seq", 0))
-        replayed = 0
+        decisions: List[AlertRecord] = []
         last_seq = 0
-        # Read the whole ledger to rebuild the decision log; state is
-        # only recomputed past the snapshot's sequence number.
         for record in self.backend.read_records(0):
             seq = int(record["seq"])
             if seq != last_seq + 1:
@@ -595,100 +400,66 @@ class RevocationService:
                     f"ledger gap: expected seq {last_seq + 1}, found {seq}"
                 )
             last_seq = seq
-            detector_id = int(record["detector"])
-            target_id = int(record["target"])
-            if seq > after_seq and record["reason"] != "bad-auth":
-                decision = evaluate_alert(
-                    state, self.config, detector_id, target_id
+            entry = AlertRecord.from_dict(record)
+            if seq > after_seq and entry.reason != "bad-auth":
+                decision = tuple(
+                    apply_alert(
+                        state, self.config, entry.detector_id, entry.target_id
+                    )
                 )
                 recorded = (
-                    bool(record["accepted"]),
-                    str(record["reason"]),
+                    entry.accepted,
+                    entry.reason,
                     bool(record.get("revokes", False)),
                 )
-                if recorded != (
-                    decision.accepted,
-                    decision.reason,
-                    decision.revokes_target,
-                ):
+                if recorded != decision:
                     raise RevocationError(
                         f"ledger record seq {seq} disagrees with the §3.1 "
                         f"counter machine: recorded {recorded}, recomputed "
-                        f"{(decision.accepted, decision.reason, decision.revokes_target)}"
+                        f"{decision}"
                     )
-                if decision.accepted:
-                    state.alert_counters[target_id] = (
-                        state.alert_counters.get(target_id, 0) + 1
-                    )
-                    state.report_counters[detector_id] = (
-                        state.report_counters.get(detector_id, 0) + 1
-                    )
-                    if decision.revokes_target:
-                        state.revoked.add(target_id)
-            self.decisions.append(
-                AlertRecord(
-                    detector_id=detector_id,
-                    target_id=target_id,
-                    accepted=bool(record["accepted"]),
-                    reason=str(record["reason"]),
-                    time=float(record.get("time", 0.0)),
-                )
-            )
-            replayed += 1
+            decisions.append(entry)
         if last_seq < after_seq:
             raise RevocationError(
                 f"ledger ends at seq {last_seq}, before the snapshot's "
                 f"seq {after_seq}"
             )
-        # Re-shard the recovered state: report quotas stay front-end,
-        # target counters and revocations land on their derived shard.
-        self.report_counters = dict(state.report_counters)
-        for target_id, count in state.alert_counters.items():
-            shard = self.shards[target_id % self.n_shards]
-            shard.state.alert_counters[target_id] = count
-        for target_id in state.revoked:
-            shard = self.shards[target_id % self.n_shards]
-            shard.state.revoked.add(target_id)
+        self._state = state
+        self.decisions = decisions
         self.last_seq = last_seq
-        self._next_seq = last_seq
         self._snapshot_seq = after_seq
-        if self.obs is not None and self.obs.config.metrics and replayed:
+        if self.obs is not None and self.obs.config.metrics and decisions:
             self.obs.registry.counter("svc_recovered_records_total").inc(
-                replayed
+                len(decisions)
             )
 
     # ------------------------------------------------------------------
     # State views
     # ------------------------------------------------------------------
     def counter_state(self) -> CounterState:
-        """The merged §3.1 state (front-end quotas + all shard slices)."""
-        merged = CounterState(report_counters=dict(self.report_counters))
-        for shard in self.shards:
-            merged.alert_counters.update(shard.state.alert_counters)
-            merged.revoked.update(shard.state.revoked)
-        return merged
+        """A copy of the committed §3.1 state (both maps + revoked set)."""
+        return CounterState(
+            alert_counters=dict(self._state.alert_counters),
+            report_counters=dict(self._state.report_counters),
+            revoked=set(self._state.revoked),
+        )
 
     @property
     def revoked(self) -> set:
-        """Identities revoked so far (union over shards)."""
-        out: set = set()
-        for shard in self.shards:
-            out.update(shard.state.revoked)
-        return out
+        """Identities revoked so far (a copy)."""
+        return set(self._state.revoked)
 
     def is_revoked(self, beacon_id: int) -> bool:
-        """True when ``beacon_id``'s shard has revoked it."""
-        return (
-            beacon_id
-            in self.shards[beacon_id % self.n_shards].state.revoked
-        )
+        """True when ``beacon_id`` has been revoked."""
+        return beacon_id in self._state.revoked
 
-    def frontend_metric_snapshot(self) -> Dict[str, Any]:
-        """The front-end's slice of the §3.1 registry (mergeable).
+    def registry_snapshot(self) -> Dict[str, Any]:
+        """The service's §3.1 registry, from the decision log and state.
 
-        ``alerts_total{accepted,reason}`` from the decision log plus
-        ``bs_report_counter{reporter=...}`` gauges — the complement of
-        the shards' :meth:`_Shard.metric_snapshot` slices.
+        ``alerts_total{accepted,reason}``, ``revocations_total`` and the
+        ``bs_alert_counter`` / ``bs_report_counter`` gauges — equal to
+        :meth:`repro.core.revocation.BaseStation.record_metrics` output
+        for the same alert stream, bit for bit (asserted in tests).
         """
         registry = MetricsRegistry()
         for record in self.decisions:
@@ -697,30 +468,19 @@ class RevocationService:
                 accepted="true" if record.accepted else "false",
                 reason=record.reason,
             ).inc()
-        for reporter_id, count in self.report_counters.items():
+        registry.counter("revocations_total").inc(len(self._state.revoked))
+        for target_id, count in self._state.alert_counters.items():
+            registry.gauge("bs_alert_counter", target=target_id).set(count)
+        for reporter_id, count in self._state.report_counters.items():
             registry.gauge("bs_report_counter", reporter=reporter_id).set(count)
         return registry.snapshot()
-
-    def registry_snapshot(self) -> Dict[str, Any]:
-        """The service's §3.1 registry: shard snapshots merged in one pass.
-
-        Uses :func:`repro.obs.merge_snapshots` — the same
-        order-insensitive reduction the parallel experiment runner uses —
-        over the front-end snapshot plus every shard's snapshot. Equals
-        :meth:`repro.core.revocation.BaseStation.record_metrics` output
-        for the same alert stream, bit for bit (asserted in tests).
-        """
-        return merge_snapshots(
-            [self.frontend_metric_snapshot()]
-            + [shard.metric_snapshot() for shard in self.shards]
-        )
 
     def telemetry(self) -> Dict[str, Any]:
         """Operational telemetry (empty when ``observe`` is None).
 
         Shape mirrors the pipeline's: ``{"registry": <snapshot>,
-        "spans": [...]}`` with ``svc_*`` counters for batches, waves,
-        ingested alerts, snapshots, and recovered records. Under a
+        "spans": [...]}`` with ``svc_*`` counters for batches, ingested
+        alerts, auth failures, snapshots, and recovered records. Under a
         process span namespace / trace context (see
         :mod:`repro.obs.live`) the dict also carries the ``process`` /
         ``trace`` / ``wall0_epoch`` stitching fields, exactly like a
@@ -739,9 +499,8 @@ class RevocationService:
         Merges :meth:`registry_snapshot`, the operational ``svc_*``
         registry (when ``observe`` is set), and the wall-clock live
         registry, then overlays point-in-time liveness gauges:
-        ``svc_ledger_seq_lag`` (committed seqs since the last snapshot),
-        ``svc_pending_alerts`` (buffered, unflushed submissions), and
-        per-shard ``svc_shard_pending_alerts{shard=...}`` queue depths.
+        ``svc_ledger_seq_lag`` (committed seqs since the last snapshot)
+        and ``svc_pending_alerts`` (buffered, unflushed submissions).
         Served by the telemetry server's ``/metrics`` endpoint.
         """
         liveness = MetricsRegistry()
@@ -749,10 +508,6 @@ class RevocationService:
             self.last_seq - self._snapshot_seq
         )
         liveness.gauge("svc_pending_alerts").set(len(self._pending))
-        for shard in self.shards:
-            liveness.gauge(
-                "svc_shard_pending_alerts", shard=shard.shard_id
-            ).set(shard.queue.qsize())
         parts = [self.registry_snapshot()]
         if self.obs is not None:
             parts.append(self.obs.registry.snapshot())
@@ -767,7 +522,6 @@ class RevocationService:
             "status": "ok" if self._started and not self._crashed else "down",
             "started": self._started,
             "crashed": self._crashed,
-            "n_shards": self.n_shards,
             "last_seq": self.last_seq,
         }
 

@@ -1,1 +1,1 @@
-"""Tests for the sharded, persistent revocation service (repro.revocation)."""
+"""Tests for the persistent, single-writer revocation service (repro.revocation)."""

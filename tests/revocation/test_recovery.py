@@ -36,8 +36,6 @@ def run_with_crash(
     backend,
     *,
     crash_after,
-    n_shards=4,
-    recover_shards=None,
     batch_size=16,
     snapshot_every=None,
 ):
@@ -50,7 +48,6 @@ def run_with_crash(
     async def _run():
         service = RevocationService(
             config,
-            n_shards=n_shards,
             backend=backend,
             batch_size=batch_size,
             snapshot_every=snapshot_every,
@@ -63,7 +60,6 @@ def run_with_crash(
         # died with the process.
         service = RevocationService(
             config,
-            n_shards=recover_shards if recover_shards is not None else n_shards,
             backend=backend,
             batch_size=batch_size,
             snapshot_every=snapshot_every,
@@ -118,22 +114,6 @@ class TestCrashRecovery:
         )
         assert service.counter_state().to_dict() == station.state.to_dict()
 
-    def test_recovery_under_different_shard_count(self, key_manager):
-        # Shard placement is derived from the target id, never stored,
-        # so a recovered service may use any shard count.
-        config = RevocationConfig()
-        alerts = random_alerts(43, 150)
-        station = ground_truth(key_manager, alerts, config)
-        service = run_with_crash(
-            alerts,
-            config,
-            MemoryBackend(),
-            crash_after=75,
-            n_shards=3,
-            recover_shards=7,
-        )
-        assert service.counter_state().to_dict() == station.state.to_dict()
-
     def test_double_crash(self, key_manager):
         config = RevocationConfig()
         alerts = random_alerts(47, 180)
@@ -170,6 +150,70 @@ class TestCrashRecovery:
         assert [(r.accepted, r.reason) for r in service.decisions] == [
             (r.accepted, r.reason) for r in station.log
         ]
+
+
+class FlakyBackend(MemoryBackend):
+    """A memory ledger whose ``fail_on``-th append raises."""
+
+    def __init__(self, fail_on):
+        super().__init__()
+        self.fail_on = fail_on
+        self.appends = 0
+
+    def append_records(self, records):
+        self.appends += 1
+        if self.appends == self.fail_on:
+            raise OSError("ledger device full")
+        super().append_records(records)
+
+
+class TestFailedAppend:
+    def test_failed_append_fails_the_batch_and_crashes(self, key_manager):
+        # One target accused three times with tau_alert=0: the first alert
+        # revokes it, so an unlogged revocation would leak into the next
+        # batch as target-already-revoked.
+        config = RevocationConfig(tau_report=5, tau_alert=0)
+        committed = [(1, 2, 0.0), (3, 4, 1.0), (5, 6, 2.0)]
+        lost = [(7, 9, 3.0), (8, 9, 4.0), (1, 9, 5.0)]
+        backend = FlakyBackend(fail_on=2)
+
+        async def _run():
+            service = RevocationService(config, backend=backend, batch_size=3)
+            await service.start()
+            await service.ingest(committed)
+            futures = [
+                await service.submit(detector, target, time=time)
+                for detector, target, time in lost[:-1]
+            ]
+            detector, target, time = lost[-1]
+            # The third submission fills the batch; its flush fails.
+            with pytest.raises(OSError, match="ledger device full"):
+                await service.submit(detector, target, time=time)
+            with pytest.raises(RevocationError):
+                await service.submit(1, 2)
+            return futures
+
+        futures = asyncio.run(_run())
+        for future in futures:
+            assert isinstance(future.exception(), OSError)
+        assert [r["seq"] for r in backend.records] == [1, 2, 3]
+
+        async def _recover_and_resume():
+            service = RevocationService(config, backend=backend, batch_size=3)
+            await service.start()
+            recovered = (list(service.decisions), service.counter_state())
+            await service.ingest(lost)
+            await service.stop()
+            return recovered, service
+
+        (decisions, state), service = asyncio.run(_recover_and_resume())
+        prefix = ground_truth(key_manager, committed, config)
+        assert decisions == prefix.log
+        assert state == prefix.state
+        station = ground_truth(key_manager, committed + lost, config)
+        assert service.decisions == station.log
+        assert service.counter_state() == station.state
+        assert [r["seq"] for r in backend.records] == list(range(1, 7))
 
 
 class TestRecoveryValidation:
@@ -252,3 +296,35 @@ class TestRecoveryValidation:
             for r in station.log
         ]
         assert service.last_seq == len(alerts)
+
+    def test_stop_then_start_rebuilds_rather_than_appends(self, key_manager):
+        config = RevocationConfig()
+        alerts = random_alerts(71, 120)
+        head, tail = alerts[:60], alerts[60:]
+
+        async def _run():
+            service = RevocationService(config, batch_size=16)
+            await service.start()
+            await service.ingest(head)
+            await service.stop()
+            before = (
+                list(service.decisions),
+                service.counter_state(),
+                service.last_seq,
+            )
+            await service.start()
+            after = (
+                list(service.decisions),
+                service.counter_state(),
+                service.last_seq,
+            )
+            await service.ingest(tail)
+            await service.stop()
+            return service, before, after
+
+        service, before, after = asyncio.run(_run())
+        assert after == before
+        assert before[2] == len(head)
+        station = ground_truth(key_manager, alerts, config)
+        assert service.decisions == station.log
+        assert service.counter_state() == station.state

@@ -53,9 +53,9 @@ class TestCapture:
 
 
 class TestSweepReplayIdentity:
-    @pytest.mark.parametrize("n_shards", [1, 3, 8])
-    def test_identical_for_any_shard_count(self, sweep_streams, n_shards):
-        for report in replay_sweep(sweep_streams, n_shards=n_shards):
+    @pytest.mark.parametrize("batch_size", [1, 8, 128])
+    def test_identical_for_any_batch_size(self, sweep_streams, batch_size):
+        for report in replay_sweep(sweep_streams, batch_size=batch_size):
             assert report.identical, report.to_dict()
 
     @pytest.mark.parametrize("restart_fraction", [0.0, 0.5, 1.0])
@@ -64,7 +64,6 @@ class TestSweepReplayIdentity:
     ):
         reports = replay_sweep(
             sweep_streams,
-            n_shards=3,
             batch_size=8,
             restart_fraction=restart_fraction,
             snapshot_every=10,
@@ -82,7 +81,6 @@ class TestSweepReplayIdentity:
         try:
             report = replay_stream(
                 stream,
-                n_shards=4,
                 backend=backend,
                 batch_size=8,
                 restart_after=len(stream.alerts) // 2,
@@ -92,7 +90,7 @@ class TestSweepReplayIdentity:
             backend.close()
 
     def test_report_shape(self, sweep_streams):
-        report = replay_stream(sweep_streams[0], n_shards=2)
+        report = replay_stream(sweep_streams[0])
         data = report.to_dict()
         assert data["identical"] is True
         assert data["backend"] == "memory"
@@ -110,7 +108,7 @@ class TestSweepReplayIdentity:
             + stream.expected_log[1:],
             expected_state=dict(stream.expected_state, revoked=[999]),
         )
-        report = replay_stream(tampered, n_shards=2)
+        report = replay_stream(tampered)
         assert not report.identical
         assert not report.decisions_match
         assert not report.state_match
@@ -132,7 +130,7 @@ class TestDeterminism:
 
 class TestCli:
     def test_revocation_target_passes(self, capsys):
-        assert main(["revocation", "--trials", "1", "--shards", "3"]) == 0
+        assert main(["revocation", "--trials", "1"]) == 0
         err = capsys.readouterr().err
         assert "0 divergence(s)" in err
 

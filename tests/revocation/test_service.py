@@ -1,14 +1,17 @@
-"""Service/BaseStation bit-identity and wave-scheduling tests (§3.1)."""
+"""Service/BaseStation bit-identity tests (§3.1)."""
 
 import asyncio
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.revocation import BaseStation, RevocationConfig
+from repro.crypto.manager import KeyManager
 from repro.errors import ConfigurationError, RevocationError
 from repro.obs import MetricsRegistry, ObserveConfig
-from repro.revocation import MemoryBackend, RevocationService, partition_waves
+from repro.revocation import MemoryBackend, RevocationService
 
 
 def random_alerts(seed, n, n_nodes=12):
@@ -44,65 +47,43 @@ def run_service(alerts, config, **kwargs):
     return asyncio.run(_run())
 
 
-class TestPartitionWaves:
-    def test_empty(self):
-        assert partition_waves([]) == []
-
-    def test_independent_alerts_share_a_wave(self):
-        waves = partition_waves([(1, 2), (3, 4), (5, 6)])
-        assert waves == [[0, 1, 2]]
-
-    def test_shared_detector_forces_sequencing(self):
-        waves = partition_waves([(1, 2), (1, 3)])
-        assert waves == [[0], [1]]
-
-    def test_shared_target_forces_sequencing(self):
-        waves = partition_waves([(1, 9), (2, 9)])
-        assert waves == [[0], [1]]
-
-    def test_waves_have_distinct_detectors_and_targets(self):
-        items = [(d, t) for d, t, _ in random_alerts(5, 300, n_nodes=9)]
-        waves = partition_waves(items)
-        assert sorted(i for wave in waves for i in wave) == list(
-            range(len(items))
-        )
-        for wave in waves:
-            detectors = [items[i][0] for i in wave]
-            targets = [items[i][1] for i in wave]
-            assert len(set(detectors)) == len(detectors)
-            assert len(set(targets)) == len(targets)
-
-    def test_wave_order_respects_submission_order(self):
-        # Within and across waves, indices only ever increase per
-        # conflict chain: an item lands strictly after everything it
-        # conflicts with.
-        items = [(d, t) for d, t, _ in random_alerts(6, 200, n_nodes=7)]
-        level_of = {}
-        for level, wave in enumerate(partition_waves(items)):
-            for i in wave:
-                level_of[i] = level
-        for j, (dj, tj) in enumerate(items):
-            for i in range(j):
-                di, ti = items[i]
-                if di == dj or ti == tj:
-                    assert level_of[i] < level_of[j]
-
-
 class TestServiceEquivalence:
-    @pytest.mark.parametrize("n_shards", [1, 3, 8])
+    @pytest.mark.parametrize("n_producers", [1, 3, 8])
     @pytest.mark.parametrize("batch_size", [1, 64, 1000])
     def test_bit_identical_to_base_station(
-        self, key_manager, n_shards, batch_size
+        self, key_manager, n_producers, batch_size
     ):
+        # Concurrent producer tasks interleave their submissions; the one
+        # writer applies them in arrival order, so the station fed that
+        # same order is the ground truth.
         config = RevocationConfig(tau_report=2, tau_alert=2)
         alerts = random_alerts(11, 400)
-        station = station_for(key_manager, alerts, config)
-        service, records = run_service(
-            alerts, config, n_shards=n_shards, batch_size=batch_size
-        )
-        assert [(r.accepted, r.reason) for r in records] == [
-            (r.accepted, r.reason) for r in station.log
-        ]
+
+        async def _run():
+            service = RevocationService(config, batch_size=batch_size)
+            await service.start()
+            arrived = []
+
+            async def produce(share):
+                for detector, target, time in share:
+                    arrived.append((detector, target, time))
+                    await service.submit(detector, target, time=time)
+                    await asyncio.sleep(0)
+
+            size = -(-len(alerts) // n_producers)
+            await asyncio.gather(
+                *(
+                    produce(alerts[k * size : (k + 1) * size])
+                    for k in range(n_producers)
+                )
+            )
+            await service.stop()
+            return service, arrived
+
+        service, arrived = asyncio.run(_run())
+        assert sorted(arrived) == sorted(alerts)
+        station = station_for(key_manager, arrived, config)
+        assert service.decisions == station.log
         assert service.counter_state().to_dict() == station.state.to_dict()
         assert service.revoked == station.revoked
         for beacon in service.revoked:
@@ -112,7 +93,7 @@ class TestServiceEquivalence:
         config = RevocationConfig(tau_report=0, tau_alert=0)
         alerts = random_alerts(2, 150, n_nodes=6)
         station = station_for(key_manager, alerts, config)
-        service, records = run_service(alerts, config, n_shards=3)
+        service, records = run_service(alerts, config)
         assert [(r.accepted, r.reason) for r in records] == [
             (r.accepted, r.reason) for r in station.log
         ]
@@ -124,7 +105,7 @@ class TestServiceEquivalence:
         station = station_for(key_manager, alerts, config)
         registry = MetricsRegistry()
         station.record_metrics(registry)
-        service, _ = run_service(alerts, config, n_shards=5)
+        service, _ = run_service(alerts, config)
         assert service.registry_snapshot() == registry.snapshot()
 
     def test_on_revoke_fires_in_station_order(self, key_manager):
@@ -140,9 +121,93 @@ class TestServiceEquivalence:
         for detector, target, time in alerts:
             station.submit_alert(detector, target, verify=False, time=time)
         service_events = []
-        run_service(
-            alerts, config, n_shards=4, on_revoke=service_events.append
+        run_service(alerts, config, on_revoke=service_events.append)
+        assert service_events == station_events
+
+
+#: A small id space, so detectors and targets collide often.
+BEACONS = range(1, 7)
+
+signed_streams = st.lists(
+    st.tuples(
+        st.sampled_from(BEACONS),
+        st.sampled_from(BEACONS),
+        st.sampled_from(("valid", "forged", "missing")),
+    ),
+    max_size=120,
+)
+
+
+class TestSingleWriterProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        stream=signed_streams,
+        batch_size=st.integers(1, 300),
+        tau_report=st.integers(0, 3),
+        tau_alert=st.integers(0, 3),
+        crash_after=st.one_of(st.none(), st.integers(0, 120)),
+    )
+    def test_matches_base_station(
+        self, stream, batch_size, tau_report, tau_alert, crash_after
+    ):
+        key_manager = KeyManager()
+        for beacon in BEACONS:
+            key_manager.enroll(beacon, is_beacon=True)
+        tags = {
+            "valid": lambda d, t: key_manager.sign_alert_payload(
+                d, BaseStation.alert_payload(d, t)
+            ),
+            "forged": lambda d, t: b"forged",
+            "missing": lambda d, t: None,
+        }
+        alerts = [
+            (detector, target, tags[kind](detector, target), float(i))
+            for i, (detector, target, kind) in enumerate(stream)
+        ]
+        config = RevocationConfig(tau_report=tau_report, tau_alert=tau_alert)
+        station_events = []
+        station = BaseStation(
+            key_manager, config, on_revoke=station_events.append
         )
+        for detector, target, tag, time in alerts:
+            station.submit_alert(detector, target, tag=tag, time=time)
+        expected_registry = MetricsRegistry()
+        station.record_metrics(expected_registry)
+
+        service_events = []
+        backend = MemoryBackend()
+
+        def new_service():
+            return RevocationService(
+                config,
+                backend=backend,
+                batch_size=batch_size,
+                key_manager=key_manager,
+                on_revoke=service_events.append,
+            )
+
+        async def submit_all(service, part):
+            for detector, target, tag, time in part:
+                await service.submit(
+                    detector, target, tag=tag, verify=True, time=time
+                )
+
+        async def _run():
+            service = new_service()
+            await service.start()
+            if crash_after is not None:
+                await submit_all(service, alerts[:crash_after])
+                service.crash()
+                service = new_service()
+                await service.start()
+            await submit_all(service, alerts[service.last_seq :])
+            await service.stop()
+            return service
+
+        service = asyncio.run(_run())
+        assert service.decisions == station.log
+        assert service.counter_state() == station.state
+        assert service.registry_snapshot() == expected_registry.snapshot()
         assert service_events == station_events
 
 
@@ -155,7 +220,9 @@ class TestServiceAuth:
 
         async def _run():
             service = RevocationService(
-                RevocationConfig(), key_manager=key_manager, n_shards=2
+                RevocationConfig(),
+                key_manager=key_manager,
+                observe=ObserveConfig(),
             )
             await service.start()
             bad = await service.submit(1, 2, tag=b"forged", verify=True)
@@ -171,6 +238,8 @@ class TestServiceAuth:
         state = service.counter_state()
         assert state.alert_counters == {2: 1}
         assert state.report_counters == {1: 1}
+        counters = service.telemetry()["registry"]["counters"]
+        assert counters["svc_auth_failures_total"] == 2
 
     def test_verify_without_key_manager_is_bad_auth(self):
         async def _run():
@@ -221,7 +290,7 @@ class TestServiceLifecycle:
 
     def test_start_is_idempotent(self):
         async def _run():
-            service = RevocationService(RevocationConfig(), n_shards=2)
+            service = RevocationService(RevocationConfig())
             await service.start()
             await service.start()
             records = await service.ingest([(1, 2, 0.0)])
@@ -232,8 +301,6 @@ class TestServiceLifecycle:
         assert records[0].accepted
 
     def test_invalid_configuration_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RevocationService(RevocationConfig(), n_shards=0)
         with pytest.raises(ConfigurationError):
             RevocationService(RevocationConfig(), batch_size=0)
         with pytest.raises(ConfigurationError):
@@ -247,7 +314,6 @@ class TestServiceObservability:
         async def _run():
             service = RevocationService(
                 RevocationConfig(),
-                n_shards=2,
                 batch_size=32,
                 observe=ObserveConfig(),
             )
@@ -260,29 +326,22 @@ class TestServiceObservability:
         telemetry = asyncio.run(_run())
         counters = telemetry["registry"]["counters"]
         assert counters["svc_alerts_ingested_total"] == len(alerts)
-        assert counters["svc_batches_total"] >= 1
-        assert counters["svc_waves_total"] >= 1
+        assert counters["svc_batches_total"] == 4  # ceil(100 / 32)
         assert counters["svc_snapshots_total"] == 1
-        dispatched = sum(
-            value
-            for key, value in counters.items()
-            if key.startswith("svc_shard_dispatch_total")
-        )
-        assert dispatched <= len(alerts)
         assert any(span["name"] == "svc:flush" for span in telemetry["spans"])
 
     def test_observe_none_has_no_telemetry(self):
         service, _ = run_service(
-            random_alerts(4, 50), RevocationConfig(), n_shards=2
+            random_alerts(4, 50), RevocationConfig()
         )
         assert service.telemetry() == {}
 
     def test_observability_never_changes_decisions(self):
         config = RevocationConfig()
         alerts = random_alerts(21, 200)
-        plain, plain_records = run_service(alerts, config, n_shards=3)
+        plain, plain_records = run_service(alerts, config)
         observed, observed_records = run_service(
-            alerts, config, n_shards=3, observe=ObserveConfig()
+            alerts, config, observe=ObserveConfig()
         )
         assert [(r.accepted, r.reason) for r in plain_records] == [
             (r.accepted, r.reason) for r in observed_records

@@ -2,7 +2,7 @@
 
 The §3 base station runs as an always-on service; an operator must be
 able to scrape it *while it runs* and see liveness (pending alerts,
-ledger lag, per-shard depth, flush latency) without the scrape touching
+ledger lag, flush latency) without the scrape touching
 the deterministic decision state. These tests drive real HTTP requests
 against a service mid-run.
 """
@@ -37,7 +37,7 @@ class TestLiveScrape:
     def test_metrics_exposes_liveness_gauges_mid_run(self):
         async def _run():
             service = RevocationService(
-                n_shards=3, observe=ObserveConfig(), telemetry_port=0
+                observe=ObserveConfig(), telemetry_port=0
             )
             await service.start()
             await service.ingest(random_alerts(1, 40))
@@ -53,8 +53,6 @@ class TestLiveScrape:
         lines = metrics.splitlines()
         assert "svc_pending_alerts 0" in lines  # ingest flushed everything
         assert "svc_ledger_seq_lag" in metrics
-        for shard in range(3):
-            assert f'svc_shard_pending_alerts{{shard="{shard}"}}' in metrics
         # Wall-clock flush latency lives only in the live plane.
         assert "svc_flush_latency_seconds_count" in metrics
         assert "# TYPE svc_flush_latency_seconds histogram" in metrics
@@ -127,9 +125,7 @@ class TestLiveScrape:
         alerts = random_alerts(3, 30)
 
         async def _run(telemetry_port):
-            service = RevocationService(
-                n_shards=2, telemetry_port=telemetry_port
-            )
+            service = RevocationService(telemetry_port=telemetry_port)
             await service.start()
             records = await service.ingest(alerts)
             if service.telemetry_server is not None:

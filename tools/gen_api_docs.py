@@ -100,8 +100,8 @@ Public classes and functions of the pluggable detector suite
 runner (`repro.experiments.runner`), the detector arena
 (`repro.experiments.arena`), the distributed file-queue
 backend (`repro.experiments.distributed`), the ARQ reliable-delivery
-channel (`repro.sim.reliable`), the sharded persistent revocation
-service (`repro.revocation`), the paper-fidelity conformance harness
+channel (`repro.sim.reliable`), the single-writer persistent
+revocation service (`repro.revocation`), the paper-fidelity conformance harness
 (`repro.verify`), and the vectorized batch simulation core
 (`repro.vec`).
 
