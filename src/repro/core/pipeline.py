@@ -24,9 +24,8 @@ Paper section: §4 (end-to-end simulation evaluation)
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.attacks.collusion import ColludingReporters
 from repro.attacks.compromised import MaliciousBeacon
@@ -50,7 +49,6 @@ from repro.sim.reliable import LossModel, ReliableChannel
 from repro.sim.rng import RngRegistry, derive_seed
 from repro.sim.trace import TraceRecorder
 from repro.utils.geometry import Point, distance, random_point_in_rect
-from repro.utils.profiling import PhaseProfile
 from repro.utils.validation import check_int_in_range, check_probability
 from repro.wormhole.detector import ProbabilisticWormholeDetector
 
@@ -67,6 +65,10 @@ RTT_BUCKETS_CYCLES = linear_buckets(14_000.0, 250.0, 17) + (
     100_000.0,
     1_000_000.0,
 )
+
+#: The collection switches of an unobserved trial (``observe=None``):
+#: its span tree still times every phase, but collects nothing else.
+_TIMING_ONLY = ObserveConfig(metrics=False, rtt_histograms=False)
 
 
 @dataclass(frozen=True)
@@ -156,12 +158,12 @@ class PipelineConfig:
     #: :class:`repro.errors.BudgetExceededError` instead of running away.
     max_events: Optional[int] = None
     #: Observability switches (see :mod:`repro.obs`). ``None`` (default)
-    #: builds no observability object at all; an
-    #: :class:`repro.obs.ObserveConfig` collects spans/metrics/RTT
-    #: histograms. Either way the layer draws zero randomness, so
-    #: results are bit-identical to observe=None (asserted by
-    #: tests/core/test_pipeline_observe.py). Excluded from result-cache
-    #: keys for the same reason.
+    #: keeps only the phase-timing spans and exports nothing; an
+    #: :class:`repro.obs.ObserveConfig` also collects span events,
+    #: metrics and RTT histograms. Either way the layer draws zero
+    #: randomness, so results are bit-identical to observe=None
+    #: (asserted by tests/core/test_pipeline_observe.py). Excluded from
+    #: result-cache keys for the same reason.
     observe: Optional[ObserveConfig] = None
     seed: int = 0
 
@@ -310,20 +312,16 @@ class SecureLocalizationPipeline:
         #: noise/RTT draws batched); folded into observability at
         #: finalize and into :meth:`profile_snapshot` as ``vec_*``.
         self._vec_counters: Dict[str, int] = {}
-        #: Per-phase wall clock + hot-path counters; populated by
-        #: :meth:`run` and read back via :meth:`profile_snapshot`.
-        self.profile = PhaseProfile()
-        #: The trial's observability context, or None when
-        #: ``config.observe`` is None (the default — no obs object is
-        #: even constructed, so the hot paths carry zero extra checks
-        #: beyond one ``is None`` test at phase boundaries).
-        self.obs: Optional[Observability] = None
-        if self.config.observe is not None:
-            self.obs = Observability(
-                self.config.observe,
-                trace=self.trace,
-                sim_clock=self.engine.now,
-            )
+        #: The trial's span tree: its ``phase:*`` spans are the only
+        #: phase timer (read back by :meth:`profile_snapshot`). With
+        #: ``config.observe`` None it is timing-only: no span event
+        #: reaches :attr:`trace` and nothing reaches its registry.
+        observed = self.config.observe is not None
+        self.obs = Observability(
+            self.config.observe if observed else _TIMING_ONLY,
+            trace=self.trace if observed else None,
+            sim_clock=self.engine.now,
+        )
         self._obs_finalized = False
 
     # ------------------------------------------------------------------
@@ -370,7 +368,7 @@ class SecureLocalizationPipeline:
         ):
             calibration_perturb = self.fault_injector.perturb_rtt
         obs = self.obs
-        rtt_histograms = obs is not None and obs.config.rtt_histograms
+        rtt_histograms = obs.config.rtt_histograms
         calibration_observe = None
         if rtt_histograms:
             calibration_observe = obs.registry.histogram(
@@ -749,65 +747,42 @@ class SecureLocalizationPipeline:
             self.notice_distributor.disclose_key()
         self.engine.run()
 
-    @contextmanager
-    def _phase(self, name: str) -> Iterator[None]:
-        """Time one phase and — when observing — wrap it in a span.
-
-        The span is the *inner* context, so on failure it tags the
-        exception first (``phase:<name>`` beats the profile's plain
-        ``<name>`` — first tagger wins).
-        """
-        with self.profile.phase(name):
-            if self.obs is not None and self.obs.config.spans:
-                with self.obs.span(f"phase:{name}"):
-                    yield
-            else:
-                yield
-
     def run(self) -> PipelineResult:
         """Build (if needed) and execute all phases, returning the metrics.
 
-        Each phase is timed into :attr:`profile` and, when observing,
-        delimited by a ``phase:<name>`` span nested under one ``trial``
-        span; see :meth:`profile_snapshot` / :meth:`telemetry` for the
-        aggregated views. End-of-trial counters are flushed into the
-        registry via :meth:`finalize_observability`.
+        Each phase runs inside a ``phase:<name>`` span nested under one
+        ``trial`` span, observed or not; a phase that raises tags the
+        exception with its span name. See :meth:`profile_snapshot` /
+        :meth:`telemetry` for the aggregated views. End-of-trial
+        counters are flushed into the registry via
+        :meth:`finalize_observability`.
         """
-        if self.obs is not None and self.obs.config.spans:
-            with self.obs.span("trial", seed=self.config.seed):
-                result = self._run_phases()
-        else:
-            result = self._run_phases()
+        phases = (
+            ("build", self.build),
+            ("collusion", self.run_collusion),
+            ("detection", self.run_detection),
+            ("notices", self.run_notice_dissemination),
+            ("localization", self.run_localization),
+            ("metrics", self.collect_metrics),
+        )
+        with self.obs.span("trial", seed=self.config.seed):
+            for name, step in phases:
+                with self.obs.span(f"phase:{name}"):
+                    result = step()
         self.finalize_observability()
-        return result
-
-    def _run_phases(self) -> PipelineResult:
-        """The phase sequence shared by observed and unobserved runs."""
-        with self._phase("build"):
-            self.build()
-        with self._phase("collusion"):
-            self.run_collusion()
-        with self._phase("detection"):
-            self.run_detection()
-        with self._phase("notices"):
-            self.run_notice_dissemination()
-        with self._phase("localization"):
-            self.run_localization()
-        with self._phase("metrics"):
-            result = self.collect_metrics()
         return result
 
     def finalize_observability(self) -> None:
         """Flush end-of-trial counters into the registry (idempotent).
 
         The hot paths accumulate into their existing plain-int structs
-        (:class:`~repro.utils.profiling.NetworkCounters`, ARQ channel
+        (:class:`~repro.sim.network.NetworkCounters`, ARQ channel
         counters, fault-model counters, §3.1 base-station counters);
         this one call folds them all into the mergeable registry, so
         observing adds no per-event registry work.
         """
         obs = self.obs
-        if obs is None or self._obs_finalized or not obs.config.metrics:
+        if self._obs_finalized or not obs.config.metrics:
             return
         self._obs_finalized = True
         registry = obs.registry
@@ -838,7 +813,7 @@ class SecureLocalizationPipeline:
         ``observe.trace_events``; otherwise just the ``span.*`` markers,
         which keeps worker->parent payloads small in the parallel runner.
         """
-        if self.obs is None:
+        if self.config.observe is None:
             return {}
         self.finalize_observability()
         data = self.obs.telemetry()
@@ -858,26 +833,31 @@ class SecureLocalizationPipeline:
         the probe total, fault-injection event counts (``fault_*``), and
         per-ARQ-channel delivery accounting (``channel_<name>_*``), so
         one snapshot fully describes where a trial spent its work.
-        Shape: ``{"phases": {...}, "counters": {...}}`` (see
-        :mod:`repro.utils.profiling`).
+        Shape: ``{"phases": {...}, "counters": {...}}``; ``phases`` is the
+        per-name sum of the ``phase:<name>`` spans' ``dur_wall_s``.
         """
-        snapshot = self.profile.to_dict()
+        phases: Dict[str, float] = {}
+        for span in self.obs.spans:
+            kind, _, name = span["name"].partition(":")
+            if kind == "phase":
+                phases[name] = phases.get(name, 0.0) + span["dur_wall_s"]
+        counters: Dict[str, int] = {}
         if self.network is not None:
-            snapshot["counters"].update(self.network.stats.to_dict())
-        snapshot["counters"]["probes"] = self._probes_sent
+            counters.update(asdict(self.network.stats))
+        counters["probes"] = self._probes_sent
         for name in sorted(self._vec_counters):
-            snapshot["counters"][f"vec_{name}"] = self._vec_counters[name]
+            counters[f"vec_{name}"] = self._vec_counters[name]
         if self.fault_injector is not None:
-            snapshot["counters"].update(self.fault_injector.counters())
+            counters.update(self.fault_injector.counters())
         for channel in (
             getattr(self, "alert_channel", None),
             getattr(self, "request_channel", None),
         ):
             if channel is not None:
-                snapshot["counters"].update(
-                    channel.counters.to_dict(prefix=f"channel_{channel.name}_")
-                )
-        return snapshot
+                prefix = f"channel_{channel.name}_"
+                for name, value in asdict(channel.counters).items():
+                    counters[prefix + name] = value
+        return {"phases": phases, "counters": counters}
 
     # ------------------------------------------------------------------
     # Metrics

@@ -36,9 +36,10 @@ Each figure command prints the data table; ``--out`` also writes
 ``--json``). ``--workers`` shards simulation trials across processes
 (``0`` = one per CPU) and ``--cache-dir`` enables the content-addressed
 result cache, so a re-run skips every already-computed pipeline point.
-``--profile`` aggregates per-phase timings and hot-path counters across
-every executed trial and emits them as JSON (``profile.json`` under
-``--out``).
+``--profile`` aggregates per-phase timings (the trials' ``phase:*``
+span durations) and hot-path counters across every executed trial and
+emits them as JSON (``profile.json`` under ``--out``); it applies to
+the figure targets and ``trial``, and any other target rejects it.
 
 ``--backend queue`` swaps the in-process pool for the distributed
 file-queue backend (``repro.experiments.distributed``): the CLI acts as
@@ -222,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "collect per-phase timings and hot-path counters from every "
             "executed pipeline trial; prints the aggregated JSON summary "
-            "(and writes profile.json into --out when given)"
+            "(and writes profile.json into --out when given); figure "
+            "targets and 'trial' only"
         ),
     )
     parser.add_argument(
@@ -415,6 +417,20 @@ def _emit(fig, args) -> None:
             )
 
 
+def _emit_profile(runner: ExperimentRunner, args) -> None:
+    """Print (and, under ``--out``, write) the ``--profile`` summary."""
+    if not args.profile:
+        return
+    payload = json.dumps(
+        runner.stats.profile_summary(), indent=2, sort_keys=True
+    )
+    if not args.quiet:
+        print(payload)
+    if args.out is not None:
+        args.out.mkdir(parents=True, exist_ok=True)
+        (args.out / "profile.json").write_text(payload + "\n")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     parser = build_parser()
@@ -433,6 +449,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.target is None:
         parser.error("a target is required unless --worker is given")
+    if args.profile and args.target in ("list", "report", "arena", "revocation"):
+        parser.error(
+            f"--profile applies to figure targets and 'trial', "
+            f"not {args.target!r}"
+        )
 
     if args.target == "list":
         for name in sorted(figures.ALL_FIGURES):
@@ -465,6 +486,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             if not args.quiet:
                 print(json.dumps(results[0], indent=2, sort_keys=True))
+            _emit_profile(runner, args)
             _export_telemetry(runner, args)
             if runner.stats.errors:
                 _report_errors(runner.stats.errors, args)
@@ -492,14 +514,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             fig = _generate(name, runner)
             _emit(fig, args)
         _export_telemetry(runner, args)
-    if args.profile:
-        summary = runner.stats.profile_summary()
-        payload = json.dumps(summary, indent=2, sort_keys=True)
-        if not args.quiet:
-            print(payload)
-        if args.out is not None:
-            args.out.mkdir(parents=True, exist_ok=True)
-            (args.out / "profile.json").write_text(payload + "\n")
+    _emit_profile(runner, args)
     if args.cache_dir is not None and not args.quiet:
         stats = runner.stats
         print(

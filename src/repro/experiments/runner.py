@@ -59,7 +59,6 @@ from repro.core.pipeline import PipelineConfig, PipelineResult, SecureLocalizati
 from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.config_io import config_to_dict
 from repro.obs import ObserveConfig, active_span_of, merge_snapshots
-from repro.utils.profiling import merge_profiles
 
 #: Scalar :class:`PipelineResult` attributes collected by pipeline tasks.
 #: Every metric is always collected, so cache entries stay valid when a
@@ -105,18 +104,6 @@ def collect_metrics(result: PipelineResult) -> Dict[str, float]:
 def execute_pipeline(config: PipelineConfig) -> Dict[str, float]:
     """Run one pipeline and return its metrics (the worker entry point)."""
     return collect_metrics(SecureLocalizationPipeline(config).run())
-
-
-def execute_pipeline_profiled(config: PipelineConfig) -> Dict[str, Any]:
-    """Run one pipeline, returning metrics plus its profile snapshot.
-
-    The profiled worker entry point: ``{"metrics": {...}, "profile":
-    {"phases": ..., "counters": ...}}``. Metrics are identical to
-    :func:`execute_pipeline` (the always-on instrumentation draws no
-    random numbers). Kept as the historical name for
-    ``_InstrumentedTask(profile=True)``.
-    """
-    return _InstrumentedTask(profile=True)(config)
 
 
 @dataclass(frozen=True)
@@ -417,8 +404,23 @@ class RunStats:
         return sum(self.task_seconds.values())
 
     def profile_summary(self) -> Dict[str, Any]:
-        """Phase seconds and counters summed over all executed trials."""
-        return merge_profiles(self.profiles)
+        """Phase seconds and counters summed over all executed trials.
+
+        ``{"trials": n, "phases": {...}, "counters": {...}}``; a run
+        that executed nothing yields ``trials == 0`` and empty sections.
+        """
+        phases: Dict[str, float] = {}
+        counters: Dict[str, int] = {}
+        for profile in self.profiles:
+            for name, seconds in profile["phases"].items():
+                phases[name] = phases.get(name, 0.0) + seconds
+            for name, n in profile["counters"].items():
+                counters[name] = counters.get(name, 0) + n
+        return {
+            "trials": len(self.profiles),
+            "phases": phases,
+            "counters": counters,
+        }
 
     def merged_registry(self) -> Dict[str, Any]:
         """All trials' registry snapshots reduced into one.

@@ -1,13 +1,14 @@
 """Observability feature switches (``PipelineConfig.observe``).
 
-``observe=None`` — the default everywhere — means *no observability
-object exists at all*: the pipeline takes the exact pre-observability
-code paths, draws zero extra random numbers, and produces bit-identical
-results (asserted in ``tests/core/test_pipeline_observe.py``). An
-:class:`ObserveConfig` instance turns the layer on; its switches select
+``observe=None`` — the default everywhere — means *nothing is
+exported*: the pipeline's span tree still times its phases (spans are
+its only timer, so they cannot be switched off), but no event reaches
+the trace stream and nothing reaches a metrics registry. An
+:class:`ObserveConfig` instance turns collection on; its switches select
 which signals are collected. Because collection never touches an RNG,
-results stay bit-identical even with everything enabled — the knob
-exists for overhead control, not correctness.
+results stay bit-identical even with everything enabled (asserted in
+``tests/core/test_pipeline_observe.py``) — the knobs exist for overhead
+control, not correctness.
 
 The config is a frozen dataclass of plain scalars, so it is hashable,
 picklable (parallel workers), and JSON-round-trippable
@@ -29,9 +30,11 @@ from repro.errors import ConfigurationError
 class ObserveConfig:
     """Which observability signals a pipeline run collects.
 
+    Spans (``trial`` and its ``phase:*`` children) are always recorded;
+    an observed run also writes their begin/end events into the trace
+    stream and exports them in its telemetry.
+
     Attributes:
-        spans: open hierarchical spans (trial + per-phase) and record
-            their begin/end events into the trace stream.
         metrics: flush counters (network, ARQ channels, fault injector,
             base-station §3.1 alert/report counters, engine totals) into
             the metrics registry at end of trial.
@@ -44,7 +47,6 @@ class ObserveConfig:
             just the span markers.
     """
 
-    spans: bool = True
     metrics: bool = True
     rtt_histograms: bool = True
     per_node_rtt: bool = False

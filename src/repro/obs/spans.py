@@ -83,7 +83,7 @@ class Observability:
     """Per-trial observability context: one registry plus a span stack.
 
     Args:
-        config: feature switches (spans/metrics/histograms); defaults on.
+        config: collection switches (metrics/histograms); defaults on.
         registry: the metrics registry to use (fresh one by default).
         trace: recorder span begin/end events are appended to; by
             default a disabled recorder (spans still complete and are

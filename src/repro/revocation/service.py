@@ -257,7 +257,7 @@ class RevocationService:
         if not batch:
             return
         t0 = time.perf_counter() if self._live_registry is not None else 0.0
-        if self.obs is not None and self.obs.config.spans:
+        if self.obs is not None:
             with self.obs.span("svc:flush", batch=len(batch)):
                 self._commit(batch)
         else:

@@ -49,7 +49,6 @@ from repro.sim.rng import RngRegistry
 from repro.sim.timing import RttModel
 from repro.sim.trace import TraceRecorder
 from repro.utils.geometry import Point, distance
-from repro.utils.profiling import NetworkCounters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.injector import FaultInjector
@@ -72,6 +71,25 @@ def uniform_ranging_error(max_error_ft: float) -> RangingErrorModel:
     model.max_error_ft = max_error_ft
 
     return model
+
+
+@dataclass
+class NetworkCounters:
+    """Hot-path operation counts maintained by :class:`Network`.
+
+    Attributes:
+        distance_evals: Euclidean distance computations performed by
+            spatial queries and reference scans.
+        grid_cells_visited: non-empty grid buckets inspected by
+            ``nodes_within`` / ``beacons_within``.
+        spatial_queries: grid-accelerated range queries issued.
+        deliveries: packets actually handed to a receiving node.
+    """
+
+    distance_evals: int = 0
+    grid_cells_visited: int = 0
+    spatial_queries: int = 0
+    deliveries: int = 0
 
 
 @dataclass(frozen=True)
@@ -675,9 +693,12 @@ class Network:
         return rtt
 
     def record_metrics(self, registry) -> None:
-        """Flush the hot-path counters into a metrics registry as
-        ``net_*_total`` series (end of trial)."""
-        self.stats.record_metrics(registry)
+        """Flush the hot-path counters into ``registry`` (end of trial).
+
+        One ``net_<field>_total`` series per :class:`NetworkCounters` field.
+        """
+        for name, value in dataclasses.asdict(self.stats).items():
+            registry.counter(f"net_{name}_total").inc(value)
 
     def wormhole_between(self, a: Point, b: Point) -> Optional[WormholeLink]:
         """The tunnel that connects the neighbourhoods of ``a`` and ``b``."""

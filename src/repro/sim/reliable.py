@@ -23,7 +23,7 @@ successful attempt completes (the sum of all earlier timeouts).
 
 When the retry budget is exhausted the channel schedules the
 ``on_failure`` callback (if any) at the time the last timeout expires,
-records the failure in its :class:`~repro.utils.profiling.ChannelCounters`,
+records the failure in its :class:`ChannelCounters`,
 and **raises** :class:`repro.errors.DeliveryError` — silently returning an
 undelivered report let callers forget the §3.2 assumption had failed.
 Callers that prefer report semantics (e.g. metrics that count losses)
@@ -35,12 +35,11 @@ Paper section: §3.2 (fault-tolerant alert delivery via retransmission)
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 from repro.errors import ConfigurationError, DeliveryError
 from repro.sim.engine import Engine
-from repro.utils.profiling import ChannelCounters
 from repro.utils.validation import check_int_in_range, check_probability
 
 
@@ -74,6 +73,30 @@ class LossModel:
         if self.loss_rate >= 1.0:
             return float("inf")
         return 1.0 / (1.0 - self.loss_rate)
+
+
+@dataclass
+class ChannelCounters:
+    """Per-reliable-channel delivery accounting (ARQ observability).
+
+    Maintained by :class:`ReliableChannel` and folded into the pipeline
+    profile snapshot under a channel-name prefix, so a ``--profile`` run
+    shows how much retransmission work the §3.2 delivery assumption
+    actually cost.
+
+    Attributes:
+        sends: logical messages handed to the channel.
+        attempts: physical transmission attempts (first tries + retries).
+        retries: attempts beyond the first, summed over sends.
+        delivered: messages that got through within the retry budget.
+        failed: messages whose budget was exhausted.
+    """
+
+    sends: int = 0
+    attempts: int = 0
+    retries: int = 0
+    delivered: int = 0
+    failed: int = 0
 
 
 @dataclass(frozen=True)
@@ -136,26 +159,14 @@ class ReliableChannel:
         self.name = name
         self.counters = ChannelCounters()
 
-    # Legacy counter views (pre-ChannelCounters API, kept for callers).
-    @property
-    def sends(self) -> int:
-        """Messages handed to the channel so far."""
-        return self.counters.sends
-
-    @property
-    def delivered(self) -> int:
-        """Messages delivered within the retry budget."""
-        return self.counters.delivered
-
-    @property
-    def failed(self) -> int:
-        """Messages whose retry budget was exhausted."""
-        return self.counters.failed
-
     def record_metrics(self, registry) -> None:
-        """Flush ARQ counters into a metrics registry as
-        ``arq_*_total{channel=<name>}`` series (end of trial)."""
-        self.counters.record_metrics(registry, channel=self.name)
+        """Flush the ARQ counters into ``registry`` (end of trial).
+
+        One ``arq_<field>_total{channel=<name>}`` series per
+        :class:`ChannelCounters` field.
+        """
+        for name, value in asdict(self.counters).items():
+            registry.counter(f"arq_{name}_total", channel=self.name).inc(value)
 
     def _attempt_round_trip(self) -> bool:
         if not self.loss.attempt_succeeds():

@@ -9,7 +9,10 @@ The contract under test:
   every phase, Figure-4-style RTT histograms, and the §3.1 alert/report
   counters via ``telemetry()``;
 - ``telemetry()`` on an unobserved pipeline is an empty dict, not an
-  error.
+  error;
+- one timer: the ``phase:*`` spans time every trial, observed or not,
+  and ``profile_snapshot()`` reads its phases from them; its counters
+  and the registry's ``net_*`` / ``arq_*`` series agree.
 """
 
 import pytest
@@ -18,6 +21,7 @@ from repro.core.pipeline import (
     PipelineConfig,
     SecureLocalizationPipeline,
 )
+from repro.errors import BudgetExceededError
 from repro.faults import FaultConfig
 from repro.obs import ObserveConfig
 
@@ -134,15 +138,6 @@ class TestObservedTelemetry:
 
 
 class TestObserveKnobs:
-    def test_spans_off_metrics_on(self):
-        pipeline = SecureLocalizationPipeline(
-            small_config(observe=ObserveConfig(spans=False))
-        )
-        pipeline.run()
-        telemetry = pipeline.telemetry()
-        assert telemetry["spans"] == []
-        assert telemetry["registry"]["counters"]
-
     def test_rtt_histograms_off(self):
         pipeline = SecureLocalizationPipeline(
             small_config(observe=ObserveConfig(rtt_histograms=False))
@@ -163,4 +158,107 @@ class TestObserveKnobs:
         from repro.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError):
-            small_config(observe={"spans": True})
+            small_config(observe={"metrics": True})
+
+
+PHASES = ("build", "collusion", "detection", "notices", "localization", "metrics")
+
+#: profile_snapshot() counter -> registry series of the same count.
+NETWORK_SERIES = {
+    "deliveries": "net_deliveries_total",
+    "distance_evals": "net_distance_evals_total",
+    "grid_cells_visited": "net_grid_cells_visited_total",
+    "spatial_queries": "net_spatial_queries_total",
+}
+ARQ_FIELDS = ("sends", "attempts", "retries", "delivered", "failed")
+#: Counters benchmarks/e2e/workload.py reads from every pipeline trial.
+BENCHMARK_COUNTERS = (
+    "deliveries",
+    "distance_evals",
+    "spatial_queries",
+    "vec_deliveries",
+    "vec_waves",
+)
+
+
+class TestOneTimer:
+    def test_profile_phases_are_the_phase_span_durations(self):
+        pipeline = SecureLocalizationPipeline(
+            small_config(observe=ObserveConfig())
+        )
+        pipeline.run()
+        summed = {}
+        for span in pipeline.telemetry()["spans"]:
+            if span["name"].startswith("phase:"):
+                name = span["name"][len("phase:"):]
+                summed[name] = summed.get(name, 0.0) + span["dur_wall_s"]
+        assert pipeline.profile_snapshot()["phases"] == summed
+        assert set(summed) == set(PHASES)
+
+    def test_re_entered_phase_names_sum(self):
+        pipeline = SecureLocalizationPipeline(small_config())
+        for _ in range(2):
+            with pipeline.obs.span("phase:build"):
+                pipeline.build()
+        durations = [span["dur_wall_s"] for span in pipeline.obs.spans]
+        assert pipeline.profile_snapshot()["phases"] == {
+            "build": durations[0] + durations[1]
+        }
+
+    def test_failed_phase_is_still_timed(self):
+        pipeline = SecureLocalizationPipeline(small_config(max_events=50))
+        with pytest.raises(BudgetExceededError):
+            pipeline.run()
+        assert set(pipeline.profile_snapshot()["phases"]) == {
+            "build",
+            "collusion",
+            "detection",
+        }
+
+    def test_unobserved_trial_times_every_phase_and_exports_nothing(self):
+        pipeline = SecureLocalizationPipeline(small_config())
+        pipeline.run()
+        phases = pipeline.profile_snapshot()["phases"]
+        assert set(phases) == set(PHASES)
+        assert all(seconds >= 0.0 for seconds in phases.values())
+        assert not any(event.kind.startswith("span.") for event in pipeline.trace)
+        assert pipeline.obs.registry.snapshot()["counters"] == {}
+        assert pipeline.telemetry() == {}
+
+    @pytest.mark.parametrize(
+        "overrides, keys",
+        [
+            pytest.param({}, BENCHMARK_COUNTERS, id="default"),
+            pytest.param(
+                dict(
+                    faults=FaultConfig(
+                        packet_loss_rate=0.05, rtt_jitter_cycles=250.0
+                    )
+                ),
+                BENCHMARK_COUNTERS + ("fault_packet_loss", "fault_rtt_jitter"),
+                id="faulted",
+            ),
+        ],
+    )
+    def test_profile_has_the_counters_the_benchmark_reads(self, overrides, keys):
+        pipeline = SecureLocalizationPipeline(small_config(**overrides))
+        pipeline.run()
+        counters = pipeline.profile_snapshot()["counters"]
+        for key in keys:
+            assert counters[key] > 0, key
+
+    def test_profile_counters_match_the_registry_series(self):
+        pipeline = SecureLocalizationPipeline(
+            small_config(alert_loss_rate=0.3, observe=ObserveConfig())
+        )
+        pipeline.run()
+        profile = pipeline.profile_snapshot()["counters"]
+        registry = pipeline.telemetry()["registry"]["counters"]
+        for key, series in NETWORK_SERIES.items():
+            assert profile[key] == registry[series], key
+        for name in ARQ_FIELDS:
+            assert (
+                profile[f"channel_alert_{name}"]
+                == registry[f'arq_{name}_total{{channel="alert"}}']
+            ), name
+        assert profile["channel_alert_retries"] > 0

@@ -219,6 +219,27 @@ class TestCli:
         # --quiet suppressed the stdout copy.
         assert capsys.readouterr().out == ""
 
+    def test_trial_target_honours_profile(self, tmp_path, capsys):
+        import json
+
+        out = tmp_path / "new-dir"
+        code = main(["trial", "--profile", "--out", str(out), "--quiet"])
+        assert code == 0
+        payload = json.loads((out / "profile.json").read_text())
+        assert payload["trials"] == 1
+        assert set(payload["phases"]) == {
+            "build", "collusion", "detection", "notices", "localization", "metrics"
+        }
+        assert payload["counters"]["deliveries"] > 0
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("target", ["list", "report", "arena", "revocation"])
+    def test_profile_rejected_where_no_trial_profiles(self, target, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([target, "--profile"])
+        assert exit_info.value.code == 2
+        assert "--profile" in capsys.readouterr().err
+
     def test_all_target_runs_every_generator(self, tmp_path, monkeypatch):
         from repro.experiments import figures as figures_module
         from repro.experiments.series import FigureData

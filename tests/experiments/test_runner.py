@@ -23,6 +23,7 @@ from repro.experiments.runner import (
     PipelineExperiment,
     ProgressEvent,
     ResultCache,
+    RunStats,
     cache_key,
 )
 from repro.experiments.series import FigureData
@@ -278,9 +279,12 @@ class TestProfiledRuns:
         assert warm.stats.profile_summary()["trials"] == 0
         assert second == first
 
-    def test_profiled_parallel_matches_serial(self):
+    @pytest.mark.parametrize("backend", ["pool", "queue"])
+    def test_profiled_parallel_matches_serial(self, backend, tmp_path):
         serial = ExperimentRunner(profile=True)
-        parallel = ExperimentRunner(profile=True, n_workers=2)
+        parallel = ExperimentRunner(
+            profile=True, n_workers=2, backend=backend, queue_dir=tmp_path
+        )
         configs = [
             SMALL_CONFIG,
             PipelineConfig(seed=6, **SMALL),
@@ -288,7 +292,34 @@ class TestProfiledRuns:
         assert serial.run_pipeline_configs(configs) == (
             parallel.run_pipeline_configs(configs)
         )
-        assert parallel.stats.profile_summary()["trials"] == 2
+        merged = parallel.stats.profile_summary()
+        assert merged["trials"] == 2
+        assert merged["counters"] == serial.stats.profile_summary()["counters"]
+        assert set(merged["phases"]) == {
+            "build", "collusion", "detection", "notices", "localization", "metrics"
+        }
+
+
+class TestProfileSummary:
+    def test_empty(self):
+        assert RunStats().profile_summary() == {
+            "trials": 0,
+            "phases": {},
+            "counters": {},
+        }
+
+    def test_sums_phases_and_counters(self):
+        stats = RunStats(
+            profiles=[
+                {"phases": {"build": 1.0, "detection": 2.0}, "counters": {"probes": 3}},
+                {"phases": {"build": 0.5}, "counters": {"probes": 4, "deliveries": 1}},
+            ]
+        )
+        assert stats.profile_summary() == {
+            "trials": 2,
+            "phases": {"build": 1.5, "detection": 2.0},
+            "counters": {"probes": 7, "deliveries": 1},
+        }
 
 
 @pytest.mark.smoke

@@ -122,11 +122,13 @@ class TestErrorPhaseAttribution:
         assert record.to_dict()["phase"] == "phase:detection"
 
     def test_profile_tagging_is_the_unobserved_fallback(self):
+        # Unobserved trials run the same phase spans (they are the
+        # profile's timer), so the tag reads the same as observed.
         runner = ExperimentRunner(profile=True, keep_going=True)
         runner.run_pipeline_configs(
             [small_config(max_events=50)], keys=["budget"]
         )
-        assert runner.stats.errors[0].phase == "detection"
+        assert runner.stats.errors[0].phase == "phase:detection"
 
 
 class TestCacheInteraction:

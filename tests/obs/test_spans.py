@@ -1,5 +1,7 @@
 """Hierarchical spans: nesting, timing, trace events, exception tagging."""
 
+import time
+
 import pytest
 
 from repro.obs import (
@@ -68,6 +70,12 @@ class TestSpanTiming:
         assert inner["t0_wall_s"] >= outer["t0_wall_s"]
         assert inner["dur_wall_s"] >= 0.0
         assert outer["dur_wall_s"] >= inner["dur_wall_s"]
+
+    def test_duration_covers_the_block(self):
+        obs = Observability()
+        with obs.span("work"):
+            time.sleep(0.01)
+        assert obs.spans[0]["dur_wall_s"] >= 0.01
 
 
 class TestSpanTraceEvents:

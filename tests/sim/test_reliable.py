@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError, DeliveryError
+from repro.obs import MetricsRegistry
 from repro.sim.engine import Engine
 from repro.sim.messages import BeaconRequest
 from repro.sim.network import Network
@@ -87,7 +88,7 @@ class TestReliableChannel:
             channel.send(lambda: None, on_failure=lambda: failures.append(1))
         engine.run()
         assert failures == [1]
-        assert channel.failed == 1
+        assert channel.counters.failed == 1
 
     def test_budget_exhaustion_report_mode(self):
         engine, channel = self.make(1.0, retries=3)
@@ -101,7 +102,7 @@ class TestReliableChannel:
         assert not report.delivered
         assert report.attempts == 4
         assert failures == [1]
-        assert channel.failed == 1
+        assert channel.counters.failed == 1
 
     def test_backoff_grows_timeouts(self):
         engine = Engine()
@@ -123,7 +124,10 @@ class TestReliableChannel:
         assert channel.counters.attempts == 3
         assert channel.counters.retries == 2
         assert channel.counters.failed == 1
-        assert channel.counters.to_dict(prefix="x_")["x_attempts"] == 3
+        registry = MetricsRegistry()
+        channel.record_metrics(registry)
+        counters = registry.snapshot()["counters"]
+        assert counters['arq_attempts_total{channel="channel"}'] == 3
 
     def test_delivery_probability_formula(self):
         _, channel = self.make(0.5, retries=3, ack=False)

@@ -35,8 +35,12 @@ BASELINE_BENCHES = {
         "metrics_collection": {"fast_s": 0.005},
     },
     "BENCH_obs": {
-        "full_trial_observe_off": {"seconds": 2.0},
-        "full_trial_observe_on": {"seconds": 2.2},
+        "batch_core": {
+            "ratio": {
+                "idle_over_off": {"median": 1.0},
+                "on_over_off": {"median": 1.1},
+            }
+        },
     },
     "BENCH_revocation": {
         "in_process_base_station": {"alerts_per_sec": 50000.0},
@@ -165,7 +169,7 @@ class TestStaleCpu:
 
     def test_non_scaling_regressions_still_fail_on_small_cpu(self, repo):
         benches = copy.deepcopy(BASELINE_BENCHES)
-        benches["BENCH_obs"]["full_trial_observe_off"]["seconds"] = 9.0
+        benches["BENCH_obs"]["batch_core"]["ratio"]["on_over_off"]["median"] = 9.0
         _write_benches(repo, benches, cpu_count=1)
         assert bench_report.main(["--repo-root", str(repo), "--check"]) == 1
 

@@ -52,8 +52,8 @@ HEADLINES: Dict[str, List[Dict[str, Any]]] = {
         {"path": "full_trial.speedup", "good": "higher"},
     ],
     "BENCH_obs": [
-        {"path": "full_trial_observe_off.seconds", "good": "lower"},
-        {"path": "full_trial_observe_on.seconds", "good": "lower"},
+        {"path": "batch_core.ratio.idle_over_off.median", "good": "lower"},
+        {"path": "batch_core.ratio.on_over_off.median", "good": "lower"},
     ],
     "BENCH_revocation": [
         {"path": "in_process_base_station.alerts_per_sec", "good": "higher"},
