@@ -18,7 +18,6 @@ from repro.attacks.masquerade import MasqueradeAttacker
 from repro.attacks.replay import LocalReplayAttacker, build_wormhole
 from repro.attacks.collusion import ColludingReporters
 from repro.attacks.inference import InferringMaliciousBeacon
-from repro.attacks.aligned import SignalAligningLiar
 
 __all__ = [
     "AdversaryStrategy",
@@ -29,5 +28,4 @@ __all__ = [
     "build_wormhole",
     "ColludingReporters",
     "InferringMaliciousBeacon",
-    "SignalAligningLiar",
 ]

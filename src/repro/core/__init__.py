@@ -19,11 +19,6 @@ Paper section: §2-§4 (the paper's scheme, end to end)
 """
 
 from repro.core.signal_detector import MaliciousSignalDetector, SignalVerdict
-from repro.core.angle_detector import (
-    AngleConsistencyDetector,
-    CombinedConsistencyDetector,
-    aoa_triangulate,
-)
 from repro.core.rtt import (
     LocalReplayDetector,
     RttCalibration,
@@ -62,9 +57,6 @@ from repro.core.pipeline import PipelineConfig, PipelineResult, SecureLocalizati
 __all__ = [
     "MaliciousSignalDetector",
     "SignalVerdict",
-    "AngleConsistencyDetector",
-    "CombinedConsistencyDetector",
-    "aoa_triangulate",
     "RttCalibration",
     "RttCalibrationTable",
     "LocalReplayDetector",

@@ -1,26 +1,23 @@
 """Localization substrate: measurement models and position solvers.
 
 The paper's detection techniques sit *on top of* beacon-based localization;
-this package provides that base layer, including the baselines the paper's
-related-work section cites:
+this package provides that base layer:
 
-- :mod:`repro.localization.measurement` — RSSI / ToA / AoA ranging models
+- :mod:`repro.localization.measurement` — RSSI / ToA / TDoA ranging models
   with the bounded-error property the detector relies on;
 - :mod:`repro.localization.references` — the ``location reference``
   abstraction (beacon location + measurement);
 - :mod:`repro.localization.multilateration` — MMSE multilateration (the
   paper's "mathematical solution that satisfies these constraints with
   minimum estimation error");
-- :mod:`repro.localization.centroid` — Bulusu–Heidemann–Estrin centroid;
-- :mod:`repro.localization.dvhop` — Niculescu–Nath DV-Hop;
 - :mod:`repro.localization.atomic` — AHLoS-style atomic/iterative
-  multilateration (Savvides et al.);
+  multilateration (Savvides et al.), the baseline the paper's related-work
+  section cites;
 - :mod:`repro.localization.beacon` — beacon service / non-beacon agent
   protocol roles over the simulator.
 """
 
 from repro.localization.measurement import (
-    AoaModel,
     RangingModel,
     RssiModel,
     TdoaModel,
@@ -29,10 +26,7 @@ from repro.localization.measurement import (
 from repro.localization.references import LocationReference
 from repro.localization.multilateration import mmse_multilaterate
 from repro.localization.robust import robust_multilaterate
-from repro.localization.centroid import centroid_localize
-from repro.localization.dvhop import DvHopLocalizer
 from repro.localization.atomic import iterative_multilateration
-from repro.localization.serloc import SerLocLocator, serloc_localize
 from repro.localization.beacon import BeaconService, NonBeaconAgent
 
 __all__ = [
@@ -40,15 +34,10 @@ __all__ = [
     "RssiModel",
     "ToaModel",
     "TdoaModel",
-    "AoaModel",
     "LocationReference",
     "mmse_multilaterate",
     "robust_multilaterate",
-    "centroid_localize",
-    "DvHopLocalizer",
     "iterative_multilateration",
-    "SerLocLocator",
-    "serloc_localize",
     "BeaconService",
     "NonBeaconAgent",
 ]

@@ -1,16 +1,16 @@
-"""Ranging measurement models: RSSI, ToA, AoA.
+"""Ranging measurement models: RSSI, ToA, TDoA.
 
-Each model maps a *true* geometry (distance or bearing) to a noisy
-measurement and exposes ``max_error`` — the bound the paper's detector uses
-as its decision threshold ("if the difference ... is larger than the maximum
-distance error, the ... beacon signal must be malicious").
+Each model maps a *true* distance to a noisy measurement and exposes
+``max_error`` — the bound the paper's detector uses as its decision
+threshold ("if the difference ... is larger than the maximum distance
+error, the ... beacon signal must be malicious").
 
 The RSSI model goes through an explicit log-distance path-loss channel
 (signal strength in dBm -> inverted distance estimate) so that adversarial
 transmit-power games have a physically meaningful hook; ToA adds timing
-noise; AoA measures bearings. All models clamp so the *resulting distance
-error* stays within ``max_error_ft``, preserving the paper's bounded-error
-assumption.
+noise; TDoA times the RF/ultrasound arrival gap. Every model keeps the
+honest distance error within ``max_error_ft``, preserving the paper's
+bounded-error assumption.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.utils.geometry import Point, clamp
+from repro.utils.geometry import clamp
 
 
 class RangingModel(ABC):
@@ -208,41 +208,3 @@ class TdoaModel(RangingModel):
             self.max_error_ft / self.sound_speed_ft_per_s,
         )
         return max(0.0, self.distance_from_gap(gap + jitter_s) + bias_ft)
-
-
-@dataclass
-class AoaModel:
-    """Angle-of-arrival bearing measurement (for the AoA baselines).
-
-    Not a :class:`RangingModel` — it measures bearings, not distances — but
-    shares the bounded-error contract via ``max_error_rad``.
-    """
-
-    max_error_rad: float = math.radians(5.0)
-
-    def __post_init__(self) -> None:
-        if self.max_error_rad < 0:
-            raise ConfigurationError(
-                f"max_error_rad must be >= 0, got {self.max_error_rad}"
-            )
-
-    def measure_bearing(
-        self,
-        receiver: Point,
-        transmitter: Point,
-        rng: random.Random,
-        *,
-        bias_rad: float = 0.0,
-    ) -> float:
-        """Noisy bearing (radians, in (-pi, pi]) from receiver to transmitter."""
-        true_bearing = math.atan2(
-            transmitter.y - receiver.y, transmitter.x - receiver.x
-        )
-        noise = rng.uniform(-self.max_error_rad, self.max_error_rad)
-        bearing = true_bearing + noise + bias_rad
-        # Normalize into (-pi, pi].
-        while bearing <= -math.pi:
-            bearing += 2 * math.pi
-        while bearing > math.pi:
-            bearing -= 2 * math.pi
-        return bearing

@@ -8,7 +8,6 @@ reference."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.utils.geometry import Point
 
@@ -21,14 +20,12 @@ class LocationReference:
         beacon_id: the (claimed) source beacon identity.
         beacon_location: the location declared in the beacon packet.
         measured_distance_ft: the ranging estimate derived from the signal.
-        measured_angle_rad: bearing estimate, for AoA-based solvers.
         received_at: simulation time of reception (cycles).
     """
 
     beacon_id: int
     beacon_location: Point
     measured_distance_ft: float
-    measured_angle_rad: Optional[float] = None
     received_at: float = 0.0
 
     def residual_at(self, position: Point) -> float:

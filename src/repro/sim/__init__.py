@@ -23,7 +23,6 @@ from repro.sim.messages import (
     RevocationNotice,
 )
 from repro.sim.mac import CsmaMedium
-from repro.sim.mobility import RandomWaypointWalker, WaypointConfig
 from repro.sim.network import Network, WormholeLink
 from repro.sim.node import Node
 from repro.sim.radio import RadioModel
@@ -54,8 +53,6 @@ __all__ = [
     "RadioModel",
     "RngRegistry",
     "CsmaMedium",
-    "RandomWaypointWalker",
-    "WaypointConfig",
     "LossModel",
     "ReliableChannel",
     "DeliveryReport",

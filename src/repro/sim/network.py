@@ -230,7 +230,11 @@ class Network:
         return node
 
     def update_position(self, node: Node, new_position: Point) -> None:
-        """Move a node (mobility support); keeps the spatial index fresh."""
+        """Move a node and keep the spatial index fresh.
+
+        The detecting-ID inference ablation (``bench_abl_inference.py``)
+        moves its detector between probes with this.
+        """
         if node.node_id not in self._nodes:
             raise DeliveryError(f"unknown node id {node.node_id}")
         old_cell = self._cell_of(node.position)
@@ -644,27 +648,6 @@ class Network:
     # ------------------------------------------------------------------
     # Measurement helpers
     # ------------------------------------------------------------------
-    def measure_bearing(
-        self,
-        receiver: Node,
-        tx_origin: Point,
-        *,
-        max_error_rad: float = 0.0873,  # ~5 degrees
-    ) -> float:
-        """Sample an AoA bearing from ``receiver`` toward a signal source.
-
-        The bearing is *physical*: it points at the true transmission
-        origin. An attacker can game RSSI with transmit power, but it
-        cannot change the direction its signal arrives from — which is
-        what makes the AoA consistency check complementary to the
-        distance check.
-        """
-        angle = math.atan2(
-            tx_origin.y - receiver.position.y, tx_origin.x - receiver.position.x
-        )
-        noise = self.rngs.stream("aoa").uniform(-max_error_rad, max_error_rad)
-        return angle + noise
-
     def measure_rtt(
         self, requester: Node, responder_position: Point, extra_delay_cycles: float
     ) -> float:

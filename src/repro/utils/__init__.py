@@ -2,7 +2,6 @@
 
 from repro.utils.geometry import (
     Point,
-    centroid,
     clamp,
     distance,
     distance_sq,
@@ -19,7 +18,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "Point",
-    "centroid",
     "distance",
     "distance_sq",
     "midpoint",

@@ -7,7 +7,7 @@ plain ``(x, y)`` pairs wrapped in an immutable :class:`Point` for readability.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 
 class Point(NamedTuple):
@@ -40,24 +40,6 @@ def distance_sq(a: Point, b: Point) -> float:
 def midpoint(a: Point, b: Point) -> Point:
     """The point halfway between ``a`` and ``b``."""
     return Point((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
-
-
-def centroid(points: Iterable[Point]) -> Point:
-    """Arithmetic mean of ``points``.
-
-    Raises:
-        ValueError: if ``points`` is empty.
-    """
-    xs = 0.0
-    ys = 0.0
-    n = 0
-    for p in points:
-        xs += p.x
-        ys += p.y
-        n += 1
-    if n == 0:
-        raise ValueError("centroid of an empty point set is undefined")
-    return Point(xs / n, ys / n)
 
 
 def random_point_in_rect(rng, width: float, height: float) -> Point:

@@ -5,22 +5,18 @@ and non-beacon node ... [that] can tell whether two communicating nodes are
 neighbor nodes or not with certain accuracy" and parameterizes the analysis
 by its detection rate ``p_d`` (0.9 in the evaluation).
 
+- :class:`WormholeDetector` — the per-reception interface the §2.2.1
+  replay filter calls;
 - :class:`ProbabilisticWormholeDetector` — the abstract detector the
-  analysis uses: flags true wormholes with probability ``p_d``;
-- :class:`GeographicLeashDetector`, :class:`TemporalLeashDetector` — the
-  concrete packet-leash mechanisms (Hu, Perrig & Johnson, INFOCOM 2003)
-  the paper cites, usable as drop-in implementations.
+  analysis uses: flags true wormholes with probability ``p_d``.
 """
 
 from repro.wormhole.detector import (
     ProbabilisticWormholeDetector,
     WormholeDetector,
 )
-from repro.wormhole.leashes import GeographicLeashDetector, TemporalLeashDetector
 
 __all__ = [
     "WormholeDetector",
     "ProbabilisticWormholeDetector",
-    "GeographicLeashDetector",
-    "TemporalLeashDetector",
 ]

@@ -2,8 +2,9 @@
 
 A wormhole detector answers one question about a received signal: *did it
 reach me through a tunnel rather than directly?* The paper's analysis only
-needs the detector's detection rate ``p_d``; concrete mechanisms live in
-:mod:`repro.wormhole.leashes`.
+needs the detector's detection rate ``p_d``, so the model here is the
+analysis-level one: it reads the tunnel ground truth off the transmission
+and flags it with probability ``p_d``, without modelling a mechanism.
 """
 
 from __future__ import annotations

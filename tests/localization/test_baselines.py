@@ -1,49 +1,16 @@
-"""Tests for the cited localization baselines: centroid, DV-Hop, AHLoS."""
+"""Tests for the AHLoS atomic/iterative multilateration baseline."""
 
 import random
 import statistics
 
 import pytest
 
-from repro.errors import InsufficientReferencesError, LocalizationError
 from repro.localization.atomic import iterative_multilateration
-from repro.localization.centroid import centroid_localize
-from repro.localization.dvhop import DvHopLocalizer
-from repro.localization.references import LocationReference
 from repro.sim.engine import Engine
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.rng import RngRegistry
 from repro.utils.geometry import Point
-
-
-def ref(beacon_id, loc, dist=0.0):
-    return LocationReference(
-        beacon_id=beacon_id, beacon_location=loc, measured_distance_ft=dist
-    )
-
-
-class TestCentroid:
-    def test_center_of_square(self):
-        refs = [
-            ref(1, Point(0, 0)),
-            ref(2, Point(10, 0)),
-            ref(3, Point(10, 10)),
-            ref(4, Point(0, 10)),
-        ]
-        assert centroid_localize(refs) == Point(5, 5)
-
-    def test_single_reference(self):
-        assert centroid_localize([ref(1, Point(3, 4))]) == Point(3, 4)
-
-    def test_empty_raises(self):
-        with pytest.raises(InsufficientReferencesError):
-            centroid_localize([])
-
-    def test_lying_beacon_shifts_estimate(self):
-        honest = [ref(i, Point(0, 0)) for i in range(1, 4)]
-        with_liar = honest + [ref(9, Point(400, 0))]
-        assert centroid_localize(with_liar).x == pytest.approx(100.0)
 
 
 def grid_network(side=10, spacing=80.0, beacon_every=3, seed=2):
@@ -64,55 +31,6 @@ def grid_network(side=10, spacing=80.0, beacon_every=3, seed=2):
                 )
             )
     return net
-
-
-class TestDvHop:
-    def test_localizes_most_nodes(self):
-        net = grid_network()
-        loc = DvHopLocalizer(net)
-        estimates = loc.localize_all()
-        assert len(estimates) > 0.8 * len(net.non_beacon_nodes())
-
-    def test_median_error_below_two_hops(self):
-        net = grid_network()
-        loc = DvHopLocalizer(net)
-        estimates = loc.localize_all()
-        errors = [net.node(k).position.distance_to(v) for k, v in estimates.items()]
-        assert statistics.median(errors) < 160.0  # roughly one radio range
-
-    def test_hop_size_near_spacing(self):
-        net = grid_network()
-        loc = DvHopLocalizer(net)
-        beacon_id = net.beacon_nodes()[0].node_id
-        # Grid spacing 80 ft and range 150 ft: 1 hop covers 1-2 cells.
-        assert 60.0 < loc.hop_size_of(beacon_id) < 200.0
-
-    def test_declared_location_override(self):
-        net = grid_network()
-        liar = net.beacon_nodes()[0]
-        lie = Point(liar.position.x + 500, liar.position.y)
-        honest_loc = DvHopLocalizer(net)
-        lying_loc = DvHopLocalizer(net, beacon_locations={liar.node_id: lie})
-        victim = net.non_beacon_nodes()[0]
-        honest_est = honest_loc.localize(victim)
-        lying_est = lying_loc.localize(victim)
-        assert honest_est.distance_to(lying_est) > 1.0
-
-    def test_isolated_node_insufficient(self):
-        net = grid_network()
-        lonely = Node(9999, Point(50_000, 50_000))
-        net.add_node(lonely)
-        loc = DvHopLocalizer(net)
-        with pytest.raises(InsufficientReferencesError):
-            loc.localize(lonely)
-
-    def test_disconnected_beacons_raise(self):
-        engine = Engine()
-        net = Network(engine, rngs=RngRegistry(0))
-        net.add_node(Node(1, Point(0, 0), is_beacon=True))
-        net.add_node(Node(2, Point(10_000, 0), is_beacon=True))
-        with pytest.raises(LocalizationError):
-            DvHopLocalizer(net)
 
 
 def left_anchored_network(side=10, spacing=70.0, seed=2):

@@ -1,6 +1,5 @@
 """Tests for ranging measurement models."""
 
-import math
 import random
 
 import pytest
@@ -8,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.localization.measurement import AoaModel, RssiModel, ToaModel
-from repro.utils.geometry import Point
+from repro.localization.measurement import RssiModel, ToaModel
 
 
 class TestRssiChannel:
@@ -85,27 +83,3 @@ class TestToa:
     def test_negative_jitter_rejected(self):
         with pytest.raises(ConfigurationError):
             ToaModel(timing_jitter_cycles=-1.0)
-
-
-class TestAoa:
-    def test_bearing_range(self, rng):
-        m = AoaModel()
-        for _ in range(100):
-            b = m.measure_bearing(Point(0, 0), Point(1, 1), rng)
-            assert -math.pi < b <= math.pi
-
-    def test_bearing_accuracy(self, rng):
-        m = AoaModel(max_error_rad=math.radians(5))
-        true_bearing = math.atan2(1, 1)
-        for _ in range(50):
-            b = m.measure_bearing(Point(0, 0), Point(1, 1), rng)
-            assert abs(b - true_bearing) <= math.radians(5) + 1e-9
-
-    def test_bias_applied(self, rng):
-        m = AoaModel(max_error_rad=0.0)
-        b = m.measure_bearing(Point(0, 0), Point(1, 0), rng, bias_rad=0.3)
-        assert b == pytest.approx(0.3)
-
-    def test_negative_error_rejected(self):
-        with pytest.raises(ConfigurationError):
-            AoaModel(max_error_rad=-0.1)

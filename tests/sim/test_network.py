@@ -275,6 +275,15 @@ class TestSpatialIndex:
         assert [n.node_id for n in net.beacons_within(Point(500, 500), 100)] == [1]
         assert [n.node_id for n in net.beacons_within(Point(0, 0), 100)] == []
 
+    def test_neighbor_index_follows_movement(self):
+        net = make_network()
+        node = net.add_node(Node(1, Point(500.0, 500.0)))
+        anchor = net.add_node(Node(2, Point(0.0, 0.0)))
+        net.update_position(node, Point(10.0, 0.0))
+        assert anchor in net.neighbors_of(node)
+        net.update_position(node, Point(900.0, 900.0))
+        assert anchor not in net.neighbors_of(node)
+
     def test_wormhole_reachable_beacon_ids(self):
         net = make_network()
         net.add_wormhole(WormholeLink(end_a=Point(0, 0), end_b=Point(1000, 1000)))

@@ -14,7 +14,6 @@ from repro.utils.geometry import (
     midpoint,
     random_point_in_rect,
 )
-from repro.utils.geometry import centroid
 
 coords = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -58,17 +57,6 @@ class TestMidpointCentroid:
     def test_midpoint_equidistant(self, a, b):
         m = midpoint(a, b)
         assert distance(m, a) == pytest.approx(distance(m, b), abs=1e-6)
-
-    def test_centroid_of_square(self):
-        pts = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
-        assert centroid(pts) == Point(1, 1)
-
-    def test_centroid_empty_raises(self):
-        with pytest.raises(ValueError):
-            centroid([])
-
-    def test_centroid_single_point(self):
-        assert centroid([Point(5, 6)]) == Point(5, 6)
 
 
 class TestRandomPoint:

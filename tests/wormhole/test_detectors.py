@@ -1,44 +1,28 @@
-"""Tests for wormhole detectors (probabilistic + leashes)."""
+"""Tests for the probabilistic wormhole detector."""
 
 import random
 
 import pytest
 
-from repro.sim.messages import BeaconPacket, BeaconRequest
+from repro.sim.messages import BeaconPacket
 from repro.sim.radio import Reception, Transmission
 from repro.sim.timing import packet_transmission_cycles
 from repro.utils.geometry import Point
 from repro.wormhole.detector import ProbabilisticWormholeDetector
-from repro.wormhole.leashes import GeographicLeashDetector, TemporalLeashDetector
 
 
-def reception(
-    packet=None,
-    *,
-    via_wormhole=False,
-    fake_symptoms=False,
-    tx_origin=Point(0, 0),
-    arrival_time=None,
-    extra_delay=0.0,
-    src_id=1,
-    dst_id=2,
-):
-    packet = packet or BeaconPacket(
-        src_id=src_id, dst_id=dst_id, claimed_location=(tx_origin.x, tx_origin.y)
-    )
+def reception(*, via_wormhole=False, fake_symptoms=False, dst_id=2):
+    packet = BeaconPacket(src_id=1, dst_id=dst_id, claimed_location=(0.0, 0.0))
     tx = Transmission(
         packet=packet,
-        tx_origin=tx_origin,
+        tx_origin=Point(0, 0),
         departure_time=0.0,
         via_wormhole=via_wormhole,
         fake_wormhole_symptoms=fake_symptoms,
-        extra_delay_cycles=extra_delay,
     )
-    if arrival_time is None:
-        arrival_time = packet_transmission_cycles(packet.size_bits) + extra_delay
     return Reception(
         packet=packet,
-        arrival_time=arrival_time,
+        arrival_time=packet_transmission_cycles(packet.size_bits),
         measured_distance_ft=50.0,
         transmission=tx,
     )
@@ -116,73 +100,3 @@ class TestProbabilisticDetector:
 
         with pytest.raises(ConfigurationError):
             ProbabilisticWormholeDetector(1.5, random.Random(0))
-
-
-class TestGeographicLeash:
-    def test_near_claim_passes(self):
-        d = GeographicLeashDetector(comm_range_ft=150.0)
-        r = reception(tx_origin=Point(100, 0))
-        assert not d.detect(r, Point(0, 0))
-
-    def test_far_claim_flagged(self):
-        d = GeographicLeashDetector(comm_range_ft=150.0)
-        r = reception(tx_origin=Point(700, 700), via_wormhole=True)
-        assert d.detect(r, Point(0, 0))
-
-    def test_slack_allows_boundary(self):
-        d = GeographicLeashDetector(comm_range_ft=150.0, slack_ft=20.0)
-        r = reception(tx_origin=Point(160, 0))
-        assert not d.detect(r, Point(0, 0))
-
-    def test_fake_symptoms_flagged(self):
-        d = GeographicLeashDetector(comm_range_ft=150.0)
-        assert d.detect(reception(fake_symptoms=True), Point(0, 0))
-
-    def test_leashless_packet_passes(self):
-        d = GeographicLeashDetector(comm_range_ft=150.0)
-        r = reception(packet=BeaconRequest(src_id=1, dst_id=2))
-        assert not d.detect(r, Point(0, 0))
-
-    def test_bad_params_rejected(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            GeographicLeashDetector(comm_range_ft=0.0)
-        with pytest.raises(ConfigurationError):
-            GeographicLeashDetector(comm_range_ft=100.0, slack_ft=-1.0)
-
-
-class TestTemporalLeash:
-    def test_on_time_passes(self):
-        d = TemporalLeashDetector(comm_range_ft=150.0)
-        assert not d.detect(reception(), Point(0, 0))
-
-    def test_tunnel_latency_flagged(self):
-        d = TemporalLeashDetector(comm_range_ft=150.0)
-        r = reception(via_wormhole=True, extra_delay=50_000.0)
-        assert d.detect(r, Point(0, 0))
-
-    def test_fake_symptoms_flagged(self):
-        d = TemporalLeashDetector(comm_range_ft=150.0)
-        assert d.detect(reception(fake_symptoms=True), Point(0, 0))
-
-    def test_skew_budget_tolerates_small_delay(self):
-        d = TemporalLeashDetector(
-            comm_range_ft=150.0, max_clock_skew_cycles=1000.0
-        )
-        r = reception(extra_delay=500.0)
-        assert not d.detect(r, Point(0, 0))
-
-    def test_max_flight_formula(self):
-        d = TemporalLeashDetector(
-            comm_range_ft=150.0, max_clock_skew_cycles=10.0
-        )
-        assert d.max_flight_cycles() > 10.0
-
-    def test_bad_params_rejected(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            TemporalLeashDetector(comm_range_ft=-5.0)
-        with pytest.raises(ConfigurationError):
-            TemporalLeashDetector(comm_range_ft=10.0, max_clock_skew_cycles=-1.0)
