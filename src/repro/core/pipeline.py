@@ -133,18 +133,18 @@ class PipelineConfig:
     notice_interval_cycles: float = 2_000_000.0
     notice_rounds: int = 4
     network_loss_rate: float = 0.0
-    #: Route the scalar core's (and the replay tier's) reachability and
-    #: metrics scans through the grid spatial index. False falls back to
-    #: the naive O(N * N_b) scans — kept as a reference oracle; results
-    #: are bit-identical either way (asserted by
-    #: tests/core/test_pipeline_spatial.py).
+    #: Route the scalar core's reachability and metrics scans through
+    #: the grid spatial index. False falls back to the naive O(N * N_b)
+    #: scans — kept as a reference oracle; results are bit-identical
+    #: either way (asserted by tests/core/test_pipeline_spatial.py).
     use_spatial_index: bool = True
     #: Route the detection/localization phases and the metrics scans
     #: through the :mod:`repro.vec` batch kernels (the default fast
     #: path). Falls back to the scalar path silently when the
     #: configuration is outside the batch path's supported envelope
-    #: (rival detectors, ARQ loss, flooded revocation, event budgets —
-    #: see :func:`repro.vec.vectorized_core_supported`). False selects
+    #: (rival detectors, ARQ loss, flooded revocation, event budgets,
+    #: duplication/delay/crash faults — see
+    #: :func:`repro.vec.vectorized_core_supported`). False selects
     #: the scalar event-driven oracle; results are bit-identical either
     #: way (parity rules in docs/PERFORMANCE.md).
     use_vectorized_core: bool = True
@@ -683,8 +683,9 @@ class SecureLocalizationPipeline:
         Resolved once per pipeline: the config switch must be on (the
         default) *and* the configuration must be inside the batch path's
         supported envelope (paper detector, no ARQ channels, oracle
-        revocation, no event budget). Unsupported combinations fall back
-        to the scalar path silently — same results, scalar speed.
+        revocation, no event budget, no duplication, delay or crash
+        faults). Unsupported combinations fall back to the scalar path
+        silently — same results, scalar speed.
         """
         if self._vec_active is None:
             if not self.config.use_vectorized_core:
@@ -707,9 +708,9 @@ class SecureLocalizationPipeline:
         degradation the fault benches measure.
         """
         if self._vectorized_active():
-            from repro.vec.detection import run_detection_vectorized
+            from repro.vec.turbo import run_detection_turbo
 
-            run_detection_vectorized(self)
+            run_detection_turbo(self)
             return
         for beacon in self.benign_beacons:
             if self._initiator_down(beacon):
@@ -726,9 +727,9 @@ class SecureLocalizationPipeline:
         neither localize nor count as affected requesters.
         """
         if self._vectorized_active():
-            from repro.vec.localization import run_localization_vectorized
+            from repro.vec.turbo import run_localization_turbo
 
-            run_localization_vectorized(self)
+            run_localization_turbo(self)
             return
         for agent in self.agents:
             if self._initiator_down(agent):

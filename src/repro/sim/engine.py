@@ -149,7 +149,7 @@ class Engine:
     def absorb_batch(self, events: int, advance_to: float) -> None:
         """Fold an externally simulated batch of events into the engine.
 
-        The vectorized batch core (``repro.vec``) replays whole phases
+        The vectorized batch core (``repro.vec``) simulates whole phases
         without materializing :class:`Event` objects; it reports back the
         number of deliveries it emulated and the timestamp of the last
         one, so ``events_processed`` and the clock read exactly as if the

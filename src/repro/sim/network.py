@@ -65,9 +65,8 @@ def uniform_ranging_error(max_error_ft: float) -> RangingErrorModel:
     def model(true_distance_ft: float, rng) -> float:
         return rng.uniform(-max_error_ft, max_error_ft)
 
-    # Tag the closure so batch consumers (repro.vec) can recognize the
-    # default model and reproduce its draws array-wide; a custom model
-    # without the tag falls back to per-copy scalar calls.
+    # Tag the closure so the batch core (repro.vec.turbo) can reproduce
+    # its draws array-wide; every pipeline-built network uses this model.
     model.max_error_ft = max_error_ft
 
     return model

@@ -9,12 +9,15 @@ calibrated window, the discrepancy check
 ``|estimated - derived| > threshold``, and a batched Gauss-Newton
 multilateration solver.
 
-The batch core is the pipeline's default path. The scalar event-driven
-pipeline (``use_vectorized_core=False``) remains the reference oracle;
-:func:`vectorized_core_supported` gates the configurations the batch
-path reproduces draw-for-draw (see ``docs/PERFORMANCE.md`` for the
-parity rules, and ``repro.verify.differential_vectorized_core`` for the
-oracle that asserts bit-identical outcomes).
+The batch core is the pipeline's default path, and
+:mod:`repro.vec.turbo` is its one implementation of the detection and
+localization phases, packet loss and RTT faults included. The scalar
+event-driven pipeline (``use_vectorized_core=False``) remains the
+reference oracle; :func:`vectorized_core_supported` gates the
+configurations the batch path reproduces draw-for-draw (see
+``docs/PERFORMANCE.md`` for the parity rules, and
+``repro.verify.differential_vectorized_core`` for the oracle that
+asserts bit-identical outcomes).
 
 Paper section: §2.1, §2.2.2, §4 (batched kernels for the paper's hot math)
 """
@@ -25,10 +28,12 @@ from __future__ import annotations
 def vectorized_core_supported(config) -> bool:
     """True when the batch core reproduces ``config`` draw-for-draw.
 
-    The replay engine covers the paper's evaluation matrix — wormholes,
-    collusion, network loss, the full fault-injection surface, spatial
-    index on/off — but not configurations whose control flow interleaves
-    extra events with deliveries:
+    The batch core covers the paper's evaluation matrix — wormholes,
+    collusion, network loss, spatial index on/off — plus the faults
+    that act per scheduled copy or per RTT observation: packet loss,
+    RTT jitter and spikes, clock drift. It does not cover
+    configurations whose control flow interleaves extra events with
+    deliveries or changes who takes part:
 
     - ARQ channels (``alert_loss_rate``/``request_loss_rate`` > 0)
       schedule timer events between deliveries;
@@ -37,16 +42,28 @@ def vectorized_core_supported(config) -> bool:
       mid-phase;
     - rival detectors (``config.detector != "paper"``) make per-exchange
       decisions the batch kernels do not model — they replay only the
-      paper's §2.1+§2.2 suite.
+      paper's §2.1+§2.2 suite;
+    - packet duplication and delivery delay add copies or move
+      arrivals after scheduling, and node crashes silence initiators
+      and receivers mid-phase.
 
     Those run on the scalar oracle path unchanged. The predicate is
     duck-typed on the config attributes so it never imports the
     pipeline module.
     """
+    faults = getattr(config, "faults", None)
     return (
         config.alert_loss_rate == 0.0
         and config.request_loss_rate == 0.0
         and config.revocation_dissemination == "oracle"
         and config.max_events is None
         and getattr(config, "detector", "paper") == "paper"
+        and (
+            faults is None
+            or (
+                faults.packet_duplication_rate == 0.0
+                and faults.delivery_delay_rate == 0.0
+                and faults.node_crash_rate == 0.0
+            )
+        )
     )

@@ -1,12 +1,7 @@
-"""Batched localization phase and Gauss-Newton multilateration.
+"""Batched Gauss-Newton multilateration for the localization metrics.
 
-The request/reply exchange mirrors the scalar
-``run_localization``/``NonBeaconAgent`` flow through the replay engine
-(revoked-beacon filtering first — it precedes the RTT draw in the
-scalar handler — then one batched RTT draw over the surviving replies
-in reply order, then the real filter cascade per reply). Position
-solving groups agents by reference count and runs every group through
-one batched Gauss-Newton: because the scalar solver in
+Position solving groups agents by reference count and runs every group
+through one batched Gauss-Newton: because the scalar solver in
 :mod:`repro.localization.multilateration` does all of its linear
 algebra in closed form (elementwise ufuncs plus contiguous 1-D sums),
 each batched iterate is the *bit-identical* float sequence of the
@@ -14,6 +9,8 @@ scalar per-agent iterate, and every estimate — converged, cap-limited,
 or stalled — matches the reference path exactly. Only a row that
 diverges to a non-finite position leaves the batch: it is re-run
 through the scalar solver so the identical ``SolverError`` surfaces.
+The references themselves are gathered by
+:func:`repro.vec.turbo.run_localization_turbo`.
 
 Paper section: §4 (stage-2 localization over the batch substrate)
 """
@@ -24,91 +21,17 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.replay_filter import FilterDecision
 from repro.localization.multilateration import (
     _DEGENERACY_FACTOR,
     _MIN_DISTANCE_FT,
     mmse_multilaterate,
 )
-from repro.sim.messages import BeaconRequest
 from repro.utils.geometry import Point
-from repro.utils.geometry import distance
-from repro.vec.measurement import batched_rtt
-from repro.vec.replay import PhaseReplay
 
 #: Gauss-Newton iteration cap (matches the scalar solver's default).
 _MAX_ITERATIONS = 50
 #: Convergence threshold on the position-update norm (scalar default).
 _TOLERANCE_FT = 1e-6
-
-
-def run_localization_vectorized(pipeline) -> None:
-    """Drop-in replacement for ``run_localization`` on the batch path.
-
-    Gathers references with exact draw parity; estimation itself is
-    deferred to :func:`batched_estimate_errors`, which the pipeline's
-    metrics phase calls (as the scalar path does via
-    ``estimate_position``). Fault-free configurations take the fully
-    array-built turbo tier; everything else replays per delivery.
-    """
-    from repro.vec.turbo import run_localization_turbo, turbo_supported
-
-    if turbo_supported(pipeline):
-        run_localization_turbo(pipeline)
-        return
-    replay = PhaseReplay(pipeline)
-    t0 = pipeline.engine.now()
-    for agent in pipeline.agents:
-        if pipeline._initiator_down(agent):
-            continue
-        for beacon in pipeline._reachable_beacons(agent):
-            request = BeaconRequest(
-                src_id=agent.node_id,
-                dst_id=beacon.node_id,
-                nonce=agent._next_nonce,
-            )
-            agent._next_nonce += 1
-            replay.unicast(agent, request, t0)
-    for entry, reception in replay.deliver(replay.close_wave()):
-        replay.serve_request(entry.dst, reception.packet, entry.time)
-    delivered = list(replay.deliver(replay.close_wave()))
-    # Revocation filtering precedes the RTT draw in the scalar handler,
-    # and no new revocations occur during localization (only detecting
-    # beacons alert), so filtering the whole batch up front is exact.
-    kept = [
-        (entry, reception)
-        for entry, reception in delivered
-        if reception.packet.src_id not in entry.dst.revoked_beacons
-    ]
-    network = pipeline.network
-    injector = network.fault_injector
-    rtts = batched_rtt(
-        network.rngs.stream("rtt"),
-        network.rtt_model,
-        [
-            distance(entry.dst.position, reception.transmission.tx_origin)
-            for entry, reception in kept
-        ],
-        [reception.transmission.extra_delay_cycles for _, reception in kept],
-        [entry.time for entry, _ in kept],
-    )
-    pipeline._vec_bump("rtt_batched", len(kept))
-    perturbs = injector is not None and injector.perturbs_rtt()
-    for index, (entry, reception) in enumerate(kept):
-        agent = entry.dst
-        rtt = float(rtts[index])
-        if perturbs:
-            rtt = injector.perturb_rtt(rtt, observer_id=agent.node_id)
-        if network.rtt_observer is not None:
-            network.rtt_observer(rtt, agent)
-        decision = agent.filter_cascade.evaluate(
-            reception, agent.position, rtt, receiver_knows_location=False
-        )
-        if decision is not FilterDecision.ACCEPT:
-            agent.rejected_replays += 1
-            continue
-        agent.references.append(agent.reference_from(reception))
-    replay.finish()
 
 
 def batched_estimate_errors(agents) -> List[float]:

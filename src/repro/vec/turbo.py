@@ -1,32 +1,44 @@
-"""Array-built delivery waves for fault-free configurations.
+"""Array-built delivery waves: the batch core's detection and localization.
 
-:class:`~repro.vec.replay.PhaseReplay` removes the event queue but
-still walks every delivery in Python. In the *fault-free* envelope —
-no loss model, no fault injector — every per-copy draw it performs at
-scheduling time disappears, and a whole wave collapses into pure
-array arithmetic: exact pairwise geometry picks the copies (direct
-plus tunnelled, in the scalar ``unicast`` order), one elementwise
-expression computes every arrival time, one stable argsort recovers
-the engine's ``(time, seq)`` delivery order, and the ranging-noise /
-RTT batches consume their streams exactly as the scalar loop would.
+Each phase is two delivery waves (requests, then replies), and each
+wave collapses into array arithmetic: exact pairwise geometry picks the
+copies (direct plus tunnelled, in the scalar ``unicast`` order), the
+link- and fault-loss draws mask them in that same order, one
+elementwise expression computes every arrival time, one stable argsort
+recovers the engine's ``(time, seq)`` delivery order, and the
+ranging-noise / RTT batches consume their streams exactly as the
+scalar loop would. RTT jitter, spikes and clock drift perturb each RTT
+batch in observation order, as ``FaultInjector.perturb_rtt`` does per
+sample.
+
+Building the request wave in full before the reply wave is exact even
+where, in global event order, a late request arrives after an early
+reply: reply handlers never transmit, and the streams drawn while
+scheduling and serving (``network-loss``, fault loss, ``ranging``,
+the adversary strategies) are disjoint from those drawn while handling
+replies (``rtt``, fault RTT, ``wormhole-detector``), so each stream
+is consumed in the scalar order.
 
 Python survives only where the scalar path is genuinely stateful per
 item, and each of those loops runs over a small subset in delivery
 order: malicious responders (sticky strategy draws), first-seen
 wormhole pair verdicts (sticky detector coin flips), probe-outcome and
-alert recording, and accepted reference construction. All distances
-that feed protocol decisions or measurements are computed with the
-correctly rounded scalar ``math.hypot``, so every float matches the
-scalar run bit for bit.
+alert recording, dropped-copy traces, and accepted reference
+construction. All distances that feed protocol decisions or
+measurements are computed with the correctly rounded scalar
+``math.hypot``, so every float matches the scalar run bit for bit.
+
+Duplication, delivery delay and node crashes are not modelled here;
+:func:`repro.vec.vectorized_core_supported` sends those configurations
+to the scalar oracle.
 
 One deliberate fidelity cut, documented in ``docs/PERFORMANCE.md``:
-this tier does not record per-delivery ``"deliver"`` trace events
-(no protocol logic, invariant check, or metric consumes them; the
-scalar and replay tiers keep them). The profiling counters
-(``stats.distance_evals``, ``stats.spatial_queries``) are credited
-with the batch kernels' actual work, which differs from the scalar
-grid-walk counts. Configs that need full per-event traces must run
-with ``use_vectorized_core=False``.
+this path does not record per-delivery ``"deliver"`` trace events
+(no protocol logic, invariant check, or metric consumes them). The
+profiling counters (``stats.distance_evals``,
+``stats.spatial_queries``) are credited with the batch kernels' actual
+work, which differs from the scalar grid-walk counts. Configs that
+need full per-event traces must run with ``use_vectorized_core=False``.
 
 Paper section: §4 (simulation substrate for the batched pipeline)
 """
@@ -52,42 +64,9 @@ from repro.vec.measurement import (
     batched_rtt,
     batched_uniform,
     discrepancy_mask,
+    raw_uniforms,
 )
 from repro.wormhole.detector import ProbabilisticWormholeDetector
-
-
-def turbo_supported(pipeline) -> bool:
-    """True when the fully array-built wave path applies.
-
-    Requirements on top of :func:`repro.vec.vectorized_core_supported`:
-    no link-loss model and no fault injector (scheduling then draws no
-    randomness per copy and nothing ever crashes mid-phase), the
-    default bounded-uniform ranging model (recognizable by its
-    ``max_error_ft`` tag), out-of-range unicasts configured to drop
-    rather than raise, and the stock probabilistic wormhole detector.
-    A positive false-alarm rate is supported: the verdict kernel then
-    walks the evaluated batch in delivery order so the per-clean-copy
-    coins interleave with the sticky tunnel coins exactly as the scalar
-    loop draws them (guarded by ``repro-verify --only vectorized_core``).
-    Anything else falls back to the per-delivery replay engine, which
-    handles the general envelope.
-    """
-    network = pipeline.network
-    if network is None:
-        return False
-    if network.loss_model is not None or network.fault_injector is not None:
-        return False
-    if not network.drop_out_of_range:
-        return False
-    if getattr(network.ranging_error, "max_error_ft", None) is None:
-        return False
-    if pipeline.benign_beacons:
-        cascade = pipeline.benign_beacons[0].filter_cascade
-    elif pipeline.agents:
-        cascade = pipeline.agents[0].filter_cascade
-    else:
-        return False
-    return isinstance(cascade.wormhole_detector, ProbabilisticWormholeDetector)
 
 
 def _exact_distances(ax, ay, bx, by) -> np.ndarray:
@@ -109,11 +88,12 @@ def _exact_distances(ax, ay, bx, by) -> np.ndarray:
 class _Field:
     """Per-phase geometric context shared by both waves.
 
-    Holds the SoA topology view, node-id -> row resolution, and exact
+    Holds the SoA topology view, node-id -> row resolution, exact
     per-node distances to every wormhole endpoint (scalar ``hypot``,
     so every endpoint-range predicate — ``far_end``'s first-match
     selection and ``wormhole_reachable_beacon_ids``'s union — matches
-    the scalar :class:`~repro.sim.network.Network` bit for bit).
+    the scalar :class:`~repro.sim.network.Network` bit for bit), and
+    the network's loss and RTT fault models.
     """
 
     def __init__(self, pipeline) -> None:
@@ -124,6 +104,11 @@ class _Field:
         self.trace = network.trace
         self.radio = network.radio
         self.comm_range_ft = network.radio.comm_range_ft
+        injector = network.fault_injector
+        self.link_loss = network.loss_model
+        self.fault_loss = injector.loss if injector is not None else None
+        self.rtt_fault = injector.rtt if injector is not None else None
+        self.drift = injector.drift if injector is not None else None
         self.view = topology_arrays(network)
         self.nodes = network.nodes()
         self.beacon_rows = np.flatnonzero(self.view.is_beacon)
@@ -174,17 +159,85 @@ class _Field:
         self.network.stats.spatial_queries += 1
         return self.beacon_rows[self._reach[row]]
 
+    def transmit(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Loss draws for ``n`` scheduled copies, in scheduling order.
+
+        ``_schedule_delivery`` draws the link loss (``network-loss``)
+        for every copy, then the fault loss for the copies that
+        survived it; each model's counters advance by count.
+
+        Returns:
+            ``(kept, by_fault)`` per copy: survived both draws, and
+            lost to the fault (rather than the link).
+        """
+        kept = np.ones(n, dtype=bool)
+        by_fault = np.zeros(n, dtype=bool)
+        link = self.link_loss
+        if link is not None:
+            kept = raw_uniforms(link.rng, n) >= link.loss_rate
+            link.attempts += n
+            link.losses += n - int(np.count_nonzero(kept))
+        fault = self.fault_loss
+        if fault is not None:
+            drawn = np.flatnonzero(kept)
+            lost = drawn[raw_uniforms(fault.rng, drawn.shape[0]) < fault.rate]
+            kept[lost] = False
+            by_fault[lost] = True
+            fault.events += int(lost.shape[0])
+        return kept, by_fault
+
+    def perturb_rtts(
+        self, rtts: np.ndarray, observer_ids: np.ndarray
+    ) -> np.ndarray:
+        """``FaultInjector.perturb_rtt`` over one RTT batch.
+
+        In the scalar order: the observer's clock drift scales each
+        RTT first (derived per node, no shared stream); then each
+        observation draws one jitter uniform and one spike coin (each
+        only when enabled) from the fault-RTT stream, interleaved per
+        observation; then the result is clamped at zero. Counters
+        advance by count.
+        """
+        n = rtts.shape[0]
+        drift = self.drift
+        if drift is not None:
+            ids, inverse = np.unique(observer_ids, return_inverse=True)
+            factors = np.array(
+                [1.0 + drift.drift_of(node_id) for node_id in ids.tolist()],
+                dtype=np.float64,
+            )
+            rtts = rtts * factors[inverse]
+            drift.events += n
+        fault = self.rtt_fault
+        if fault is None:
+            return rtts
+        jitter = fault.jitter_cycles > 0
+        spikes = fault.spike_rate > 0
+        width = int(jitter) + int(spikes)
+        raws = raw_uniforms(fault.rng, width * n).reshape(n, width)
+        if jitter:
+            low, high = -fault.jitter_cycles, fault.jitter_cycles
+            rtts = rtts + (low + (high - low) * raws[:, 0])
+        if spikes:
+            spiked = raws[:, -1] < fault.spike_rate
+            rtts = np.where(spiked, rtts + fault.spike_cycles, rtts)
+            fault.spikes += int(np.count_nonzero(spiked))
+        fault.events += n
+        # Python's max(0.0, x): x only when x > 0.0.
+        return np.where(rtts > 0.0, rtts, 0.0)
+
 
 class _Wave:
     """One wave of scheduled copies, expanded and sorted in bulk.
 
     The constructor performs what ``unicast`` + ``_schedule_delivery``
-    + ``close_wave`` do for every packet of a wave: copy expansion in
-    scheduling order (direct first, then one tunnelled copy per
-    wormhole, packet-major), exact delays, the wave's ranging-noise
-    batch, and the stable ``(time, seq)`` delivery sort.
+    do for every packet of a wave: copy expansion in scheduling order
+    (direct first, then one tunnelled copy per wormhole, packet-major),
+    the loss draws over those copies, exact delays, the ranging-noise
+    batch over the survivors, and the stable ``(time, seq)`` delivery
+    sort.
 
-    Attributes (all per *copy*, in scheduling order):
+    Attributes (per surviving *copy*, in scheduling order):
         packet: index into the wave's logical-packet arrays.
         dst_row: receiving node row.
         dist: physical emitter-to-receiver distance (exact; for a
@@ -195,8 +248,15 @@ class _Wave:
         time: arrival cycle.
         measured: receiver ranging estimate (noise batch applied).
         order: indices sorting copies into delivery order.
-        undelivered: packet indices that produced no copy at all (the
-            scalar ``drop.out_of_range`` case).
+
+    Drops (in scheduling order):
+        lost_packet: packet index of each copy lost to link or fault
+            loss.
+        lost_by_fault: per lost copy, lost to the fault (``drop.fault``)
+            rather than the link (``drop.loss``).
+        undelivered: packet indices that had no copy in range at all
+            (the scalar ``drop.out_of_range`` case; loss does not
+            change it).
     """
 
     def __init__(
@@ -247,13 +307,19 @@ class _Wave:
             )
             extra_m[:, index] = extras + latency
         field.network.stats.distance_evals += count * len(field.links)
-        flat = valid.ravel()
-        self.packet = np.repeat(np.arange(count), slots)[flat]
-        self.via_wormhole = np.tile(np.arange(slots) > 0, count)[flat]
-        self.dst_row = dst_rows[self.packet]
-        self.dist = dists.ravel()[flat]
-        self.extra = extra_m.ravel()[flat]
+        # Copies in scheduling order index the (count, slots) grid
+        # row-major; the loss draws keep a subset of them.
+        copies = np.flatnonzero(valid.ravel())
+        kept, by_fault = field.transmit(copies.shape[0])
+        self.lost_packet = copies[~kept] // slots
+        self.lost_by_fault = by_fault[~kept]
         self.undelivered = np.flatnonzero(~valid.any(axis=1))
+        copies = copies[kept]
+        self.packet = copies // slots
+        self.via_wormhole = copies % slots > 0
+        self.dst_row = dst_rows[self.packet]
+        self.dist = dists.ravel()[copies]
+        self.extra = extra_m.ravel()[copies]
         # Scalar delay chain, elementwise: packet_time = airtime +
         # dist / c; delay = packet_time + extra; time = now + delay.
         airtime = field.radio.airtime_cycles(packet_cls(src_id=0, dst_id=0))
@@ -302,17 +368,33 @@ class _TurboPhase:
             wave.dst_row, minlength=self._received.shape[0]
         )
 
-    def record_undelivered(
-        self, wave: _Wave, now: np.ndarray, src_ids: np.ndarray,
-        dst_rows: np.ndarray, kind: str,
+    def record_drops(
+        self, wave: _Wave, now: np.ndarray, sender_ids: np.ndarray,
+        src_ids: np.ndarray, dst_rows: np.ndarray, kind: str,
     ) -> None:
-        """Mirror the scalar ``drop.out_of_range`` trace per dead packet."""
-        for index in wave.undelivered:
-            self.field.trace.record(
-                float(now[index]),
-                "drop.out_of_range",
-                src=int(src_ids[index]),
-                dst=int(self.field.view.node_ids[dst_rows[index]]),
+        """Mirror the scalar ``drop.*`` traces, in scheduling order.
+
+        Per packet, at its schedule time: one ``drop.loss`` or
+        ``drop.fault`` per lost copy, naming the packet's ``src_id``
+        (on a probe, the detecting ID), or one ``drop.out_of_range``
+        naming the sending node when no copy was in range.
+        """
+        packets = np.concatenate([wave.lost_packet, wave.undelivered])
+        kinds = [
+            "drop.fault" if by_fault else "drop.loss"
+            for by_fault in wave.lost_by_fault.tolist()
+        ] + ["drop.out_of_range"] * wave.undelivered.shape[0]
+        node_ids = self.field.view.node_ids
+        record = self.field.trace.record
+        for index in np.argsort(packets, kind="stable").tolist():
+            packet = packets[index]
+            name = kinds[index]
+            src = sender_ids if name == "drop.out_of_range" else src_ids
+            record(
+                float(now[packet]),
+                name,
+                src=int(src[packet]),
+                dst=int(node_ids[dst_rows[packet]]),
                 packet_kind=kind,
             )
 
@@ -544,8 +626,8 @@ def run_detection_turbo(pipeline) -> None:
         field, BeaconRequest, req_now, req_origin_rows, req_dst_rows,
         req_dists, np.zeros(req_src.shape[0]), req_biases,
     )
-    phase.record_undelivered(
-        request_wave, req_now, view.node_ids[req_origin_rows],
+    phase.record_drops(
+        request_wave, req_now, view.node_ids[req_origin_rows], req_src,
         req_dst_rows, "BeaconRequest",
     )
     phase.account(request_wave)
@@ -564,8 +646,9 @@ def run_detection_turbo(pipeline) -> None:
         field, BeaconPacket, reply_now, resp_rows, prober_rows,
         reply_direct, extras, biases,
     )
-    phase.record_undelivered(
-        reply_wave, reply_now, reply_src, prober_rows, "BeaconPacket",
+    phase.record_drops(
+        reply_wave, reply_now, reply_src, reply_src, prober_rows,
+        "BeaconPacket",
     )
     phase.account(reply_wave)
 
@@ -600,6 +683,8 @@ def run_detection_turbo(pipeline) -> None:
         times[bad],
     )
     pipeline._vec_bump("rtt_batched", int(bad.shape[0]))
+    prober_ids = view.node_ids[d_prober_rows[bad]]
+    rtts = field.perturb_rtts(rtts, prober_ids)
     # Hot Python loops below index these thousands of times; plain
     # lists hold the identical values without per-access conversion.
     rtts_list = rtts.tolist()
@@ -617,7 +702,7 @@ def run_detection_turbo(pipeline) -> None:
         ~range_flagged,
         fakes[rep][bad],
         reply_wave.via_wormhole[order][bad],
-        view.node_ids[d_prober_rows[bad]],
+        prober_ids,
         reply_src[rep][bad],
     )
     wormhole_flagged = range_flagged | detector_flagged
@@ -712,8 +797,9 @@ def run_localization_turbo(pipeline) -> None:
         field, BeaconRequest, req_now, req_origin_rows, req_dst_rows,
         req_dists, np.zeros(req_src.shape[0]), np.zeros(req_src.shape[0]),
     )
-    phase.record_undelivered(
-        request_wave, req_now, req_src, req_dst_rows, "BeaconRequest",
+    phase.record_drops(
+        request_wave, req_now, req_src, req_src, req_dst_rows,
+        "BeaconRequest",
     )
     phase.account(request_wave)
 
@@ -726,8 +812,9 @@ def run_localization_turbo(pipeline) -> None:
         field, BeaconPacket, reply_now, resp_rows, agent_req_rows,
         reply_direct, extras, biases,
     )
-    phase.record_undelivered(
-        reply_wave, reply_now, reply_src, agent_req_rows, "BeaconPacket",
+    phase.record_drops(
+        reply_wave, reply_now, reply_src, reply_src, agent_req_rows,
+        "BeaconPacket",
     )
     phase.account(reply_wave)
 
@@ -743,8 +830,7 @@ def run_localization_turbo(pipeline) -> None:
 
     # Revocation filtering precedes the RTT draw in the scalar handler,
     # and no new revocations occur during localization (only detecting
-    # beacons alert), so filtering the whole batch up front is exact —
-    # the same argument the replay tier relies on.
+    # beacons alert), so filtering the whole batch up front is exact.
     agents_by_row = {
         field.row(agent.node_id): agent for agent in pipeline.agents
     }
@@ -768,6 +854,8 @@ def run_localization_turbo(pipeline) -> None:
         times[kept],
     )
     pipeline._vec_bump("rtt_batched", int(kept.shape[0]))
+    agent_ids = view.node_ids[d_agent_rows[kept]]
+    rtts = field.perturb_rtts(rtts, agent_ids)
     rtts_list = rtts.tolist()
     agent_kept = [agents_by_row[agent_rows_list[i]] for i in kept.tolist()]
     observer = field.network.rtt_observer
@@ -782,7 +870,7 @@ def run_localization_turbo(pipeline) -> None:
         np.ones(kept.shape[0], dtype=bool),
         fakes[rep][kept],
         reply_wave.via_wormhole[order][kept],
-        view.node_ids[d_agent_rows[kept]],
+        agent_ids,
         src_all[kept],
     )
     local_flagged = np.zeros(kept.shape[0], dtype=bool)

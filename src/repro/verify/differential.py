@@ -432,10 +432,11 @@ def differential_vectorized_core(
     Each scenario builds one small randomized deployment and runs it
     twice — ``use_vectorized_core`` off and on — cycling the wormhole
     axis every scenario and the delivery envelope every other one
-    (clean, injected faults, link loss, probabilistic false alarms), so
-    both tiers of the batch path are exercised: the fully array-built
-    turbo tier on clean and false-alarm configurations and the
-    per-delivery replay tier under faults/loss.
+    (clean; packet loss with RTT jitter, spikes and drift; link loss;
+    probabilistic false alarms). A scenario whose config the batch
+    core refuses (:func:`repro.vec.vectorized_core_supported`) is a
+    divergence in itself: its "batch" run would be the scalar oracle
+    compared with itself.
     The complete ``PipelineResult`` objects must compare equal — every
     rate, every localization error, every affected-node id, to the
     last bit. "Tolerance-identical" for this substrate *is* exact
@@ -447,6 +448,7 @@ def differential_vectorized_core(
 
     from repro.core.pipeline import PipelineConfig, SecureLocalizationPipeline
     from repro.faults.config import FaultConfig
+    from repro.vec import vectorized_core_supported
 
     report = DifferentialReport("vectorized_core", scenarios)
     for i in range(scenarios):
@@ -470,14 +472,25 @@ def differential_vectorized_core(
         if envelope == 1:
             kwargs["faults"] = FaultConfig(
                 packet_loss_rate=0.05,
-                delivery_delay_rate=0.1,
-                delivery_delay_cycles=1500.0,
                 rtt_jitter_cycles=40.0,
+                rtt_spike_rate=0.02,
+                rtt_spike_cycles=20000.0,
+                clock_drift_ppm=40.0,
             )
         elif envelope == 2:
             kwargs["network_loss_rate"] = 0.1
         elif envelope == 3:
             kwargs["wormhole_false_alarm_rate"] = rng.choice([0.05, 0.2])
+        if not vectorized_core_supported(PipelineConfig(**kwargs)):
+            report.divergences.append(
+                Divergence(
+                    "vectorized_core",
+                    i,
+                    "batch core refuses the scenario; both runs would be "
+                    "the scalar oracle",
+                )
+            )
+            continue
         scalar = SecureLocalizationPipeline(
             PipelineConfig(**kwargs, use_vectorized_core=False)
         ).run()

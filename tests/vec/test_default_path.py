@@ -1,10 +1,11 @@
 """The batch core is the default path; the scalar core is the oracle.
 
-``PipelineConfig()`` runs through :mod:`repro.vec`: fault-free configs
-take the turbo tier, and configurations outside the batch envelope
-(rival detectors, ARQ channels, flooded revocation, event budgets) fall
-back to the scalar event loop with the switch still on. Only
-``use_vectorized_core=False`` selects the scalar oracle on purpose.
+``PipelineConfig()`` runs through :mod:`repro.vec.turbo`, and
+configurations outside the batch envelope (rival detectors, ARQ
+channels, flooded revocation, event budgets, duplication/delay/crash
+faults) fall back to the scalar event loop with the switch still on.
+Only ``use_vectorized_core=False`` selects the scalar oracle on
+purpose.
 """
 
 import pytest
@@ -24,7 +25,7 @@ SMALL = dict(
     seed=5,
 )
 
-#: Every batch-path counter a default (turbo) trial bumps.
+#: Every batch-path counter a default trial bumps.
 TURBO_VEC_COUNTERS = {
     "vec_calibration_rtts",
     "vec_deliveries",

@@ -3,10 +3,13 @@
 ``use_vectorized_core=True`` promises *bit-identical* trials, not
 statistically similar ones — the RNG stream-parity rules in
 ``docs/PERFORMANCE.md`` are what make that possible. These tests run
-small deployments through both cores across the envelope axes that
-select different vec tiers (fault-free wormhole configs take the turbo
-tier; loss and fault envelopes take the per-delivery replay tier) and
-compare the results with ``==``.
+small deployments through both cores across the envelope axes the
+batch core covers (wormholes, false alarms, link loss, packet-loss and
+RTT faults, and their edge cases) and compare the results with ``==``,
+together with the simulator state the result does not carry: event
+counts, loss and fault counters, and the ordered ``drop.*`` traces.
+The routing tests pin which fault configurations reach the batch core
+at all.
 """
 
 from dataclasses import replace
@@ -15,6 +18,7 @@ import pytest
 
 from repro.core.pipeline import PipelineConfig, SecureLocalizationPipeline
 from repro.faults.config import FaultConfig
+from repro.vec import vectorized_core_supported
 
 BASE = PipelineConfig(
     n_total=120,
@@ -27,12 +31,10 @@ BASE = PipelineConfig(
     seed=13,
 )
 
+#: Every fault the batch core models: per-copy loss, per-observation
+#: jitter and spikes, per-observer drift.
 FAULTS = FaultConfig(
     packet_loss_rate=0.05,
-    packet_duplication_rate=0.03,
-    duplicate_delay_cycles=5000.0,
-    delivery_delay_rate=0.1,
-    delivery_delay_cycles=2000.0,
     rtt_jitter_cycles=50.0,
     rtt_spike_rate=0.02,
     rtt_spike_cycles=30000.0,
@@ -40,25 +42,41 @@ FAULTS = FaultConfig(
 )
 
 CASES = {
-    # Fault-free wormhole deployment: the fully array-built turbo tier.
     "turbo-wormhole": BASE,
     "turbo-no-wormhole": replace(BASE, wormhole_endpoints=None),
     "turbo-no-malicious": replace(BASE, n_malicious=0),
     "turbo-other-seed": replace(BASE, seed=101),
-    # Positive false-alarm rates stay turbo-eligible: the ordered
-    # verdict walk keeps the wormhole stream in scalar lockstep.
+    # Positive false-alarm rates: the ordered verdict walk keeps the
+    # wormhole stream in scalar lockstep.
     "turbo-false-alarm": replace(BASE, wormhole_false_alarm_rate=0.1),
     "turbo-false-alarm-no-wormhole": replace(
         BASE, wormhole_endpoints=None, wormhole_false_alarm_rate=0.3
     ),
-    # Loss and fault envelopes: the per-delivery replay tier.
-    "replay-loss": replace(BASE, network_loss_rate=0.12),
-    "replay-loss-false-alarm": replace(
+    # Link loss: one network-loss draw per geometric copy.
+    "turbo-loss": replace(BASE, network_loss_rate=0.12),
+    "turbo-loss-false-alarm": replace(
         BASE, network_loss_rate=0.12, wormhole_false_alarm_rate=0.2
     ),
-    "replay-faults": replace(BASE, faults=FAULTS),
-    "replay-faults-loss": replace(
+    # Faults: fault loss over the link's survivors, RTT perturbation.
+    "turbo-faults": replace(BASE, faults=FAULTS),
+    "turbo-faults-loss": replace(
         BASE, faults=FAULTS, network_loss_rate=0.08, wormhole_endpoints=None
+    ),
+    "turbo-faults-recalibrated": replace(
+        BASE, faults=replace(FAULTS, recalibrate_under_faults=True)
+    ),
+    "turbo-faults-all-zero": replace(BASE, faults=FaultConfig()),
+    # Edge cases: every copy lost (empty reply waves), RTTs clamped at
+    # zero, and drift large enough to matter.
+    "turbo-fault-loss-total": replace(
+        BASE, faults=FaultConfig(packet_loss_rate=1.0)
+    ),
+    "turbo-link-loss-total": replace(BASE, network_loss_rate=1.0),
+    "turbo-rtt-clamped": replace(
+        BASE, faults=FaultConfig(rtt_jitter_cycles=1e6)
+    ),
+    "turbo-extreme-drift": replace(
+        BASE, faults=FaultConfig(clock_drift_ppm=5e5)
     ),
 }
 
@@ -68,6 +86,34 @@ def _run(config, *, vectorized):
         replace(config, use_vectorized_core=vectorized)
     )
     return pipeline, pipeline.run()
+
+
+def _sim_state(pipeline):
+    """What the result does not carry, in comparable form."""
+    network = pipeline.network
+    loss = network.loss_model
+    injector = pipeline.fault_injector
+    return {
+        "events": pipeline.engine.events_processed,
+        "now": pipeline.engine.now(),
+        "deliveries": network.stats.deliveries,
+        "link_loss": None if loss is None else (loss.attempts, loss.losses),
+        "faults": None if injector is None else injector.counters(),
+        "outcomes": [
+            [(o.detecting_id, o.target_id, o.decision) for o in b.probe_outcomes]
+            for b in pipeline.benign_beacons
+        ],
+        "rejected_replays": [a.rejected_replays for a in pipeline.agents],
+    }
+
+
+def _drops(pipeline):
+    """The ordered ``drop.*`` trace: time, kind and every field."""
+    return [
+        (event.time, event.kind, event.fields)
+        for event in pipeline.trace
+        if event.kind.startswith("drop.")
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -85,51 +131,49 @@ def test_vectorized_core_reproduces_scalar_trial(name):
     assert list(vec_result.localization_errors_ft) == list(
         scalar_result.localization_errors_ft
     )
-
-    # Deeper state the result does not carry: per-prober probe verdicts
-    # in order, and per-agent replay rejections.
-    scalar_outcomes = [
-        [(o.detecting_id, o.target_id, o.decision) for o in b.probe_outcomes]
-        for b in scalar_pipeline.benign_beacons
-    ]
-    vec_outcomes = [
-        [(o.detecting_id, o.target_id, o.decision) for o in b.probe_outcomes]
-        for b in vec_pipeline.benign_beacons
-    ]
-    assert vec_outcomes == scalar_outcomes
-    assert [a.rejected_replays for a in vec_pipeline.agents] == [
-        a.rejected_replays for a in scalar_pipeline.agents
-    ]
-    # The simulated clock advanced to the same cycle in both worlds.
-    assert vec_pipeline.engine.now() == scalar_pipeline.engine.now()
+    assert _sim_state(vec_pipeline) == _sim_state(scalar_pipeline)
+    # A lost copy names the packet's src_id (on a probe, the detecting
+    # ID); an out-of-range packet names its sender.
+    assert _drops(vec_pipeline) == _drops(scalar_pipeline)
 
 
-def test_turbo_tier_engaged_on_fault_free_config():
-    """The fast tier must actually be selected where it is claimed to."""
-    from repro.vec.turbo import turbo_supported
+def test_lossy_cases_drop_copies():
+    """The loss cases must really lose copies, or parity is vacuous."""
+    pipeline, _ = _run(CASES["turbo-faults-loss"], vectorized=True)
+    kinds = {kind for _, kind, _ in _drops(pipeline)}
+    assert {"drop.loss", "drop.fault"} <= kinds
+    counters = pipeline.fault_injector.counters()
+    assert counters["fault_packet_loss"] > 0
+    assert counters["fault_rtt_spikes"] > 0
+    assert counters["fault_clock_drift"] == counters["fault_rtt_jitter"] > 0
 
-    pipeline = SecureLocalizationPipeline(
-        replace(BASE, use_vectorized_core=True)
-    )
-    pipeline.build()
-    assert turbo_supported(pipeline)
 
-    lossy = SecureLocalizationPipeline(
-        replace(BASE, use_vectorized_core=True, network_loss_rate=0.1)
-    )
-    lossy.build()
-    assert not turbo_supported(lossy)
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(faults=FaultConfig(packet_loss_rate=0.1)),
+        dict(network_loss_rate=0.1),
+        dict(faults=FaultConfig(rtt_jitter_cycles=100.0)),
+        dict(faults=FaultConfig(rtt_spike_rate=0.1, rtt_spike_cycles=1000.0)),
+        dict(faults=FaultConfig(clock_drift_ppm=50.0)),
+        dict(faults=FaultConfig()),
+    ],
+    ids=["loss", "network-loss", "jitter", "spikes", "drift", "all-zero"],
+)
+def test_batch_core_takes_loss_and_rtt_faults(overrides):
+    assert vectorized_core_supported(replace(BASE, **overrides))
 
-    faulty = SecureLocalizationPipeline(
-        replace(BASE, use_vectorized_core=True, faults=FAULTS)
-    )
-    faulty.build()
-    assert not turbo_supported(faulty)
 
-    # A positive false-alarm rate no longer demotes the config to the
-    # replay tier (the ordered verdict walk preserves stream parity).
-    false_alarm = SecureLocalizationPipeline(
-        replace(BASE, use_vectorized_core=True, wormhole_false_alarm_rate=0.2)
-    )
-    false_alarm.build()
-    assert turbo_supported(false_alarm)
+@pytest.mark.parametrize(
+    "faults",
+    [
+        FaultConfig(packet_duplication_rate=0.1),
+        FaultConfig(delivery_delay_rate=0.1, delivery_delay_cycles=100.0),
+        FaultConfig(node_crash_rate=0.1),
+    ],
+    ids=["duplication", "delay", "crash"],
+)
+def test_scalar_oracle_takes_duplication_delay_and_crash(faults):
+    config = replace(BASE, faults=faults)
+    assert not vectorized_core_supported(config)
+    assert not SecureLocalizationPipeline(config)._vectorized_active()

@@ -75,6 +75,17 @@ class TestVectorizedCore:
         assert len(report.divergences) == 1
         assert "localization_errors_ft" in report.divergences[0].detail
 
+    def test_scenario_the_batch_core_refuses_is_reported(self, monkeypatch):
+        # Non-vacuity: a refused config would run the oracle twice.
+        import repro.vec
+
+        monkeypatch.setattr(
+            repro.vec, "vectorized_core_supported", lambda config: False
+        )
+        report = differential_vectorized_core(1, seed=0)
+        assert len(report.divergences) == 1
+        assert "refuses" in report.divergences[0].detail
+
 
 class TestReport:
     def test_summary_counts_divergences(self):

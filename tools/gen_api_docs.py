@@ -2,18 +2,17 @@
 """Generate docs/API.md from module/class/function docstrings.
 
 Dependency-free (stdlib ``ast`` only — the modules are parsed, never
-imported), so it runs anywhere CI does. Covers the public surface of the
-fault-injection and experiment-execution layers:
+imported), so it runs anywhere CI does. Covers the public surface of:
 
 - ``repro.detectors`` (base, paper, consistency, mahalanobis, noisy)
 - ``repro.faults`` (config, models, injector)
-- ``repro.obs`` (config, metrics, spans, export)
-- ``repro.experiments.runner`` and ``repro.experiments.arena``
+- ``repro.obs`` (config, metrics, spans, export, live)
+- ``repro.experiments`` (runner, arena, distributed)
 - ``repro.sim.reliable``
+- ``repro.revocation`` (service, persistence, replay)
 - ``repro.verify`` (oracles, differential, invariants, detectors,
   statgate, cli)
-- ``repro.vec`` (arrays, geometry, measurement, detection,
-  localization, replay, turbo)
+- ``repro.vec`` (arrays, geometry, measurement, localization, turbo)
 
 For every module it emits the docstring summary (plus its ``Paper
 section:`` line when the module carries one); for every public class,
@@ -85,9 +84,7 @@ MODULES = [
     ("repro.vec.arrays", SRC / "repro" / "vec" / "arrays.py"),
     ("repro.vec.geometry", SRC / "repro" / "vec" / "geometry.py"),
     ("repro.vec.measurement", SRC / "repro" / "vec" / "measurement.py"),
-    ("repro.vec.detection", SRC / "repro" / "vec" / "detection.py"),
     ("repro.vec.localization", SRC / "repro" / "vec" / "localization.py"),
-    ("repro.vec.replay", SRC / "repro" / "vec" / "replay.py"),
     ("repro.vec.turbo", SRC / "repro" / "vec" / "turbo.py"),
 ]
 
