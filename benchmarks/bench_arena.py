@@ -6,16 +6,16 @@ deterministic consistency) across the Figure-12 grid and commits the
 artifacts at the repo root:
 
 - ``BENCH_arena.json`` — headline numbers (detection rate, FP rate,
-  affected non-beacons, CPU µs per decision) per detector at the
-  paper's default P', in the same schema/environment envelope as the
-  other BENCH files so ``tools/bench_report.py`` folds it into the
-  trend report;
+  affected non-beacons, decisions) per detector at the paper's default
+  P', in the same schema/environment envelope as the other BENCH files
+  so ``tools/bench_report.py`` folds it into the trend report;
 - ``benchmarks/ARENA_REPORT.md`` — the full markdown grid tables.
 
-``--quick`` is identity-only: a reduced grid asserts the paper
+Both are pure functions of the seeds (no timing), so a full run must
+reproduce the committed files; CI's ``committed-outputs`` job checks
+that. ``--quick`` is identity-only: a reduced grid asserts the paper
 detector's arena trials are bit-identical run-to-run and that every
-detector saw the same number of probe decisions (same scenarios), with
-no clock gating and no artifact rewrite — safe for noisy CI machines.
+detector issued probe decisions, with no artifact rewrite.
 """
 
 import json
@@ -89,7 +89,7 @@ def test_arena_head_to_head(bench_runner, quick):
     assert all(count > 0 for count in decisions.values()), decisions
 
     # Identity: re-running one paper-detector trial reproduces the same
-    # deterministic payload bit for bit (wall clock excluded).
+    # deterministic payload bit for bit.
     config = arena_configs(
         "paper",
         p_grid=kwargs.get("p_grid", (0.2,))[:1],

@@ -106,9 +106,10 @@ class PipelineConfig:
     #: suite, bit-identical to the pre-arena pipeline; rivals
     #: (``"mahalanobis"``, ``"noisy"``, ``"consistency"``) calibrate on
     #: the dedicated ``detector-calibration`` stream and share one
-    #: instance across all detecting beacons. Non-paper detectors run on
-    #: the scalar path only (see
-    #: :func:`repro.vec.vectorized_core_supported`).
+    #: instance across all detecting beacons. Every detector runs on
+    #: both cores: the batch core runs the paper suite as array masks
+    #: and calls a rival's own ``evaluate`` once per reply, in delivery
+    #: order (see :mod:`repro.vec.turbo`).
     detector: str = "paper"
     wormhole_endpoints: Optional[Tuple[Tuple[float, float], Tuple[float, float]]] = (
         (100.0, 100.0),
@@ -142,7 +143,7 @@ class PipelineConfig:
     #: through the :mod:`repro.vec` batch kernels (the default fast
     #: path). Falls back to the scalar path silently when the
     #: configuration is outside the batch path's supported envelope
-    #: (rival detectors, ARQ loss, flooded revocation, event budgets,
+    #: (ARQ loss, flooded revocation, event budgets,
     #: duplication/delay/crash faults — see
     #: :func:`repro.vec.vectorized_core_supported`). False selects
     #: the scalar event-driven oracle; results are bit-identical either
@@ -682,10 +683,10 @@ class SecureLocalizationPipeline:
 
         Resolved once per pipeline: the config switch must be on (the
         default) *and* the configuration must be inside the batch path's
-        supported envelope (paper detector, no ARQ channels, oracle
-        revocation, no event budget, no duplication, delay or crash
-        faults). Unsupported combinations fall back to the scalar path
-        silently — same results, scalar speed.
+        supported envelope (no ARQ channels, oracle revocation, no
+        event budget, no duplication, delay or crash faults).
+        Unsupported combinations fall back to the scalar path silently
+        — same results, scalar speed.
         """
         if self._vec_active is None:
             if not self.config.use_vectorized_core:

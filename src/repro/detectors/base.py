@@ -63,7 +63,11 @@ class Exchange:
         declared_position: the location claimed in the beacon packet.
         measured_distance_ft: the ranging estimate from the signal.
         reception: the raw reception (ground-truth metadata included),
-            for filters that need the transmission context.
+            for filters that need the transmission context. ``None`` on
+            the batch core, which builds no ``Reception`` objects: only
+            :class:`~repro.detectors.paper.PaperDetector` reads it, and
+            the batch core runs the paper suite as array masks without
+            calling it.
         rtt_provider: measures the register-level RTT of this exchange.
             Calling it consumes RNG draws on the measurement stream, so
             detectors must call :meth:`rtt_cycles` (which memoizes) and
@@ -76,7 +80,7 @@ class Exchange:
     detector_position: Point
     declared_position: Point
     measured_distance_ft: float
-    reception: Reception
+    reception: Optional[Reception]
     rtt_provider: Callable[[], float]
     _rtt: Optional[float] = field(default=None, repr=False)
 

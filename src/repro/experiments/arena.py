@@ -11,13 +11,14 @@ and wormhole. Per detector the arena reports:
   (``None`` — rendered "n/a" — when undefined in every trial, e.g. a
   zero-malicious scenario; the None-over-empty contract end to end);
 - mean **affected non-beacons** per malicious beacon;
-- **CPU cost per decision**: detection-phase seconds divided by probe
-  verdicts, aggregated over the whole grid (wall-clock — the one
-  non-deterministic output, excluded from identity checks).
+- the number of probe **decisions** it issued over the whole grid.
 
-All runs force ``use_vectorized_core=False`` so every detector is timed
-on the same scalar execution path (rivals cannot run vectorized anyway;
-see :func:`repro.vec.vectorized_core_supported`).
+Every output is a pure function of the seeds. The arena reports no
+timing: a detector's ``evaluate`` is a small share of a trial, so
+phase wall clock would rank the packet plumbing around it, not the
+detector. Trials run on the default core, like every other sweep; the
+batch core calls each rival's own ``evaluate`` once per reply, in
+delivery order (see :mod:`repro.vec.turbo`).
 
 ``benchmarks/bench_arena.py`` snapshots the output into the committed
 ``BENCH_arena.json`` + ``benchmarks/ARENA_REPORT.md``; the CLI target
@@ -61,23 +62,17 @@ ARENA_CONFIG: Dict[str, Any] = {
 
 
 def run_arena_trial(config: PipelineConfig) -> Dict[str, Any]:
-    """Worker entry point: one trial's metrics plus decision-cost inputs.
+    """Worker entry point: one trial's metrics and decision count.
 
-    Returns ``{"metrics": ..., "decisions": ..., "detection_s": ...}``
-    where ``decisions`` counts the probe verdicts the detector issued
-    and ``detection_s`` is the detection phase's wall clock.
+    Returns ``{"metrics": ..., "decisions": ...}`` where ``decisions``
+    counts the probe verdicts the detector issued.
     """
     pipeline = SecureLocalizationPipeline(config)
     metrics = collect_metrics(pipeline.run())
     decisions = sum(
         len(beacon.probe_outcomes) for beacon in pipeline.benign_beacons
     )
-    snapshot = pipeline.profile_snapshot()
-    return {
-        "metrics": metrics,
-        "decisions": decisions,
-        "detection_s": float(snapshot["phases"].get("detection", 0.0)),
-    }
+    return {"metrics": metrics, "decisions": decisions}
 
 
 def arena_configs(
@@ -100,7 +95,6 @@ def arena_configs(
                     detector=detector,
                     p_prime=p,
                     seed=seed % 2**31,
-                    use_vectorized_core=False,
                     **kwargs,
                 )
             )
@@ -128,8 +122,7 @@ def run_arena(
         {"p_grid": [...], "trials": N, "headline_p": 0.2,
          "detectors": {name: {"grid": {"<p>": {metric: mean-or-None}},
                               "headline": {metric: mean-or-None},
-                              "decisions": int,
-                              "cpu_us_per_decision": float}}}
+                              "decisions": int}}}
     """
     names = list(detectors) if detectors is not None else available_detectors()
     if runner is None:
@@ -154,7 +147,6 @@ def run_arena(
         payloads = runner.map(run_arena_trial, configs, keys=keys)
         grid: Dict[str, Dict[str, Optional[float]]] = {}
         decisions = 0
-        detection_s = 0.0
         for i, p in enumerate(p_grid):
             cell = payloads[i * trials : (i + 1) * trials]
             cell = [entry for entry in cell if entry is not None]
@@ -169,7 +161,6 @@ def run_arena(
                 )
             grid[f"{float(p):g}"] = point
             decisions += sum(entry["decisions"] for entry in cell)
-            detection_s += sum(entry["detection_s"] for entry in cell)
         headline = grid.get(f"{float(HEADLINE_P):g}")
         if headline is None:
             headline = {metric: None for metric in ARENA_METRICS}
@@ -177,9 +168,6 @@ def run_arena(
             "grid": grid,
             "headline": dict(headline),
             "decisions": decisions,
-            "cpu_us_per_decision": (
-                detection_s / decisions * 1e6 if decisions else None
-            ),
         }
     return out
 
@@ -200,25 +188,22 @@ def render_arena_markdown(arena: Dict[str, Any]) -> str:
         f"Mean over {arena['trials']} seeded trial(s) per grid point; every "
         "detector sees identical scenarios (trial seeds never depend on "
         "the detector). Undefined rates are reported as n/a, never "
-        "coerced to 0. CPU cost is detection-phase wall clock per probe "
-        "verdict, aggregated over the whole grid (machine-dependent).",
+        "coerced to 0. Decisions count probe verdicts over the whole grid.",
         "",
         "## Headline (P' = {:g})".format(arena["headline_p"]),
         "",
         "| detector | detection rate | false-positive rate | "
-        "affected non-beacons | CPU µs/decision | decisions |",
-        "|---|---|---|---|---|---|",
+        "affected non-beacons | decisions |",
+        "|---|---|---|---|---|",
     ]
     for name, entry in arena["detectors"].items():
         headline = entry["headline"]
-        cpu = entry["cpu_us_per_decision"]
         lines.append(
-            "| {name} | {dr} | {fpr} | {aff} | {cpu} | {n} |".format(
+            "| {name} | {dr} | {fpr} | {aff} | {n} |".format(
                 name=name,
                 dr=_fmt(headline.get("detection_rate")),
                 fpr=_fmt(headline.get("false_positive_rate")),
                 aff=_fmt(headline.get("affected_non_beacons_per_malicious"), 2),
-                cpu="n/a" if cpu is None else f"{cpu:.1f}",
                 n=entry["decisions"],
             )
         )
@@ -256,7 +241,6 @@ def arena_headlines(arena: Dict[str, Any]) -> Dict[str, Any]:
             "affected_non_beacons_per_malicious": headline.get(
                 "affected_non_beacons_per_malicious"
             ),
-            "cpu_us_per_decision": entry["cpu_us_per_decision"],
             "decisions": entry["decisions"],
         }
     return benchmarks

@@ -659,17 +659,39 @@ class Network:
         drift — the §2.2.2 stress case where the true distribution no
         longer matches the calibrated Figure-4 window.
         """
-        dist = distance(requester.position, responder_position)
+        return self.observe_rtt(
+            requester,
+            distance(requester.position, responder_position),
+            extra_delay_cycles,
+            self.engine.now(),
+        )
+
+    def observe_rtt(
+        self,
+        requester: Node,
+        distance_ft: float,
+        extra_delay_cycles: float,
+        start_time: float,
+    ) -> float:
+        """One exchange's observed RTT, from its distance and start time.
+
+        Samples the model on the ``rtt`` stream, applies the fault
+        injector's drift, jitter and spikes, then feeds the
+        ``rtt_observer``. The scalar core reaches it through
+        :meth:`measure_rtt`; the batch core calls it for each RTT a
+        rival detector asks for, with the reply wave's distances and
+        arrival times.
+        """
         sample = self.rtt_model.sample(
             self.rngs.stream("rtt"),
-            distance_ft=dist,
+            distance_ft=distance_ft,
             extra_delay_cycles=extra_delay_cycles,
-            start_time=self.engine.now(),
+            start_time=start_time,
         )
         injector = self.fault_injector
         rtt = sample.rtt
         if injector is not None and injector.perturbs_rtt():
-            rtt = injector.perturb_rtt(sample.rtt, observer_id=requester.node_id)
+            rtt = injector.perturb_rtt(rtt, observer_id=requester.node_id)
         if self.rtt_observer is not None:
             self.rtt_observer(rtt, requester)
         return rtt

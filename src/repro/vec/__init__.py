@@ -11,13 +11,15 @@ multilateration solver.
 
 The batch core is the pipeline's default path, and
 :mod:`repro.vec.turbo` is its one implementation of the detection and
-localization phases, packet loss and RTT faults included. The scalar
-event-driven pipeline (``use_vectorized_core=False``) remains the
-reference oracle; :func:`vectorized_core_supported` gates the
-configurations the batch path reproduces draw-for-draw (see
-``docs/PERFORMANCE.md`` for the parity rules, and
-``repro.verify.differential_vectorized_core`` for the oracle that
-asserts bit-identical outcomes).
+localization phases, for every registered detector, packet loss and
+RTT faults included. The paper detector's §2.1+§2.2 suite runs as
+array masks; a rival detector's own ``evaluate`` runs once per reply,
+in delivery order. The scalar event-driven pipeline
+(``use_vectorized_core=False``) remains the reference oracle;
+:func:`vectorized_core_supported` gates the configurations the batch
+path reproduces draw-for-draw (see ``docs/PERFORMANCE.md`` for the
+parity rules, and ``repro.verify.differential_vectorized_core`` for
+the oracle that asserts bit-identical outcomes).
 
 Paper section: §2.1, §2.2.2, §4 (batched kernels for the paper's hot math)
 """
@@ -29,20 +31,18 @@ def vectorized_core_supported(config) -> bool:
     """True when the batch core reproduces ``config`` draw-for-draw.
 
     The batch core covers the paper's evaluation matrix — wormholes,
-    collusion, network loss, spatial index on/off — plus the faults
-    that act per scheduled copy or per RTT observation: packet loss,
-    RTT jitter and spikes, clock drift. It does not cover
-    configurations whose control flow interleaves extra events with
-    deliveries or changes who takes part:
+    collusion, network loss, spatial index on/off — for every
+    registered detector, plus the faults that act per scheduled copy
+    or per RTT observation: packet loss, RTT jitter and spikes, clock
+    drift. It does not cover configurations whose control flow
+    interleaves extra events with deliveries or changes who takes
+    part:
 
     - ARQ channels (``alert_loss_rate``/``request_loss_rate`` > 0)
       schedule timer events between deliveries;
     - flooded revocation dissemination relays notices during phases;
     - an ``max_events`` budget needs per-event accounting to stop
       mid-phase;
-    - rival detectors (``config.detector != "paper"``) make per-exchange
-      decisions the batch kernels do not model — they replay only the
-      paper's §2.1+§2.2 suite;
     - packet duplication and delivery delay add copies or move
       arrivals after scheduling, and node crashes silence initiators
       and receivers mid-phase.
@@ -57,7 +57,6 @@ def vectorized_core_supported(config) -> bool:
         and config.request_loss_rate == 0.0
         and config.revocation_dissemination == "oracle"
         and config.max_events is None
-        and getattr(config, "detector", "paper") == "paper"
         and (
             faults is None
             or (

@@ -20,13 +20,21 @@ replies (``rtt``, fault RTT, ``wormhole-detector``), so each stream
 is consumed in the scalar order.
 
 Python survives only where the scalar path is genuinely stateful per
-item, and each of those loops runs over a small subset in delivery
-order: malicious responders (sticky strategy draws), first-seen
-wormhole pair verdicts (sticky detector coin flips), probe-outcome and
-alert recording, dropped-copy traces, and accepted reference
-construction. All distances that feed protocol decisions or
-measurements are computed with the correctly rounded scalar
-``math.hypot``, so every float matches the scalar run bit for bit.
+item, and each of those loops runs in delivery order: malicious
+responders (sticky strategy draws), first-seen wormhole pair verdicts
+(sticky detector coin flips), probe-outcome and alert recording,
+dropped-copy traces, and accepted reference construction. All
+distances that feed protocol decisions or measurements are computed
+with the correctly rounded scalar ``math.hypot``, so every float
+matches the scalar run bit for bit.
+
+The paper detector's §2.1 check and §2.2 cascade run as array masks
+over the reply wave. A rival detector (``pipeline.detector``) is one
+more stateful actor: its own ``evaluate`` runs once per reply, in
+delivery order, on an :class:`~repro.detectors.base.Exchange` built
+from the wave's arrays, and each RTT it asks for is drawn on demand
+through :meth:`~repro.sim.network.Network.observe_rtt`, the helper the
+scalar ``measure_rtt`` also calls.
 
 Duplication, delivery delay and node crashes are not modelled here;
 :func:`repro.vec.vectorized_core_supported` sends those configurations
@@ -46,6 +54,7 @@ Paper section: §4 (simulation substrate for the batched pipeline)
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import List, Tuple
 
 import numpy as np
@@ -53,6 +62,7 @@ import numpy as np
 from repro.attacks.compromised import MaliciousBeacon
 from repro.attacks.strategy import ResponseKind
 from repro.core.detecting import ProbeOutcome
+from repro.detectors.base import Exchange
 from repro.localization.references import LocationReference
 from repro.sim.messages import BeaconPacket, BeaconRequest
 from repro.sim.radio import SPEED_OF_LIGHT_FT_PER_CYCLE
@@ -653,26 +663,82 @@ def run_detection_turbo(pipeline) -> None:
     phase.account(reply_wave)
 
     # ------------------------------------------------------------------
-    # Process probe replies in delivery order (§2.1, §2.2, §3.1).
+    # Judge probe replies in delivery order (§2.1, §2.2), then record
+    # outcomes, traces and alerts (§3.1) in that order.
     # ------------------------------------------------------------------
     order = reply_wave.order
     rep = reply_wave.packet[order]
     times = reply_wave.time[order]
-    measured = reply_wave.measured[order]
     d_prober_rows = prober_rows[rep]
+    src_ids = reply_src[rep]
+    dst_ids = reply_dst[rep]
+    if pipeline.detector is None:
+        decisions, consistent, indict = _paper_verdicts(
+            field, reply_wave, d_prober_rows, src_ids, claimed_x[rep],
+            claimed_y[rep], fakes[rep],
+        )
+    else:
+        decisions, consistent, indict = _rival_verdicts(
+            field, reply_wave, d_prober_rows, src_ids, dst_ids,
+            claimed_x[rep], claimed_y[rep],
+        )
+
+    trace = field.trace
+    nodes = field.nodes
+    for row, detecting_id, target, time, decision, signal_consistent, alert in zip(
+        d_prober_rows.tolist(), dst_ids.tolist(), src_ids.tolist(),
+        times.tolist(), decisions, consistent, indict,
+    ):
+        prober = nodes[row]
+        prober.probe_outcomes.append(
+            ProbeOutcome(
+                detecting_id=detecting_id, target_id=target, decision=decision
+            )
+        )
+        trace.record(
+            time,
+            "probe",
+            detector=prober.node_id,
+            detecting_id=detecting_id,
+            target=target,
+            decision=decision,
+            signal_consistent=signal_consistent,
+        )
+        if alert:
+            prober.report_alert(target, time=time)
+
+    phase.finish()
+
+
+def _paper_verdicts(
+    field: _Field, reply_wave: _Wave, prober_rows: np.ndarray,
+    src_ids: np.ndarray, claimed_x: np.ndarray, claimed_y: np.ndarray,
+    fakes: np.ndarray,
+) -> Tuple[List[str], List[bool], List[bool]]:
+    """The paper's §2.1 check and §2.2 cascade over one reply wave.
+
+    Array masks throughout: the discrepancy check over every reply,
+    one RTT batch over the inconsistent ones, the range check and the
+    ordered wormhole-verdict walk, then the per-prober RTT filter. The
+    per-reply arrays are in delivery order.
+
+    Returns per reply, in delivery order: the decision label, the §2.1
+    consistency flag, and whether the prober indicts the target.
+    """
+    pipeline = field.pipeline
+    view = field.view
+    order = reply_wave.order
     calculated = _exact_distances(
-        view.xs[d_prober_rows], view.ys[d_prober_rows],
-        claimed_x[rep], claimed_y[rep],
+        view.xs[prober_rows], view.ys[prober_rows], claimed_x, claimed_y,
     )
     field.network.stats.distance_evals += int(calculated.shape[0])
     thresholds = np.array(
-        [
-            field.nodes[row].signal_detector.max_error_ft
-            for row in d_prober_rows
-        ],
+        [field.nodes[row].signal_detector.max_error_ft for row in prober_rows],
         dtype=np.float64,
     )
-    inconsistent = discrepancy_mask(calculated, measured, thresholds)
+    inconsistent = discrepancy_mask(
+        calculated, reply_wave.measured[order], thresholds
+    )
 
     bad = np.flatnonzero(inconsistent)
     rtts = batched_rtt(
@@ -680,15 +746,15 @@ def run_detection_turbo(pipeline) -> None:
         field.network.rtt_model,
         reply_wave.dist[order][bad],
         reply_wave.extra[order][bad],
-        times[bad],
+        reply_wave.time[order][bad],
     )
     pipeline._vec_bump("rtt_batched", int(bad.shape[0]))
-    prober_ids = view.node_ids[d_prober_rows[bad]]
+    prober_ids = view.node_ids[prober_rows[bad]]
     rtts = field.perturb_rtts(rtts, prober_ids)
     # Hot Python loops below index these thousands of times; plain
     # lists hold the identical values without per-access conversion.
     rtts_list = rtts.tolist()
-    prober_bad = d_prober_rows[bad].tolist()
+    prober_bad = prober_rows[bad].tolist()
     observer = field.network.rtt_observer
     if observer is not None:
         for position in range(len(prober_bad)):
@@ -700,10 +766,10 @@ def run_detection_turbo(pipeline) -> None:
     detector_flagged = _wormhole_verdicts(
         pipeline.benign_beacons[0].filter_cascade.wormhole_detector,
         ~range_flagged,
-        fakes[rep][bad],
+        fakes[bad],
         reply_wave.via_wormhole[order][bad],
         prober_ids,
-        reply_src[rep][bad],
+        src_ids[bad],
     )
     wormhole_flagged = range_flagged | detector_flagged
     local_flagged = np.zeros(bad.shape[0], dtype=bool)
@@ -714,45 +780,69 @@ def run_detection_turbo(pipeline) -> None:
                 rtts_list[position]
             )
         )
-    decisions = np.where(
-        wormhole_flagged,
-        "replayed_wormhole",
-        np.where(local_flagged, "replayed_local", "alert"),
-    )
+    alerts = ~(wormhole_flagged | local_flagged)
+    decisions = ["consistent"] * prober_rows.shape[0]
+    for index, label in zip(
+        bad.tolist(),
+        np.where(
+            wormhole_flagged,
+            "replayed_wormhole",
+            np.where(local_flagged, "replayed_local", "alert"),
+        ).tolist(),
+    ):
+        decisions[index] = label
+    indict = np.zeros(prober_rows.shape[0], dtype=bool)
+    indict[bad] = alerts
+    return decisions, (~inconsistent).tolist(), indict.tolist()
 
-    # Outcome/trace/alert recording, in delivery order.
-    trace = field.trace
+
+def _rival_verdicts(
+    field: _Field, reply_wave: _Wave, prober_rows: np.ndarray,
+    src_ids: np.ndarray, dst_ids: np.ndarray, claimed_x: np.ndarray,
+    claimed_y: np.ndarray,
+) -> Tuple[List[str], List[bool], List[bool]]:
+    """A rival detector's own ``evaluate``, once per reply, in delivery order.
+
+    Each reply becomes the :class:`~repro.detectors.base.Exchange` the
+    scalar reply handler builds, minus the ``reception`` the batch
+    core does not have. Its ``rtt_provider`` draws that exchange's RTT
+    through :meth:`~repro.sim.network.Network.observe_rtt` only when
+    the rival asks, so the ``rtt`` and fault-RTT streams, the drift
+    counters and the observer advance exactly as on the scalar core.
+
+    Returns per reply, in delivery order: the verdict's decision label,
+    §2.1 consistency flag and indictment.
+    """
     nodes = field.nodes
-    src_list = reply_src[rep].tolist()
-    dst_list = reply_dst[rep].tolist()
-    times_list = times.tolist()
-    prober_list = d_prober_rows.tolist()
-    decision_list = ["consistent"] * rep.shape[0]
-    for position, index in enumerate(bad.tolist()):
-        decision_list[index] = str(decisions[position])
-    for index in range(len(decision_list)):
-        prober = nodes[prober_list[index]]
-        decision = decision_list[index]
-        prober.probe_outcomes.append(
-            ProbeOutcome(
-                detecting_id=dst_list[index],
-                target_id=src_list[index],
-                decision=decision,
+    observe_rtt = field.network.observe_rtt
+    evaluate = field.pipeline.detector.evaluate
+    order = reply_wave.order
+    decisions: List[str] = []
+    consistent: List[bool] = []
+    indict: List[bool] = []
+    for row, detecting_id, target, x, y, measured, dist, extra, time in zip(
+        prober_rows.tolist(), dst_ids.tolist(), src_ids.tolist(),
+        claimed_x.tolist(), claimed_y.tolist(),
+        reply_wave.measured[order].tolist(), reply_wave.dist[order].tolist(),
+        reply_wave.extra[order].tolist(), reply_wave.time[order].tolist(),
+    ):
+        prober = nodes[row]
+        verdict = evaluate(
+            Exchange(
+                detector_id=prober.node_id,
+                detecting_id=detecting_id,
+                target_id=target,
+                detector_position=prober.position,
+                declared_position=Point(x, y),
+                measured_distance_ft=measured,
+                reception=None,
+                rtt_provider=partial(observe_rtt, prober, dist, extra, time),
             )
         )
-        trace.record(
-            times_list[index],
-            "probe",
-            detector=prober.node_id,
-            detecting_id=dst_list[index],
-            target=src_list[index],
-            decision=decision,
-            signal_consistent=decision == "consistent",
-        )
-        if decision == "alert":
-            prober.report_alert(src_list[index], time=times_list[index])
-
-    phase.finish()
+        decisions.append(verdict.decision)
+        consistent.append(verdict.signal_consistent)
+        indict.append(verdict.indict)
+    return decisions, consistent, indict
 
 
 def run_localization_turbo(pipeline) -> None:

@@ -14,7 +14,8 @@ holds three independent instruments:
   cases (boundary-heavy), plus two whole-pipeline bit-identity checks:
   the semantics-neutral axes (``use_spatial_index``, ``observe``,
   all-zero ``faults``) and the scalar-vs-vectorized batch core
-  (``use_vectorized_core``, across wormhole/fault/loss envelopes);
+  (``use_vectorized_core``, across wormhole/fault/loss envelopes, for
+  every registered detector);
 - :mod:`repro.verify.invariants` — executable paper invariants replayed
   over any :class:`repro.sim.trace.TraceRecorder` stream post-hoc;
 - :mod:`repro.verify.statgate` — a statistical gate re-running the

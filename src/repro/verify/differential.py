@@ -430,13 +430,14 @@ def differential_vectorized_core(
     """Bit-identity of the vectorized batch core against the scalar path.
 
     Each scenario builds one small randomized deployment and runs it
-    twice — ``use_vectorized_core`` off and on — cycling the wormhole
-    axis every scenario and the delivery envelope every other one
-    (clean; packet loss with RTT jitter, spikes and drift; link loss;
-    probabilistic false alarms). A scenario whose config the batch
-    core refuses (:func:`repro.vec.vectorized_core_supported`) is a
-    divergence in itself: its "batch" run would be the scalar oracle
-    compared with itself.
+    twice per registered detector — ``use_vectorized_core`` off and on,
+    on the same deployment and seed — cycling the wormhole axis every
+    scenario and the delivery envelope every other one (clean; packet
+    loss with RTT jitter, spikes and drift; link loss; probabilistic
+    false alarms). Each divergence names its detector. A config the
+    batch core refuses (:func:`repro.vec.vectorized_core_supported`)
+    is a divergence in itself: its "batch" run would be the scalar
+    oracle compared with itself.
     The complete ``PipelineResult`` objects must compare equal — every
     rate, every localization error, every affected-node id, to the
     last bit. "Tolerance-identical" for this substrate *is* exact
@@ -447,6 +448,7 @@ def differential_vectorized_core(
     import dataclasses as _dc
 
     from repro.core.pipeline import PipelineConfig, SecureLocalizationPipeline
+    from repro.detectors import available_detectors
     from repro.faults.config import FaultConfig
     from repro.vec import vectorized_core_supported
 
@@ -481,35 +483,38 @@ def differential_vectorized_core(
             kwargs["network_loss_rate"] = 0.1
         elif envelope == 3:
             kwargs["wormhole_false_alarm_rate"] = rng.choice([0.05, 0.2])
-        if not vectorized_core_supported(PipelineConfig(**kwargs)):
-            report.divergences.append(
-                Divergence(
-                    "vectorized_core",
-                    i,
-                    "batch core refuses the scenario; both runs would be "
-                    "the scalar oracle",
+        for detector in available_detectors():
+            config = PipelineConfig(detector=detector, **kwargs)
+            if not vectorized_core_supported(config):
+                report.divergences.append(
+                    Divergence(
+                        "vectorized_core",
+                        i,
+                        f"detector={detector}: batch core refuses the "
+                        "scenario; both runs would be the scalar oracle",
+                    )
                 )
-            )
-            continue
-        scalar = SecureLocalizationPipeline(
-            PipelineConfig(**kwargs, use_vectorized_core=False)
-        ).run()
-        vectorized = SecureLocalizationPipeline(
-            PipelineConfig(**kwargs, use_vectorized_core=True)
-        ).run()
-        if scalar != vectorized:
-            diff_fields = sorted(
-                f.name
-                for f in _dc.fields(scalar)
-                if getattr(scalar, f.name) != getattr(vectorized, f.name)
-            )
-            report.divergences.append(
-                Divergence(
-                    "vectorized_core",
-                    i,
-                    f"scalar/vectorized results differ on {diff_fields}",
+                continue
+            scalar = SecureLocalizationPipeline(
+                _dc.replace(config, use_vectorized_core=False)
+            ).run()
+            vectorized = SecureLocalizationPipeline(
+                _dc.replace(config, use_vectorized_core=True)
+            ).run()
+            if scalar != vectorized:
+                diff_fields = sorted(
+                    f.name
+                    for f in _dc.fields(scalar)
+                    if getattr(scalar, f.name) != getattr(vectorized, f.name)
                 )
-            )
+                report.divergences.append(
+                    Divergence(
+                        "vectorized_core",
+                        i,
+                        f"detector={detector}: scalar/vectorized results "
+                        f"differ on {diff_fields}",
+                    )
+                )
     return report
 
 

@@ -10,8 +10,9 @@ differently and shows up here immediately.
 
 The remaining tests pin the arena-wide seams: every registered detector
 is deterministic under a fixed seed and insensitive to worker count,
-rivals run on the scalar path (the vectorized core refuses them), and
-fault injection composes with rival detectors deterministically.
+unknown detector names fail at config time, and fault injection
+composes with rival detectors deterministically. Which core runs each
+detector is pinned in ``tests/vec``.
 """
 
 import pytest
@@ -21,7 +22,6 @@ from repro.detectors import available_detectors
 from repro.errors import ConfigurationError
 from repro.experiments.runner import ExperimentRunner, collect_metrics
 from repro.faults import FaultConfig
-from repro.vec import vectorized_core_supported
 
 #: The pre-refactor capture deployment.
 SMALL = dict(
@@ -134,15 +134,7 @@ class TestEveryDetectorDeterministic:
         assert run(1) == run(2)
 
 
-class TestRivalsStayScalar:
-    @pytest.mark.parametrize("name", available_detectors())
-    def test_vectorized_core_gate(self, name):
-        config = PipelineConfig(detector=name, seed=0, **TINY)
-        # The gate may admit only the paper detector (and then only when
-        # numpy and the rest of the parity rules allow it).
-        if name != "paper":
-            assert not vectorized_core_supported(config)
-
+class TestDetectorConfig:
     def test_unknown_detector_rejected_at_config_time(self):
         with pytest.raises(ConfigurationError, match="detector"):
             PipelineConfig(detector="not-a-detector", seed=0, **TINY)

@@ -163,7 +163,6 @@ class TestArenaReportLayer:
                     "affected_non_beacons_per_malicious": 0.0,
                 },
                 "decisions": 10,
-                "cpu_us_per_decision": None,
             }
         },
     }
@@ -174,11 +173,10 @@ class TestArenaReportLayer:
 
     def test_markdown_renders_undefined_cells_as_na(self):
         report = render_arena_markdown(self.ARENA)
-        assert "| paper | n/a | 0.125 | 0.00 | n/a | 10 |" in report
+        assert "| paper | n/a | 0.125 | 0.00 | 10 |" in report
         assert "| paper | n/a |" in report.split("## Detection rate vs P'")[1]
 
     def test_headlines_keep_none_not_zero(self):
         headline = arena_headlines(self.ARENA)["arena"]["paper"]
         assert headline["detection_rate"] is None
-        assert headline["cpu_us_per_decision"] is None
         assert headline["false_positive_rate"] == 0.125

@@ -1,16 +1,17 @@
 """The batch core is the default path; the scalar core is the oracle.
 
-``PipelineConfig()`` runs through :mod:`repro.vec.turbo`, and
-configurations outside the batch envelope (rival detectors, ARQ
-channels, flooded revocation, event budgets, duplication/delay/crash
-faults) fall back to the scalar event loop with the switch still on.
-Only ``use_vectorized_core=False`` selects the scalar oracle on
-purpose.
+``PipelineConfig()`` runs through :mod:`repro.vec.turbo` for every
+registered detector, and configurations outside the batch envelope
+(ARQ channels, flooded revocation, event budgets,
+duplication/delay/crash faults) fall back to the scalar event loop
+with the switch still on. Only ``use_vectorized_core=False`` selects
+the scalar oracle on purpose.
 """
 
 import pytest
 
 from repro.core.pipeline import PipelineConfig, SecureLocalizationPipeline
+from repro.detectors import available_detectors
 from repro.obs import ObserveConfig
 
 SMALL = dict(
@@ -44,7 +45,8 @@ def test_default_config_selects_the_batch_core():
     assert PipelineConfig().use_vectorized_core is True
 
 
-def test_default_trial_runs_the_turbo_tier(monkeypatch):
+def _spy_turbo(monkeypatch):
+    """Record each turbo phase entry point the pipeline calls."""
     import repro.vec.turbo as turbo
 
     calls = []
@@ -56,6 +58,11 @@ def test_default_trial_runs_the_turbo_tier(monkeypatch):
             return _original(pipeline)
 
         monkeypatch.setattr(turbo, name, spy)
+    return calls
+
+
+def test_default_trial_runs_the_turbo_tier(monkeypatch):
+    calls = _spy_turbo(monkeypatch)
     pipeline = SecureLocalizationPipeline(
         PipelineConfig(observe=ObserveConfig(), **SMALL)
     )
@@ -70,16 +77,28 @@ def test_default_trial_runs_the_turbo_tier(monkeypatch):
     }
 
 
+@pytest.mark.parametrize("detector", available_detectors())
+def test_every_detector_runs_the_turbo_tier(monkeypatch, detector):
+    calls = _spy_turbo(monkeypatch)
+    pipeline = SecureLocalizationPipeline(
+        PipelineConfig(detector=detector, **SMALL)
+    )
+    pipeline.run()
+    assert pipeline._vectorized_active()
+    assert calls == ["run_detection_turbo", "run_localization_turbo"]
+    # Every benign beacon recorded its probe verdicts.
+    assert all(beacon.probe_outcomes for beacon in pipeline.benign_beacons)
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
-        dict(detector="mahalanobis"),
         dict(alert_loss_rate=0.1),
         dict(request_loss_rate=0.1),
         dict(revocation_dissemination="flood"),
         dict(max_events=10**9),
     ],
-    ids=["rival", "alert-arq", "request-arq", "flood", "max-events"],
+    ids=["alert-arq", "request-arq", "flood", "max-events"],
 )
 def test_configs_outside_the_envelope_fall_back_to_scalar(overrides):
     config = PipelineConfig(**SMALL, **overrides)

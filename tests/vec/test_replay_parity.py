@@ -5,11 +5,13 @@ statistically similar ones — the RNG stream-parity rules in
 ``docs/PERFORMANCE.md`` are what make that possible. These tests run
 small deployments through both cores across the envelope axes the
 batch core covers (wormholes, false alarms, link loss, packet-loss and
-RTT faults, and their edge cases) and compare the results with ``==``,
-together with the simulator state the result does not carry: event
-counts, loss and fault counters, and the ordered ``drop.*`` traces.
-The routing tests pin which fault configurations reach the batch core
-at all.
+RTT faults, and their edge cases), for every registered detector, and
+compare the results with ``==``, together with the simulator state the
+result does not carry: event counts, loss and fault counters, the
+ordered ``drop.*`` and ``probe`` traces, the base station's alert log
+and the detector's diagnostics. An observed case per detector compares
+the RTT histograms. The routing tests pin which fault configurations
+reach the batch core at all.
 """
 
 from dataclasses import replace
@@ -17,7 +19,9 @@ from dataclasses import replace
 import pytest
 
 from repro.core.pipeline import PipelineConfig, SecureLocalizationPipeline
+from repro.detectors import available_detectors
 from repro.faults.config import FaultConfig
+from repro.obs import ObserveConfig
 from repro.vec import vectorized_core_supported
 
 BASE = PipelineConfig(
@@ -81,6 +85,17 @@ CASES = {
 }
 
 
+#: Every case for every registered detector. The paper detector is the
+#: default, so its cases keep the bare case name as their test ID.
+PARITY = [
+    pytest.param(
+        name, detector, id=name if detector == "paper" else f"{detector}-{name}"
+    )
+    for detector in available_detectors()
+    for name in sorted(CASES)
+]
+
+
 def _run(config, *, vectorized):
     pipeline = SecureLocalizationPipeline(
         replace(config, use_vectorized_core=vectorized)
@@ -104,6 +119,12 @@ def _sim_state(pipeline):
             for b in pipeline.benign_beacons
         ],
         "rejected_replays": [a.rejected_replays for a in pipeline.agents],
+        "alerts": pipeline.base_station.log,
+        "diagnostics": (
+            [b.detector.diagnostics() for b in pipeline.benign_beacons]
+            if pipeline.detector is None
+            else pipeline.detector.diagnostics()
+        ),
     }
 
 
@@ -116,9 +137,18 @@ def _drops(pipeline):
     ]
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_vectorized_core_reproduces_scalar_trial(name):
-    config = CASES[name]
+def _probes(pipeline):
+    """The ordered ``probe`` trace, ``signal_consistent`` included."""
+    return [
+        (event.time, event.fields)
+        for event in pipeline.trace
+        if event.kind == "probe"
+    ]
+
+
+@pytest.mark.parametrize("name,detector", PARITY)
+def test_vectorized_core_reproduces_scalar_trial(name, detector):
+    config = replace(CASES[name], detector=detector)
     scalar_pipeline, scalar_result = _run(config, vectorized=False)
     vec_pipeline, vec_result = _run(config, vectorized=True)
 
@@ -135,6 +165,28 @@ def test_vectorized_core_reproduces_scalar_trial(name):
     # A lost copy names the packet's src_id (on a probe, the detecting
     # ID); an out-of-range packet names its sender.
     assert _drops(vec_pipeline) == _drops(scalar_pipeline)
+    assert _probes(vec_pipeline) == _probes(scalar_pipeline)
+
+
+@pytest.mark.parametrize("detector", available_detectors())
+def test_observed_rtt_histograms_match(detector):
+    """Every RTT a detector asks for reaches the observer, in order."""
+    config = replace(
+        CASES["turbo-faults"], detector=detector, observe=ObserveConfig()
+    )
+
+    def histograms(vectorized):
+        pipeline, result = _run(config, vectorized=vectorized)
+        snapshot = pipeline.obs.registry.snapshot()["histograms"]
+        rtt = {k: v for k, v in snapshot.items() if k.startswith("rtt_cycles")}
+        return result, rtt
+
+    scalar_result, scalar_rtt = histograms(False)
+    vec_result, vec_rtt = histograms(True)
+    assert vec_result == scalar_result
+    assert 'rtt_cycles{kind="exchange"}' in scalar_rtt
+    # The sum is order-sensitive, so it pins the observation order too.
+    assert vec_rtt == scalar_rtt
 
 
 def test_lossy_cases_drop_copies():

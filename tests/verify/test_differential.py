@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from repro.detectors import available_detectors
 from repro.verify import (
     DifferentialReport,
     differential_base_station,
@@ -60,6 +61,27 @@ class TestVectorizedCore:
         report = differential_vectorized_core(2, seed=0)
         assert report.ok, "\n".join(d.detail for d in report.divergences)
 
+    def test_every_registered_detector_is_compared(self, monkeypatch):
+        from repro.core.pipeline import SecureLocalizationPipeline
+
+        runs = []
+        original = SecureLocalizationPipeline.run
+
+        def spy(pipeline):
+            config = pipeline.config
+            runs.append((config.seed, config.detector, config.use_vectorized_core))
+            return original(pipeline)
+
+        monkeypatch.setattr(SecureLocalizationPipeline, "run", spy)
+        assert differential_vectorized_core(1, seed=0).ok
+        # One deployment and seed, both cores, every detector.
+        assert len({seed for seed, _, _ in runs}) == 1
+        assert [(name, core) for _, name, core in runs] == [
+            (name, core)
+            for name in available_detectors()
+            for core in (False, True)
+        ]
+
     def test_one_ulp_on_the_batch_core_is_reported(self, monkeypatch):
         # Non-vacuity: the scalar side must really be the scalar oracle.
         # Were it the default core, both sides would share the nudge.
@@ -72,8 +94,13 @@ class TestVectorizedCore:
 
         monkeypatch.setattr(vec_localization, "batched_estimate_errors", nudged)
         report = differential_vectorized_core(1, seed=0)
-        assert len(report.divergences) == 1
-        assert "localization_errors_ft" in report.divergences[0].detail
+        # One divergence per detector, each naming it.
+        assert [d.detail.split(":")[0] for d in report.divergences] == [
+            f"detector={name}" for name in available_detectors()
+        ]
+        assert all(
+            "localization_errors_ft" in d.detail for d in report.divergences
+        )
 
     def test_scenario_the_batch_core_refuses_is_reported(self, monkeypatch):
         # Non-vacuity: a refused config would run the oracle twice.
@@ -83,8 +110,8 @@ class TestVectorizedCore:
             repro.vec, "vectorized_core_supported", lambda config: False
         )
         report = differential_vectorized_core(1, seed=0)
-        assert len(report.divergences) == 1
-        assert "refuses" in report.divergences[0].detail
+        assert len(report.divergences) == len(available_detectors())
+        assert all("refuses" in d.detail for d in report.divergences)
 
 
 class TestReport:

@@ -76,9 +76,8 @@ HEADLINES: Dict[str, List[Dict[str, Any]]] = {
             "good": "higher",
         },
     ],
-    # Arena headlines are fully seeded, so only deterministic metrics are
-    # tracked (cpu_us_per_decision is wall clock — machine-dependent —
-    # and deliberately excluded).
+    # Arena headlines are fully seeded and carry no timing; the gate
+    # tracks each detector's detection and false-positive rates.
     "BENCH_arena": [
         spec
         for detector in ("paper", "consistency", "mahalanobis", "noisy")
