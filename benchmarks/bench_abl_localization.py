@@ -7,8 +7,6 @@ This bench measures mean localization error of the non-beacon population
 counts that explain the difference.
 """
 
-import statistics
-
 from repro.core.pipeline import PipelineConfig, SecureLocalizationPipeline
 from repro.experiments.series import FigureData
 

@@ -218,7 +218,6 @@ class MuTeslaVerifier:
         if interval <= self._highest_verified:
             return self._verified_keys.get(interval) == key
         # Hash the candidate down to the highest verified key.
-        steps = interval - self._highest_verified
         candidate = key
         derived = {interval: key}
         for i in range(interval - 1, self._highest_verified - 1, -1):

@@ -90,4 +90,4 @@ def dominates(upper: Series, lower: Series, *, tol: float = 1e-12) -> bool:
     """True when ``upper`` is pointwise >= ``lower`` on the common grid."""
     if upper.x != lower.x:
         raise ConfigurationError("series are on different x grids")
-    return all(u >= l - tol for u, l in zip(upper.y, lower.y))
+    return all(u >= lo - tol for u, lo in zip(upper.y, lower.y))

@@ -37,7 +37,7 @@ import json
 import os
 import pathlib
 import sqlite3
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.errors import ConfigurationError
 

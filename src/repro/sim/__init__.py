@@ -22,7 +22,6 @@ from repro.sim.messages import (
     Packet,
     RevocationNotice,
 )
-from repro.sim.mac import CsmaMedium
 from repro.sim.network import Network, WormholeLink
 from repro.sim.node import Node
 from repro.sim.radio import RadioModel
@@ -52,7 +51,6 @@ __all__ = [
     "Node",
     "RadioModel",
     "RngRegistry",
-    "CsmaMedium",
     "LossModel",
     "ReliableChannel",
     "DeliveryReport",

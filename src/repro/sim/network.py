@@ -40,7 +40,6 @@ from typing import (
 
 from repro.errors import ConfigurationError, DeliveryError
 from repro.sim.engine import Engine
-from repro.sim.mac import CsmaMedium
 from repro.sim.messages import Packet
 from repro.sim.node import Node
 from repro.sim.radio import RadioModel, Reception, Transmission
@@ -147,7 +146,6 @@ class Network:
         trace: Optional[TraceRecorder] = None,
         drop_out_of_range: bool = True,
         loss_model: Optional[LossModel] = None,
-        medium: Optional[CsmaMedium] = None,
         fault_injector: Optional["FaultInjector"] = None,
     ) -> None:
         self.engine = engine
@@ -166,12 +164,6 @@ class Network:
         #: Optional fault-injection layer (see :mod:`repro.faults`).
         #: ``None`` keeps every delivery/measurement path fault-free.
         self.fault_injector = fault_injector
-        #: Optional collision model: overlapping reception windows at one
-        #: receiver void each other (all-or-nothing, the paper's §2.3 MAC
-        #: assumption). None = ideal medium (the default; the paper's
-        #: analysis abstracts MAC effects away).
-        self.medium = medium
-        self._tx_tickets = 0
         self._nodes: Dict[int, Node] = {}
         self._aliases: Dict[int, int] = {}
         self._wormholes: List[WormholeLink] = []
@@ -564,9 +556,8 @@ class Network:
                     + dup_delay,
                 )
                 self._schedule_delivery(duplicate, dst, physical_dist)
-        radio = self.radio
         delay = (
-            radio.packet_time_cycles(transmission.packet, physical_dist)
+            self.radio.packet_time_cycles(transmission.packet, physical_dist)
             + transmission.extra_delay_cycles
         )
         if injector is not None:
@@ -583,28 +574,7 @@ class Network:
             0.0, physical_dist + noise + transmission.ranging_bias_ft
         )
 
-        tx_ticket = None
-        if self.medium is not None:
-            self._tx_tickets += 1
-            tx_ticket = self._tx_tickets
-            window_end = self.engine.now() + delay
-            window_start = window_end - radio.airtime_cycles(transmission.packet)
-            self.medium.try_receive(
-                dst.node_id, window_start, window_end, tx_ticket
-            )
-
         def deliver() -> None:
-            if tx_ticket is not None and not self.medium.is_clear(
-                dst.node_id, tx_ticket
-            ):
-                self.trace.record(
-                    self.engine.now(),
-                    "drop.collision",
-                    src=transmission.packet.src_id,
-                    dst=dst.node_id,
-                    packet_kind=transmission.packet.kind(),
-                )
-                return
             if injector is not None and injector.is_crashed(
                 dst.node_id, self.engine.now()
             ):

@@ -1,20 +1,21 @@
 """Vectorized batch simulation core.
 
 ``repro.vec`` processes whole probe rounds as NumPy arrays instead of
-driving every packet through the per-event calendar queue: pairwise
-geometry (distances, reachability masks against ``comm_range_ft``),
-measurement models (ranging-noise sampling on the same derived RNG
-streams the scalar path uses), batched RTT sampling against the
-calibrated window, the discrepancy check
-``|estimated - derived| > threshold``, and a batched Gauss-Newton
-multilateration solver.
+driving every packet through the per-event calendar queue. Its kernels
+are one exact range mask against ``comm_range_ft``
+(:mod:`repro.vec.geometry`), the measurement models on the same
+derived RNG streams the scalar path uses — ranging noise, the RTT
+chain and the §2.1 discrepancy check ``|estimated - derived| >
+threshold`` (:mod:`repro.vec.measurement`) — and a batched
+Gauss-Newton multilateration solver (:mod:`repro.vec.localization`).
 
 The batch core is the pipeline's default path, and
 :mod:`repro.vec.turbo` is its one implementation of the detection and
 localization phases, for every registered detector, packet loss and
-RTT faults included. The paper detector's §2.1+§2.2 suite runs as
-array masks; a rival detector's own ``evaluate`` runs once per reply,
-in delivery order. The scalar event-driven pipeline
+RTT faults included. Both phases run one request/reply exchange and
+one pass of the §2.2 replay filters. The paper detector's §2.1+§2.2
+suite runs as array masks; a rival detector's own ``evaluate`` runs
+once per reply, in delivery order. The scalar event-driven pipeline
 (``use_vectorized_core=False``) remains the reference oracle;
 :func:`vectorized_core_supported` gates the configurations the batch
 path reproduces draw-for-draw (see ``docs/PERFORMANCE.md`` for the

@@ -18,7 +18,7 @@ from typing import List, Set
 
 import numpy as np
 
-from repro.vec.geometry import count_within_range
+from repro.vec.geometry import within_range_matrix
 
 #: Attribute under which the cached view lives on the Network instance.
 _CACHE_ATTR = "_vec_topology_arrays"
@@ -84,7 +84,7 @@ def requester_counts_vectorized(
     malicious_ids: Set[int],
     comm_range_ft: float,
 ) -> List[int]:
-    """The N' spatial scan as one masked range-count per malicious beacon.
+    """The N' spatial scan as one range-mask call over the malicious beacons.
 
     Matches the scalar ``_requester_counts`` exactly: for each malicious
     beacon, count every deployed node within ``comm_range_ft`` of it
@@ -93,17 +93,14 @@ def requester_counts_vectorized(
     ``distance(...) <= comm_range_ft`` predicate bit for bit).
     """
     view = topology_arrays(network)
-    exclude = np.isin(
+    in_range = within_range_matrix(
+        view.xs,
+        view.ys,
+        [beacon.position.x for beacon in malicious_beacons],
+        [beacon.position.y for beacon in malicious_beacons],
+        comm_range_ft,
+    )
+    in_range &= ~np.isin(
         view.node_ids, np.array(sorted(malicious_ids), dtype=np.int64)
     )
-    return [
-        count_within_range(
-            view.xs,
-            view.ys,
-            beacon.position.x,
-            beacon.position.y,
-            comm_range_ft,
-            exclude=exclude,
-        )
-        for beacon in malicious_beacons
-    ]
+    return np.count_nonzero(in_range, axis=1).tolist()

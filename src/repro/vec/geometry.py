@@ -1,16 +1,16 @@
-"""Batched pairwise geometry kernels.
+"""The batched range kernel: exact all-pairs ``within range`` masks.
 
-Distances and range masks over whole node populations. The subtlety is
-exactness: the scalar substrate decides membership with
-``math.hypot(dx, dy) <= radius`` and ``math.hypot`` is correctly
-rounded, while ``sqrt(dx*dx + dy*dy)`` in NumPy accumulates up to a few
-ulps of error — enough to flip a node sitting on the range boundary.
-:func:`within_range_mask` therefore classifies with a guard band:
-points whose vectorized distance is clearly inside or clearly outside
-(beyond a relative margin much wider than the kernel's worst-case
-rounding) are decided in bulk, and only the vanishing boundary band is
-re-checked with scalar ``math.hypot``. The mask is bit-identical to the
-scalar predicate for every input.
+One kernel decides which points lie within a radius of which centers,
+for a whole node population at once. The subtlety is exactness: the
+scalar substrate decides membership with ``math.hypot(dx, dy) <=
+radius`` and ``math.hypot`` is correctly rounded, while NumPy's
+vectorized distance can be a few ulps off — enough to flip a node
+sitting on the range boundary. :func:`within_range_matrix` therefore
+classifies with a guard band: pairs whose vectorized distance is
+clearly inside or clearly outside (beyond a relative margin much wider
+than the kernel's worst-case rounding) are decided in bulk, and only
+the vanishing boundary band is re-checked with scalar ``math.hypot``.
+The mask is bit-identical to the scalar predicate for every input.
 
 Paper section: §4 (reachability geometry of the evaluation field)
 """
@@ -28,57 +28,6 @@ import numpy as np
 _GUARD_REL = 1e-12
 
 
-def pairwise_distances(
-    xs: np.ndarray, ys: np.ndarray, cx: float, cy: float
-) -> np.ndarray:
-    """Euclidean distances from ``(cx, cy)`` to each ``(xs, ys)`` point.
-
-    Uses ``np.hypot`` — accurate to a few ulps, suitable wherever the
-    consumer tolerates float rounding (delays, diagnostics). Exact
-    in/out decisions against a radius must go through
-    :func:`within_range_mask` instead.
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    return np.hypot(xs - cx, ys - cy)
-
-
-def within_range_mask(
-    xs: np.ndarray, ys: np.ndarray, cx: float, cy: float, radius_ft: float
-) -> np.ndarray:
-    """Boolean mask: ``math.hypot(x - cx, y - cy) <= radius_ft``, exactly.
-
-    Clear cases are decided vectorized; points inside the relative
-    guard band around ``radius_ft`` are re-checked one by one with the
-    correctly rounded scalar ``math.hypot``, so the mask agrees with
-    the scalar membership test bit for bit.
-
-    Args:
-        xs: ``(n,)`` x coordinates.
-        ys: ``(n,)`` y coordinates.
-        cx: query-center x.
-        cy: query-center y.
-        radius_ft: the range threshold (must be finite and >= 0 for a
-            meaningful band; NaN radius yields an all-False mask, as
-            the scalar comparison would).
-
-    Returns:
-        ``(n,)`` bool array.
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    approx = np.hypot(xs - cx, ys - cy)
-    band = abs(radius_ft) * _GUARD_REL
-    mask = approx <= radius_ft - band
-    boundary = np.flatnonzero(
-        ~mask & (approx <= radius_ft + band) & np.isfinite(approx)
-    )
-    for i in boundary:
-        if math.hypot(float(xs[i]) - cx, float(ys[i]) - cy) <= radius_ft:
-            mask[i] = True
-    return mask
-
-
 def within_range_matrix(
     xs: np.ndarray,
     ys: np.ndarray,
@@ -89,16 +38,17 @@ def within_range_matrix(
     """All-pairs range mask, exact: one row per query center.
 
     ``result[i, j]`` is ``math.hypot(xs[j] - cxs[i], ys[j] - cys[i])
-    <= radius_ft`` decided exactly — the same guard-band construction
-    as :func:`within_range_mask`, applied to the full (m, n) matrix so
-    a whole population of queriers resolves in one kernel call.
+    <= radius_ft``: clear pairs are decided vectorized, and pairs
+    inside the relative guard band around ``radius_ft`` are re-checked
+    one by one with the correctly rounded scalar ``math.hypot``.
 
     Args:
         xs: ``(n,)`` candidate x coordinates.
         ys: ``(n,)`` candidate y coordinates.
         cxs: ``(m,)`` query-center x coordinates.
         cys: ``(m,)`` query-center y coordinates.
-        radius_ft: the range threshold.
+        radius_ft: the range threshold (a NaN radius yields an
+            all-False mask, as the scalar comparison would).
 
     Returns:
         ``(m, n)`` bool array.
@@ -120,32 +70,3 @@ def within_range_matrix(
         if exact <= radius_ft:
             mask[i, j] = True
     return mask
-
-
-def count_within_range(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    cx: float,
-    cy: float,
-    radius_ft: float,
-    *,
-    exclude: np.ndarray = None,
-) -> int:
-    """Number of points within ``radius_ft`` of ``(cx, cy)``.
-
-    Args:
-        xs: ``(n,)`` x coordinates.
-        ys: ``(n,)`` y coordinates.
-        cx: query-center x.
-        cy: query-center y.
-        radius_ft: the range threshold.
-        exclude: optional ``(n,)`` bool mask of points that never count
-            (e.g. the malicious-beacon rows of an N' query).
-
-    Returns:
-        The exact count the scalar membership scan would produce.
-    """
-    mask = within_range_mask(xs, ys, cx, cy, radius_ft)
-    if exclude is not None:
-        mask &= ~np.asarray(exclude, dtype=bool)
-    return int(np.count_nonzero(mask))

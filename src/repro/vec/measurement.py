@@ -15,9 +15,8 @@ scalar arithmetic operation for operation:
   bit-identical again, because IEEE-754 addition/multiplication of
   identical operands is deterministic.
 
-The §2.1 discrepancy check and the §2.2.2 window test are pure
-comparisons of already-computed floats, so their mask kernels are
-trivially exact.
+The §2.1 discrepancy check is a pure comparison of already-computed
+floats, so its mask kernel is trivially exact.
 
 Paper section: §2.1, §2.2.2 (measurement models behind the checks)
 """
@@ -170,12 +169,3 @@ def discrepancy_mask(
     calc = np.asarray(calculated_ft, dtype=np.float64)
     meas = np.asarray(measured_ft, dtype=np.float64)
     return np.abs(calc - meas) > threshold_ft
-
-
-def rtt_exceeds_mask(rtt_cycles: np.ndarray, x_max_cycles: float) -> np.ndarray:
-    """The §2.2.2 local-replay test as a mask: ``rtt > x_max``.
-
-    ``True`` marks an exchange the calibrated window rejects as a
-    local replay.
-    """
-    return np.asarray(rtt_cycles, dtype=np.float64) > x_max_cycles

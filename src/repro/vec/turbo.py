@@ -1,15 +1,24 @@
 """Array-built delivery waves: the batch core's detection and localization.
 
-Each phase is two delivery waves (requests, then replies), and each
-wave collapses into array arithmetic: exact pairwise geometry picks the
-copies (direct plus tunnelled, in the scalar ``unicast`` order), the
-link- and fault-loss draws mask them in that same order, one
-elementwise expression computes every arrival time, one stable argsort
-recovers the engine's ``(time, seq)`` delivery order, and the
-ranging-noise / RTT batches consume their streams exactly as the
-scalar loop would. RTT jitter, spikes and clock drift perturb each RTT
-batch in observation order, as ``FaultInjector.perturb_rtt`` does per
-sample.
+A detecting beacon (§2.1-§2.2) and a localizing sensor (§4) run the
+same exchange, and so do both phases here. :func:`_exchange` sends a
+request wave at the phase start, serves the delivered requests and
+sends the reply wave back; :func:`_replay_cascade` passes the replies
+the phase picks through the §2.2 replay filters: one RTT batch on the
+``rtt`` stream, perturbed in observation order as
+``FaultInjector.perturb_rtt`` perturbs each sample (clock drift, RTT
+jitter, spikes), the RTT observer, the wormhole verdicts and each
+observer's local-replay window. Detection picks its §2.1-inconsistent
+replies, with the §2.2.1 range check as extra wormhole flags;
+localization picks every reply from an unrevoked beacon.
+
+Each wave collapses into array arithmetic: exact pairwise geometry
+picks the copies (direct plus tunnelled, in the scalar ``unicast``
+order), the link- and fault-loss draws mask them in that same order,
+one elementwise expression computes every arrival time, the
+ranging-noise batch consumes its stream exactly as the scalar loop
+would, and one stable argsort puts the copies in the engine's
+``(time, seq)`` delivery order.
 
 Building the request wave in full before the reply wave is exact even
 where, in global event order, a late request arrives after an early
@@ -247,7 +256,7 @@ class _Wave:
     batch over the survivors, and the stable ``(time, seq)`` delivery
     sort.
 
-    Attributes (per surviving *copy*, in scheduling order):
+    Attributes (per surviving *copy*, in delivery order):
         packet: index into the wave's logical-packet arrays.
         dst_row: receiving node row.
         dist: physical emitter-to-receiver distance (exact; for a
@@ -257,7 +266,6 @@ class _Wave:
         via_wormhole: tunnelled-copy flag.
         time: arrival cycle.
         measured: receiver ranging estimate (noise batch applied).
-        order: indices sorting copies into delivery order.
 
     Drops (in scheduling order):
         lost_packet: packet index of each copy lost to link or fault
@@ -325,28 +333,32 @@ class _Wave:
         self.lost_by_fault = by_fault[~kept]
         self.undelivered = np.flatnonzero(~valid.any(axis=1))
         copies = copies[kept]
-        self.packet = copies // slots
-        self.via_wormhole = copies % slots > 0
-        self.dst_row = dst_rows[self.packet]
-        self.dist = dists.ravel()[copies]
-        self.extra = extra_m.ravel()[copies]
+        dist = dists.ravel()[copies]
+        extra = extra_m.ravel()[copies]
         # Scalar delay chain, elementwise: packet_time = airtime +
         # dist / c; delay = packet_time + extra; time = now + delay.
         airtime = field.radio.airtime_cycles(packet_cls(src_id=0, dst_id=0))
-        packet_time = airtime + self.dist / SPEED_OF_LIGHT_FT_PER_CYCLE
-        self.time = now[self.packet] + (packet_time + self.extra)
-        # The wave's ranging-noise batch, in scheduling order; measured
-        # is the scalar max(0, dist + noise + bias) elementwise.
+        packet_time = airtime + dist / SPEED_OF_LIGHT_FT_PER_CYCLE
+        time = now[copies // slots] + (packet_time + extra)
+        # The wave's ranging-noise batch is drawn in scheduling order;
+        # every array after the sort is in delivery order.
         model = field.network.ranging_error
-        stream = field.network.rngs.stream("ranging")
         noise = batched_uniform(
-            stream, self.dist.shape[0], -model.max_error_ft,
-            model.max_error_ft,
+            field.network.rngs.stream("ranging"), copies.shape[0],
+            -model.max_error_ft, model.max_error_ft,
         )
+        order = np.argsort(time, kind="stable")
+        copies = copies[order]
+        self.packet = copies // slots
+        self.via_wormhole = copies % slots > 0
+        self.dst_row = dst_rows[self.packet]
+        self.dist = dist[order]
+        self.extra = extra[order]
+        self.time = time[order]
+        # The scalar max(0, dist + noise + bias), elementwise.
         self.measured = np.maximum(
-            0.0, (self.dist + noise) + biases[self.packet]
+            0.0, (self.dist + noise[order]) + biases[self.packet]
         )
-        self.order = np.argsort(self.time, kind="stable")
         pipeline = field.pipeline
         pipeline._vec_bump("deliveries", self.count)
         pipeline._vec_bump("noise_batched", self.count)
@@ -368,23 +380,14 @@ class _TurboPhase:
         self.max_time = pipeline.engine.now()
         self._received = np.zeros(self.field.view.count, dtype=np.int64)
 
-    def account(self, wave: _Wave) -> None:
-        """Fold one wave's deliveries into engine/network bookkeeping."""
-        self.total_events += wave.count
-        if wave.count:
-            self.max_time = max(self.max_time, float(wave.time.max()))
-        self.field.network.stats.deliveries += wave.count
-        self._received += np.bincount(
-            wave.dst_row, minlength=self._received.shape[0]
-        )
-
-    def record_drops(
+    def account(
         self, wave: _Wave, now: np.ndarray, sender_ids: np.ndarray,
         src_ids: np.ndarray, dst_rows: np.ndarray, kind: str,
     ) -> None:
-        """Mirror the scalar ``drop.*`` traces, in scheduling order.
+        """Trace one wave's drops and fold its deliveries into the sim.
 
-        Per packet, at its schedule time: one ``drop.loss`` or
+        The drops mirror the scalar ``drop.*`` traces in scheduling
+        order. Per packet, at its schedule time: one ``drop.loss`` or
         ``drop.fault`` per lost copy, naming the packet's ``src_id``
         (on a probe, the detecting ID), or one ``drop.out_of_range``
         naming the sending node when no copy was in range.
@@ -407,6 +410,13 @@ class _TurboPhase:
                 dst=int(node_ids[dst_rows[packet]]),
                 packet_kind=kind,
             )
+        self.total_events += wave.count
+        if wave.count:
+            self.max_time = max(self.max_time, float(wave.time.max()))
+        self.field.network.stats.deliveries += wave.count
+        self._received += np.bincount(
+            wave.dst_row, minlength=self._received.shape[0]
+        )
 
     def finish(self) -> None:
         """Fold event count, clock, and received counters into the sim."""
@@ -417,39 +427,23 @@ class _TurboPhase:
 
 
 def _serve_wave(
-    phase: _TurboPhase,
-    request_wave: _Wave,
-    req_src_ids: np.ndarray,
-    req_origin_rows: np.ndarray,
+    field: _Field, responder_rows: np.ndarray, requester_ids: np.ndarray
 ) -> Tuple[np.ndarray, ...]:
-    """Serve every delivered request copy; build the reply packet arrays.
+    """Serve every delivered request copy, in delivery order.
 
-    Walks the request wave in delivery order. Benign responders are
-    served arithmetically (``requests_served``/``_sequence`` advanced
-    by count — the per-reply ``sequence`` field feeds no protocol
-    decision, so only the final counters must match); malicious
-    responders run their real sticky strategy in a Python loop at the
-    exact positions they occupy in that order, so their RNG
-    consumption is scalar-exact.
+    Benign responders are served arithmetically
+    (``requests_served``/``_sequence`` advanced by count — the
+    per-reply ``sequence`` field feeds no protocol decision, so only
+    the final counters must match); malicious responders run their real
+    sticky strategy in a Python loop at the exact positions they occupy
+    in that order, so their RNG consumption is scalar-exact.
 
-    Returns reply logical-packet arrays, one row per served request
-    copy in delivery order: responder row, requester row, reply src id,
-    reply dst id (the requester identity echoed from the request),
-    claimed x/y, ranging bias, extra reply delay, fake-wormhole-symptom
-    flag, and the reply's scheduling time (= request arrival).
+    Returns per served request: the claimed x/y, ranging bias, extra
+    reply delay and fake-wormhole-symptom flag of its reply.
     """
-    field = phase.field
-    order = request_wave.order
-    packet = request_wave.packet[order]
-    responder_rows = request_wave.dst_row[order]
-    times = request_wave.time[order]
-    src_ids = req_src_ids[packet]
-    requester_rows = req_origin_rows[packet]
     nodes = field.nodes
     view = field.view
-    count = packet.shape[0]
-
-    reply_src = view.node_ids[responder_rows]
+    count = responder_rows.shape[0]
     biases = np.zeros(count, dtype=np.float64)
     extras = np.zeros(count, dtype=np.float64)
     fakes = np.zeros(count, dtype=bool)
@@ -469,10 +463,10 @@ def _serve_wave(
 
     # Real sticky adversary decisions, at their delivery-order slots.
     responder_list = responder_rows.tolist()
-    src_id_list = src_ids.tolist()
+    requester_list = requester_ids.tolist()
     for position in np.flatnonzero(is_malicious).tolist():
         beacon = nodes[responder_list[position]]
-        requester = src_id_list[position]
+        requester = requester_list[position]
         decision = beacon.strategy.decide(requester)
         beacon.responses_by_kind[decision] += 1
         if decision is ResponseKind.NORMAL:
@@ -499,17 +493,70 @@ def _serve_wave(
         node.requests_served += int(served[row])
         node._sequence += int(served[row])
 
+    return claimed_x, claimed_y, biases, extras, fakes
+
+
+def _exchange(
+    phase: _TurboPhase,
+    src: np.ndarray,
+    dst_rows: np.ndarray,
+    origin_rows: np.ndarray,
+    biases: np.ndarray,
+) -> Tuple[_Wave, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One request/reply exchange, as two delivery waves.
+
+    The request wave leaves each ``origin_rows`` node at the phase
+    start for its ``dst_rows`` beacon, naming ``src`` as the requester
+    (a detecting ID on a probe) and carrying ``biases`` as its ranging
+    bias. Its drops are traced and its deliveries accounted
+    (:meth:`_TurboPhase.account`); the delivered requests are served
+    (:func:`_serve_wave`), and the reply wave goes back to the
+    requesting nodes the same way.
+
+    Returns:
+        The reply wave, then per reply in its delivery order: the
+        responder's id, the echoed requester identity, the claimed x
+        and y, and the fake-wormhole-symptom flag.
+    """
+    field = phase.field
+    view = field.view
+    count = src.shape[0]
+    dists = _exact_distances(
+        view.xs[origin_rows], view.ys[origin_rows],
+        view.xs[dst_rows], view.ys[dst_rows],
+    )
+    field.network.stats.distance_evals += count
+    now = np.full(count, field.engine.now(), dtype=np.float64)
+    requests = _Wave(
+        field, BeaconRequest, now, origin_rows, dst_rows, dists,
+        np.zeros(count), biases,
+    )
+    phase.account(
+        requests, now, view.node_ids[origin_rows], src, dst_rows,
+        "BeaconRequest",
+    )
+
+    # One reply per delivered request, leaving when the request lands.
+    responder_rows = requests.dst_row
+    requester_rows = origin_rows[requests.packet]
+    echoed = src[requests.packet]
+    claimed_x, claimed_y, reply_biases, extras, fakes = _serve_wave(
+        field, responder_rows, echoed
+    )
+    reply_src = view.node_ids[responder_rows]
+    # A reply's direct distance is its request's (|dx|, |dy| are
+    # identical either way, and hypot is sign-symmetric).
+    replies = _Wave(
+        field, BeaconPacket, requests.time, responder_rows, requester_rows,
+        dists[requests.packet], extras, reply_biases,
+    )
+    phase.account(
+        replies, requests.time, reply_src, reply_src, requester_rows,
+        "BeaconPacket",
+    )
+    p = replies.packet
     return (
-        responder_rows,
-        requester_rows,
-        reply_src,
-        src_ids,
-        claimed_x,
-        claimed_y,
-        biases,
-        extras,
-        fakes,
-        times,
+        replies, reply_src[p], echoed[p], claimed_x[p], claimed_y[p], fakes[p]
     )
 
 
@@ -572,12 +619,66 @@ def _wormhole_verdicts(
     return flagged
 
 
+def _replay_cascade(
+    field: _Field,
+    replies: _Wave,
+    subset: np.ndarray,
+    src_ids: np.ndarray,
+    fakes: np.ndarray,
+    range_flagged: np.ndarray,
+    wormhole_detector: ProbabilisticWormholeDetector,
+) -> Tuple[List, np.ndarray, np.ndarray]:
+    """The §2.2 replay filters over the replies ``subset`` picks.
+
+    ``subset`` indexes the reply wave in delivery order; ``src_ids``
+    and ``fakes`` are per reply in that order, ``range_flagged`` per
+    subset reply (the §2.2.1 check, decisive on its own). In the scalar
+    order: one RTT batch on the ``rtt`` stream, the fault perturbation,
+    the RTT observer, the wormhole verdicts over the replies the range
+    check leaves open, then each observer's local-replay window over
+    the replies no wormhole check flagged.
+
+    Returns:
+        Per subset reply: the observing node (the reply's receiver),
+        and the wormhole (range or detector) and local-replay flags.
+    """
+    rows = replies.dst_row[subset]
+    rtts = batched_rtt(
+        field.network.rngs.stream("rtt"),
+        field.network.rtt_model,
+        replies.dist[subset],
+        replies.extra[subset],
+        replies.time[subset],
+    )
+    field.pipeline._vec_bump("rtt_batched", int(subset.shape[0]))
+    observer_ids = field.view.node_ids[rows]
+    # Hot Python loops below index these thousands of times; plain
+    # lists hold the identical values without per-access conversion.
+    rtts = field.perturb_rtts(rtts, observer_ids).tolist()
+    observers = [field.nodes[row] for row in rows.tolist()]
+    observe = field.network.rtt_observer
+    if observe is not None:
+        for rtt, node in zip(rtts, observers):
+            observe(rtt, node)
+    wormhole_flagged = range_flagged | _wormhole_verdicts(
+        wormhole_detector,
+        ~range_flagged,
+        fakes[subset],
+        replies.via_wormhole[subset],
+        observer_ids,
+        src_ids[subset],
+    )
+    local_flagged = np.zeros(subset.shape[0], dtype=bool)
+    for position in np.flatnonzero(~wormhole_flagged).tolist():
+        window = observers[position].filter_cascade.local_replay_detector
+        local_flagged[position] = window.is_replayed(rtts[position])
+    return observers, wormhole_flagged, local_flagged
+
+
 def run_detection_turbo(pipeline) -> None:
     """The detection phase (§2.1-§2.2, §3.1) as two array-built waves."""
     phase = _TurboPhase(pipeline)
     field = phase.field
-    t0 = pipeline.engine.now()
-    view = field.view
 
     # ------------------------------------------------------------------
     # Probe fan-out (scalar build order: prober, target, detecting id).
@@ -585,7 +686,6 @@ def run_detection_turbo(pipeline) -> None:
     src_chunks: List[np.ndarray] = []
     dst_chunks: List[np.ndarray] = []
     prober_chunks: List[np.ndarray] = []
-    nonce_chunks: List[np.ndarray] = []
     bias_chunks: List[np.ndarray] = []
     for beacon in pipeline.benign_beacons:
         row = field.row(beacon.node_id)
@@ -602,7 +702,6 @@ def run_detection_turbo(pipeline) -> None:
         )
         dst_chunks.append(np.repeat(targets, m))
         prober_chunks.append(np.full(probes, row, dtype=np.int64))
-        nonce_chunks.append(beacon._next_nonce + np.arange(probes))
         beacon._next_nonce += probes
         if beacon.probe_power_randomization_ft > 0.0:
             bias_chunks.append(
@@ -620,74 +719,32 @@ def run_detection_turbo(pipeline) -> None:
     if not src_chunks:
         phase.finish()
         return
-    req_src = np.concatenate(src_chunks)
-    req_dst_rows = np.concatenate(dst_chunks)
-    req_origin_rows = np.concatenate(prober_chunks)
-    req_biases = np.concatenate(bias_chunks)
-    req_dists = _exact_distances(
-        view.xs[req_origin_rows],
-        view.ys[req_origin_rows],
-        view.xs[req_dst_rows],
-        view.ys[req_dst_rows],
+    replies, src_ids, dst_ids, claimed_x, claimed_y, fakes = _exchange(
+        phase,
+        np.concatenate(src_chunks),
+        np.concatenate(dst_chunks),
+        np.concatenate(prober_chunks),
+        np.concatenate(bias_chunks),
     )
-    field.network.stats.distance_evals += int(req_dists.shape[0])
-    req_now = np.full(req_src.shape[0], t0, dtype=np.float64)
-    request_wave = _Wave(
-        field, BeaconRequest, req_now, req_origin_rows, req_dst_rows,
-        req_dists, np.zeros(req_src.shape[0]), req_biases,
-    )
-    phase.record_drops(
-        request_wave, req_now, view.node_ids[req_origin_rows], req_src,
-        req_dst_rows, "BeaconRequest",
-    )
-    phase.account(request_wave)
-
-    # ------------------------------------------------------------------
-    # Serve requests; build and deliver the reply wave.
-    # ------------------------------------------------------------------
-    (
-        resp_rows, prober_rows, reply_src, reply_dst, claimed_x, claimed_y,
-        biases, extras, fakes, reply_now,
-    ) = _serve_wave(phase, request_wave, req_src, req_origin_rows)
-    # Reply direct distance = request direct distance (|dx|, |dy| are
-    # identical either way, and hypot is sign-symmetric).
-    reply_direct = req_dists[request_wave.packet[request_wave.order]]
-    reply_wave = _Wave(
-        field, BeaconPacket, reply_now, resp_rows, prober_rows,
-        reply_direct, extras, biases,
-    )
-    phase.record_drops(
-        reply_wave, reply_now, reply_src, reply_src, prober_rows,
-        "BeaconPacket",
-    )
-    phase.account(reply_wave)
 
     # ------------------------------------------------------------------
     # Judge probe replies in delivery order (§2.1, §2.2), then record
     # outcomes, traces and alerts (§3.1) in that order.
     # ------------------------------------------------------------------
-    order = reply_wave.order
-    rep = reply_wave.packet[order]
-    times = reply_wave.time[order]
-    d_prober_rows = prober_rows[rep]
-    src_ids = reply_src[rep]
-    dst_ids = reply_dst[rep]
     if pipeline.detector is None:
         decisions, consistent, indict = _paper_verdicts(
-            field, reply_wave, d_prober_rows, src_ids, claimed_x[rep],
-            claimed_y[rep], fakes[rep],
+            field, replies, src_ids, claimed_x, claimed_y, fakes
         )
     else:
         decisions, consistent, indict = _rival_verdicts(
-            field, reply_wave, d_prober_rows, src_ids, dst_ids,
-            claimed_x[rep], claimed_y[rep],
+            field, replies, src_ids, dst_ids, claimed_x, claimed_y
         )
 
     trace = field.trace
     nodes = field.nodes
     for row, detecting_id, target, time, decision, signal_consistent, alert in zip(
-        d_prober_rows.tolist(), dst_ids.tolist(), src_ids.tolist(),
-        times.tolist(), decisions, consistent, indict,
+        replies.dst_row.tolist(), dst_ids.tolist(), src_ids.tolist(),
+        replies.time.tolist(), decisions, consistent, indict,
     ):
         prober = nodes[row]
         prober.probe_outcomes.append(
@@ -711,23 +768,21 @@ def run_detection_turbo(pipeline) -> None:
 
 
 def _paper_verdicts(
-    field: _Field, reply_wave: _Wave, prober_rows: np.ndarray,
-    src_ids: np.ndarray, claimed_x: np.ndarray, claimed_y: np.ndarray,
-    fakes: np.ndarray,
+    field: _Field, replies: _Wave, src_ids: np.ndarray,
+    claimed_x: np.ndarray, claimed_y: np.ndarray, fakes: np.ndarray,
 ) -> Tuple[List[str], List[bool], List[bool]]:
     """The paper's §2.1 check and §2.2 cascade over one reply wave.
 
     Array masks throughout: the discrepancy check over every reply,
-    one RTT batch over the inconsistent ones, the range check and the
-    ordered wormhole-verdict walk, then the per-prober RTT filter. The
-    per-reply arrays are in delivery order.
+    then :func:`_replay_cascade` over the inconsistent ones with the
+    §2.2.1 range check (``knows_location=True``) as its range flags.
+    The per-reply arrays are in delivery order.
 
     Returns per reply, in delivery order: the decision label, the §2.1
     consistency flag, and whether the prober indicts the target.
     """
-    pipeline = field.pipeline
     view = field.view
-    order = reply_wave.order
+    prober_rows = replies.dst_row
     calculated = _exact_distances(
         view.xs[prober_rows], view.ys[prober_rows], claimed_x, claimed_y,
     )
@@ -736,51 +791,13 @@ def _paper_verdicts(
         [field.nodes[row].signal_detector.max_error_ft for row in prober_rows],
         dtype=np.float64,
     )
-    inconsistent = discrepancy_mask(
-        calculated, reply_wave.measured[order], thresholds
-    )
-
+    inconsistent = discrepancy_mask(calculated, replies.measured, thresholds)
     bad = np.flatnonzero(inconsistent)
-    rtts = batched_rtt(
-        field.network.rngs.stream("rtt"),
-        field.network.rtt_model,
-        reply_wave.dist[order][bad],
-        reply_wave.extra[order][bad],
-        reply_wave.time[order][bad],
+    _, wormhole_flagged, local_flagged = _replay_cascade(
+        field, replies, bad, src_ids, fakes,
+        calculated[bad] > field.comm_range_ft,
+        field.pipeline.benign_beacons[0].filter_cascade.wormhole_detector,
     )
-    pipeline._vec_bump("rtt_batched", int(bad.shape[0]))
-    prober_ids = view.node_ids[prober_rows[bad]]
-    rtts = field.perturb_rtts(rtts, prober_ids)
-    # Hot Python loops below index these thousands of times; plain
-    # lists hold the identical values without per-access conversion.
-    rtts_list = rtts.tolist()
-    prober_bad = prober_rows[bad].tolist()
-    observer = field.network.rtt_observer
-    if observer is not None:
-        for position in range(len(prober_bad)):
-            observer(rtts_list[position], field.nodes[prober_bad[position]])
-
-    # The cascade over the inconsistent subset, knows_location=True:
-    # the §2.2.1 range check is decisive on its own (no detector call).
-    range_flagged = calculated[bad] > field.comm_range_ft
-    detector_flagged = _wormhole_verdicts(
-        pipeline.benign_beacons[0].filter_cascade.wormhole_detector,
-        ~range_flagged,
-        fakes[bad],
-        reply_wave.via_wormhole[order][bad],
-        prober_ids,
-        src_ids[bad],
-    )
-    wormhole_flagged = range_flagged | detector_flagged
-    local_flagged = np.zeros(bad.shape[0], dtype=bool)
-    for position in np.flatnonzero(~wormhole_flagged).tolist():
-        prober = field.nodes[prober_bad[position]]
-        local_flagged[position] = (
-            prober.filter_cascade.local_replay_detector.is_replayed(
-                rtts_list[position]
-            )
-        )
-    alerts = ~(wormhole_flagged | local_flagged)
     decisions = ["consistent"] * prober_rows.shape[0]
     for index, label in zip(
         bad.tolist(),
@@ -792,14 +809,13 @@ def _paper_verdicts(
     ):
         decisions[index] = label
     indict = np.zeros(prober_rows.shape[0], dtype=bool)
-    indict[bad] = alerts
+    indict[bad] = ~(wormhole_flagged | local_flagged)
     return decisions, (~inconsistent).tolist(), indict.tolist()
 
 
 def _rival_verdicts(
-    field: _Field, reply_wave: _Wave, prober_rows: np.ndarray,
-    src_ids: np.ndarray, dst_ids: np.ndarray, claimed_x: np.ndarray,
-    claimed_y: np.ndarray,
+    field: _Field, replies: _Wave, src_ids: np.ndarray, dst_ids: np.ndarray,
+    claimed_x: np.ndarray, claimed_y: np.ndarray,
 ) -> Tuple[List[str], List[bool], List[bool]]:
     """A rival detector's own ``evaluate``, once per reply, in delivery order.
 
@@ -816,15 +832,13 @@ def _rival_verdicts(
     nodes = field.nodes
     observe_rtt = field.network.observe_rtt
     evaluate = field.pipeline.detector.evaluate
-    order = reply_wave.order
     decisions: List[str] = []
     consistent: List[bool] = []
     indict: List[bool] = []
     for row, detecting_id, target, x, y, measured, dist, extra, time in zip(
-        prober_rows.tolist(), dst_ids.tolist(), src_ids.tolist(),
-        claimed_x.tolist(), claimed_y.tolist(),
-        reply_wave.measured[order].tolist(), reply_wave.dist[order].tolist(),
-        reply_wave.extra[order].tolist(), reply_wave.time[order].tolist(),
+        replies.dst_row.tolist(), dst_ids.tolist(), src_ids.tolist(),
+        claimed_x.tolist(), claimed_y.tolist(), replies.measured.tolist(),
+        replies.dist.tolist(), replies.extra.tolist(), replies.time.tolist(),
     ):
         prober = nodes[row]
         verdict = evaluate(
@@ -849,8 +863,6 @@ def run_localization_turbo(pipeline) -> None:
     """The localization phase (§4 stage 1) as two array-built waves."""
     phase = _TurboPhase(pipeline)
     field = phase.field
-    t0 = pipeline.engine.now()
-    view = field.view
 
     # ------------------------------------------------------------------
     # Beacon requests (scalar build order: agent, then target id order).
@@ -872,127 +884,53 @@ def run_localization_turbo(pipeline) -> None:
     if not src_chunks:
         phase.finish()
         return
-    req_src = np.concatenate(src_chunks)
-    req_dst_rows = np.concatenate(dst_chunks)
-    req_origin_rows = np.concatenate(agent_chunks)
-    req_dists = _exact_distances(
-        view.xs[req_origin_rows],
-        view.ys[req_origin_rows],
-        view.xs[req_dst_rows],
-        view.ys[req_dst_rows],
+    src = np.concatenate(src_chunks)
+    replies, src_ids, _, claimed_x, claimed_y, fakes = _exchange(
+        phase, src, np.concatenate(dst_chunks), np.concatenate(agent_chunks),
+        np.zeros(src.shape[0]),
     )
-    field.network.stats.distance_evals += int(req_dists.shape[0])
-    req_now = np.full(req_src.shape[0], t0, dtype=np.float64)
-    request_wave = _Wave(
-        field, BeaconRequest, req_now, req_origin_rows, req_dst_rows,
-        req_dists, np.zeros(req_src.shape[0]), np.zeros(req_src.shape[0]),
-    )
-    phase.record_drops(
-        request_wave, req_now, req_src, req_src, req_dst_rows,
-        "BeaconRequest",
-    )
-    phase.account(request_wave)
-
-    (
-        resp_rows, agent_req_rows, reply_src, _reply_dst, claimed_x,
-        claimed_y, biases, extras, fakes, reply_now,
-    ) = _serve_wave(phase, request_wave, req_src, req_origin_rows)
-    reply_direct = req_dists[request_wave.packet[request_wave.order]]
-    reply_wave = _Wave(
-        field, BeaconPacket, reply_now, resp_rows, agent_req_rows,
-        reply_direct, extras, biases,
-    )
-    phase.record_drops(
-        reply_wave, reply_now, reply_src, reply_src, agent_req_rows,
-        "BeaconPacket",
-    )
-    phase.account(reply_wave)
 
     # ------------------------------------------------------------------
     # Reference collection in delivery order (§2.2 filters, then §4).
     # ------------------------------------------------------------------
-    order = reply_wave.order
-    rep = reply_wave.packet[order]
-    times = reply_wave.time[order]
-    measured = reply_wave.measured[order]
-    d_agent_rows = agent_req_rows[rep]
-    src_all = reply_src[rep]
-
     # Revocation filtering precedes the RTT draw in the scalar handler,
     # and no new revocations occur during localization (only detecting
     # beacons alert), so filtering the whole batch up front is exact.
-    agents_by_row = {
-        field.row(agent.node_id): agent for agent in pipeline.agents
-    }
-    src_list = src_all.tolist()
-    agent_rows_list = d_agent_rows.tolist()
+    nodes = field.nodes
     kept = np.flatnonzero(
         np.array(
             [
-                src_list[i]
-                not in agents_by_row[agent_rows_list[i]].revoked_beacons
-                for i in range(len(src_list))
+                src_id not in nodes[row].revoked_beacons
+                for src_id, row in zip(
+                    src_ids.tolist(), replies.dst_row.tolist()
+                )
             ],
             dtype=bool,
         )
     )
-    rtts = batched_rtt(
-        field.network.rngs.stream("rtt"),
-        field.network.rtt_model,
-        reply_wave.dist[order][kept],
-        reply_wave.extra[order][kept],
-        times[kept],
-    )
-    pipeline._vec_bump("rtt_batched", int(kept.shape[0]))
-    agent_ids = view.node_ids[d_agent_rows[kept]]
-    rtts = field.perturb_rtts(rtts, agent_ids)
-    rtts_list = rtts.tolist()
-    agent_kept = [agents_by_row[agent_rows_list[i]] for i in kept.tolist()]
-    observer = field.network.rtt_observer
-    if observer is not None:
-        for position in range(len(agent_kept)):
-            observer(rtts_list[position], agent_kept[position])
-
-    # Cascade, knows_location=False: every kept copy reaches the
-    # wormhole detector; survivors face the per-agent RTT filter.
-    wormhole_flagged = _wormhole_verdicts(
+    # knows_location=False: no range check; every kept copy reaches the
+    # wormhole detector.
+    agents, wormhole_flagged, local_flagged = _replay_cascade(
+        field, replies, kept, src_ids, fakes,
+        np.zeros(kept.shape[0], dtype=bool),
         pipeline.agents[0].filter_cascade.wormhole_detector,
-        np.ones(kept.shape[0], dtype=bool),
-        fakes[rep][kept],
-        reply_wave.via_wormhole[order][kept],
-        agent_ids,
-        src_all[kept],
     )
-    local_flagged = np.zeros(kept.shape[0], dtype=bool)
-    for position in np.flatnonzero(~wormhole_flagged).tolist():
-        agent = agent_kept[position]
-        local_flagged[position] = (
-            agent.filter_cascade.local_replay_detector.is_replayed(
-                rtts_list[position]
+    for agent, rejected, src_id, x, y, measured, time in zip(
+        agents, (wormhole_flagged | local_flagged).tolist(),
+        src_ids[kept].tolist(), claimed_x[kept].tolist(),
+        claimed_y[kept].tolist(), replies.measured[kept].tolist(),
+        replies.time[kept].tolist(),
+    ):
+        if rejected:
+            agent.rejected_replays += 1
+        else:
+            agent.references.append(
+                LocationReference(
+                    beacon_id=src_id,
+                    beacon_location=Point(x, y),
+                    measured_distance_ft=measured,
+                    received_at=time,
+                )
             )
-        )
-    rejected = wormhole_flagged | local_flagged
-
-    counts = np.bincount(d_agent_rows[kept[rejected]], minlength=view.count)
-    for row in np.flatnonzero(counts):
-        agents_by_row[int(row)].rejected_replays += int(counts[row])
-
-    claimed_kept_x = claimed_x[rep][kept].tolist()
-    claimed_kept_y = claimed_y[rep][kept].tolist()
-    measured_kept = measured[kept].tolist()
-    times_kept = times[kept].tolist()
-    src_kept = src_all[kept].tolist()
-    for position in np.flatnonzero(~rejected).tolist():
-        agent_kept[position].references.append(
-            LocationReference(
-                beacon_id=src_kept[position],
-                beacon_location=Point(
-                    claimed_kept_x[position],
-                    claimed_kept_y[position],
-                ),
-                measured_distance_ft=measured_kept[position],
-                received_at=times_kept[position],
-            )
-        )
 
     phase.finish()

@@ -60,7 +60,7 @@ class TestMaliciousBeacon:
 
     def test_lie_is_sticky_per_requester(self, world):
         engine, net, km = world
-        mal = self._mal(net, km, AdversaryStrategy(p_n=0.0))
+        self._mal(net, km, AdversaryStrategy(p_n=0.0))
         agent = self._agent(net, km)
         agent.request_beacon(1)
         agent.request_beacon(1)
@@ -168,7 +168,7 @@ class TestLocalReplay:
     def test_capture_and_replay(self, world):
         engine, net, km = world
         km.enroll(1, is_beacon=True)
-        beacon = net.add_node(BeaconService(1, Point(0, 0), km))
+        net.add_node(BeaconService(1, Point(0, 0), km))
         km.enroll(50)
         agent = net.add_node(NonBeaconAgent(50, Point(50, 0), km))
         attacker = net.add_node(LocalReplayAttacker(666, Point(30, 10)))

@@ -1,7 +1,5 @@
 """Tests for detecting-ID inference and its countermeasure."""
 
-import pytest
-
 from repro.attacks.inference import InferringMaliciousBeacon
 from repro.attacks.strategy import AdversaryStrategy
 from repro.core.detecting import DetectingBeacon

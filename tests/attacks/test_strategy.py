@@ -1,7 +1,7 @@
 """Tests for the adversary mixed strategy."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.attacks.strategy import AdversaryStrategy, ResponseKind

@@ -1,7 +1,7 @@
 """Tests for the closed-form analysis (Sections 2.3 and 3.2)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import analysis

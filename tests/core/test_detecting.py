@@ -1,7 +1,5 @@
 """Tests for the detecting-beacon role (probing + alerting)."""
 
-import random
-
 import pytest
 
 from repro.attacks.compromised import MaliciousBeacon
@@ -16,7 +14,6 @@ from repro.localization.beacon import BeaconService
 from repro.sim.engine import Engine
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
-from repro.sim.timing import RttModel
 from repro.utils.geometry import Point
 from repro.wormhole.detector import ProbabilisticWormholeDetector
 

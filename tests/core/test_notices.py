@@ -1,7 +1,5 @@
 """Tests for flooded, µTESLA-authenticated revocation notices."""
 
-import pytest
-
 from repro.core.notices import (
     AuthenticatedNotice,
     NoticeAwareAgent,

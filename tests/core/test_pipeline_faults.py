@@ -11,8 +11,6 @@ The contract under test:
   loss suppresses detections) and surface in the profile counters.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.core.pipeline import PipelineConfig, SecureLocalizationPipeline

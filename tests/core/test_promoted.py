@@ -81,7 +81,6 @@ class TestGenerationAwareDetector:
 
     def test_statistical_no_false_positives_on_honest_chain(self):
         """Honest promoted anchors with within-bound errors never alarm."""
-        d = GenerationAwareDetector(max_error_ft=10.0)
         rng = random.Random(13)
         flagged = 0
         for _ in range(300):

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.core.replay_filter import FilterDecision, ReplayFilterCascade
 from repro.core.rtt import LocalReplayDetector, calibrate_rtt
 from repro.sim.messages import BeaconPacket

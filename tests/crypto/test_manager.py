@@ -3,7 +3,7 @@
 import pytest
 
 from repro.crypto.keyring import KeyRing
-from repro.crypto.manager import DEFAULT_DETECTING_ID_BASE, KeyManager
+from repro.crypto.manager import DEFAULT_DETECTING_ID_BASE
 from repro.crypto.predistribution import FullPairwiseScheme
 from repro.errors import AuthenticationError, ConfigurationError, KeyAgreementError
 from repro.sim.messages import BeaconPacket, BeaconRequest

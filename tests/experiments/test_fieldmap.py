@@ -60,8 +60,12 @@ class TestRenderFieldMap:
             MarkerGroup(label="high", points=[Point(50, 100)], color="#222222")
         )
         svg = render_field_map(scene)
-        low_line = next(l for l in svg.splitlines() if "#111111" in l and "circle" in l)
-        high_line = next(l for l in svg.splitlines() if "#222222" in l and "circle" in l)
+        low_line = next(
+            ln for ln in svg.splitlines() if "#111111" in ln and "circle" in ln
+        )
+        high_line = next(
+            ln for ln in svg.splitlines() if "#222222" in ln and "circle" in ln
+        )
 
         def cy(line):
             return float(line.split('cy="')[1].split('"')[0])

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments import figures
 from repro.experiments.cli import main
-from repro.experiments.montecarlo import TrialSummary, run_trials, summarize
+from repro.experiments.montecarlo import run_trials, summarize
 from repro.experiments.series import FigureData
 from repro.experiments.svgplot import render_svg, save_svg
 

@@ -1,7 +1,5 @@
 """Tests for the reproduction-report generator."""
 
-import pathlib
-
 import pytest
 
 from repro.errors import ConfigurationError

@@ -6,13 +6,11 @@ paper-level claim end to end.
 
 import random
 
-import pytest
-
 from repro.attacks.compromised import MaliciousBeacon
 from repro.attacks.replay import LocalReplayAttacker, build_wormhole
 from repro.attacks.strategy import AdversaryStrategy
 from repro.core.detecting import DetectingBeacon
-from repro.core.replay_filter import FilterDecision, ReplayFilterCascade
+from repro.core.replay_filter import ReplayFilterCascade
 from repro.core.revocation import BaseStation, RevocationConfig
 from repro.core.rtt import LocalReplayDetector, calibrate_rtt
 from repro.core.signal_detector import MaliciousSignalDetector
@@ -196,7 +194,7 @@ class TestLocalReplayDefence:
 
     def test_direct_signal_accepted_by_agent(self):
         world = World()
-        beacon = world.add_benign(1, Point(0, 0))
+        world.add_benign(1, Point(0, 0))
         from repro.core.pipeline import SecureNonBeaconAgent
 
         world.km.enroll(50)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ScheduleError
 from repro.sim.clock import CPU_HZ, Clock, cycles_to_seconds, seconds_to_cycles
-from repro.sim.engine import Engine
 
 
 class TestClock:

@@ -1,9 +1,8 @@
-"""Tests for Node dispatch, TraceRecorder, and the CSMA medium."""
+"""Tests for Node dispatch and TraceRecorder."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.mac import CsmaMedium
 from repro.sim.messages import BeaconPacket, BeaconRequest, Packet
 from repro.sim.node import Node
 from repro.sim.radio import Reception, Transmission
@@ -97,66 +96,3 @@ class TestTraceRecorder:
         event = t.of_kind("x")[0]
         assert event.get("missing", 42) == 42
 
-
-class TestCsmaMedium:
-    def test_non_overlapping_windows_clear(self):
-        m = CsmaMedium()
-        assert m.try_receive(1, 0.0, 10.0, tx_id=100) is True
-        assert m.try_receive(1, 20.0, 30.0, tx_id=101) is True
-        assert m.is_clear(1, 100)
-        assert m.is_clear(1, 101)
-
-    def test_overlap_voids_both(self):
-        m = CsmaMedium()
-        m.try_receive(1, 0.0, 10.0, tx_id=100)
-        assert m.try_receive(1, 5.0, 15.0, tx_id=101) is False
-        assert not m.is_clear(1, 100)
-        assert not m.is_clear(1, 101)
-
-    def test_different_receivers_do_not_collide(self):
-        m = CsmaMedium()
-        m.try_receive(1, 0.0, 10.0, tx_id=100)
-        assert m.try_receive(2, 5.0, 15.0, tx_id=101) is True
-
-    def test_disabled_medium_always_clear(self):
-        m = CsmaMedium(enabled=False)
-        m.try_receive(1, 0.0, 10.0, tx_id=100)
-        assert m.try_receive(1, 5.0, 15.0, tx_id=101) is True
-        assert m.is_clear(1, 100)
-
-    def test_busy_until(self):
-        m = CsmaMedium()
-        m.try_receive(1, 0.0, 10.0, tx_id=100)
-        assert m.busy_until(1, 5.0) == 10.0
-        assert m.busy_until(1, 10.0) is None
-
-    def test_prune(self):
-        m = CsmaMedium()
-        m.try_receive(1, 0.0, 10.0, tx_id=100)
-        m.try_receive(1, 20.0, 30.0, tx_id=101)
-        assert m.prune(15.0) == 1
-        assert m.is_clear(1, 101)
-
-    def test_stats(self):
-        m = CsmaMedium()
-        m.try_receive(1, 0.0, 10.0, tx_id=100)
-        m.try_receive(1, 5.0, 15.0, tx_id=101)
-        total, collided = m.stats()
-        assert total == 2
-        assert collided == 2
-
-    def test_bad_window_rejected(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            CsmaMedium().try_receive(1, 10.0, 0.0, tx_id=1)
-
-    def test_all_or_nothing_implies_full_packet_delay(self):
-        # The Section 2.3 assumption this MAC encodes: an attacker cannot
-        # deliver a partial overlap; a replay must wait out the window.
-        m = CsmaMedium()
-        m.try_receive(1, 0.0, 100.0, tx_id=1)  # the original signal
-        # A replay attempted *during* the original window collides:
-        assert m.try_receive(1, 50.0, 150.0, tx_id=2) is False
-        # A replay after every active window is clean but >= one packet late:
-        assert m.try_receive(1, 150.5, 250.5, tx_id=3) is True

@@ -10,7 +10,7 @@ from repro.sim.engine import Engine
 from repro.sim.messages import BeaconRequest
 from repro.sim.network import Network
 from repro.sim.node import Node
-from repro.sim.reliable import DeliveryReport, LossModel, ReliableChannel
+from repro.sim.reliable import LossModel, ReliableChannel
 from repro.sim.rng import RngRegistry
 from repro.utils.geometry import Point
 

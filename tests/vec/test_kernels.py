@@ -21,14 +21,13 @@ from repro.errors import ConfigurationError, InsufficientReferencesError, Solver
 from repro.localization.beacon import NonBeaconAgent
 from repro.localization.multilateration import _linearized_seed, mmse_multilaterate
 from repro.localization.references import LocationReference
+from repro.sim.engine import Engine
+from repro.sim.network import Network
+from repro.sim.node import Node
 from repro.sim.timing import RttModel
 from repro.utils.geometry import Point
-from repro.vec.geometry import (
-    count_within_range,
-    pairwise_distances,
-    within_range_mask,
-    within_range_matrix,
-)
+from repro.vec.arrays import requester_counts_vectorized
+from repro.vec.geometry import within_range_matrix
 from repro.vec.localization import _batched_seed, batched_estimate_errors
 from repro.vec.measurement import (
     batched_calibration_rtts,
@@ -36,7 +35,6 @@ from repro.vec.measurement import (
     batched_uniform,
     discrepancy_mask,
     raw_uniforms,
-    rtt_exceeds_mask,
 )
 
 finite = st.floats(
@@ -194,6 +192,8 @@ def test_batched_calibration_rtts_rejects_nonpositive_counts():
 )
 @settings(max_examples=80, deadline=None)
 def test_within_range_mask_matches_scalar_hypot(points, center, radius, snap):
+    # The single-center case: one row of the matrix is the range mask of
+    # one querier, non-finite points and a NaN radius included.
     xs = np.array([p[0] for p in points], dtype=np.float64)
     ys = np.array([p[1] for p in points], dtype=np.float64)
     cx, cy = center
@@ -203,13 +203,16 @@ def test_within_range_mask_matches_scalar_hypot(points, center, radius, snap):
         candidate = math.hypot(xs[0] - cx, ys[0] - cy)
         if math.isfinite(candidate):
             radius = candidate
-    mask = within_range_mask(xs, ys, cx, cy, radius)
+    mask = within_range_matrix(
+        xs, ys, np.array([cx]), np.array([cy]), radius
+    )
     expected = [
         math.hypot(float(x) - cx, float(y) - cy) <= radius
         for x, y in zip(xs, ys)
     ]
-    assert mask.tolist() == expected
-    assert count_within_range(xs, ys, cx, cy, radius) == sum(expected)
+    assert mask.shape == (1, len(points))
+    assert mask[0].tolist() == expected
+    assert int(np.count_nonzero(mask)) == sum(expected)
 
 
 @given(
@@ -238,20 +241,32 @@ def test_within_range_matrix_matches_scalar_all_pairs(
         for cx, cy in zip(cxs, cys)
     ]
     assert matrix.tolist() == expected
-    # Row i of the matrix is exactly the single-center mask for row i.
-    for i in range(len(centers)):
-        assert (
-            matrix[i].tolist()
-            == within_range_mask(
-                xs, ys, float(cxs[i]), float(cys[i]), radius
-            ).tolist()
+
+
+def test_requester_counts_vectorized_matches_naive_scan():
+    network = Network(Engine())
+    malicious = [
+        network.add_node(Node(1, Point(0.0, 0.0), is_beacon=True)),
+        # In range of beacon 1, and excluded from its count.
+        network.add_node(Node(2, Point(100.0, 0.0), is_beacon=True)),
+    ]
+    network.add_node(Node(3, Point(90.0, 120.0)))  # exactly 150 ft from 1
+    network.add_node(Node(4, Point(240.0, 0.0)))  # in range of 2 only
+    network.add_node(Node(5, Point(0.0, 151.0)))  # in range of neither
+    malicious_ids = {1, 2}
+    naive = [
+        sum(
+            1
+            for node in network.nodes()
+            if node.node_id not in malicious_ids
+            and beacon.position.distance_to(node.position) <= 150.0
         )
-
-
-def test_pairwise_distances_single_node_and_empty():
-    assert pairwise_distances(np.empty(0), np.empty(0), 1.0, 2.0).shape == (0,)
-    d = pairwise_distances(np.array([3.0]), np.array([4.0]), 0.0, 0.0)
-    assert d.tolist() == [5.0]
+        for beacon in malicious
+    ]
+    counts = requester_counts_vectorized(
+        network, malicious, malicious_ids, 150.0
+    )
+    assert counts == naive == [1, 2]
 
 
 # ----------------------------------------------------------------------
@@ -280,16 +295,6 @@ def test_discrepancy_mask_matches_scalar_comparison(rows, scalar_threshold):
         abs(float(c) - float(m)) > t for c, m, t in zip(calc, meas, per_row)
     ]
     assert mask.tolist() == expected
-
-
-@given(
-    rtts=st.lists(st.floats(allow_nan=True), max_size=30),
-    x_max=st.floats(allow_nan=True),
-)
-@settings(max_examples=60, deadline=None)
-def test_rtt_exceeds_mask_matches_scalar_comparison(rtts, x_max):
-    mask = rtt_exceeds_mask(np.array(rtts, dtype=np.float64), x_max)
-    assert mask.tolist() == [float(r) > x_max for r in rtts]
 
 
 # ----------------------------------------------------------------------
