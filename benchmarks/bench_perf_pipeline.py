@@ -1,28 +1,19 @@
-"""Performance: the pipeline's fast paths vs their reference twins.
+"""Performance: the batch core's full trial vs the scalar oracle.
 
-Each benchmarked fast path is asserted *identical* to the slow path it
-replaces before its clock is read — a wrong fast path must never look
-like a fast one:
+End-to-end ``run()`` with the vectorized batch core (the default
+``use_vectorized_core=True``, the ``repro.vec`` kernels) vs the scalar
+event-driven reference. The batch core is asserted *identical* to the
+oracle before its clock is read — a wrong fast path must never look
+like a fast one: the ``PipelineResult`` objects must compare equal to
+the last bit, and the speedup is asserted >= 10x (``--quick`` smoke
+mode relaxes the floor, not the equality).
 
-- **reachability** (`_reachable_beacons`): beacon-grid query + cached
-  wormhole-endpoint sets vs the full O(N_b) scan with pairwise
-  ``wormhole_between`` checks. The speedup is asserted >= 3x.
-- **metrics collection** (`_requester_counts`): one grid query per
-  malicious beacon vs an O(N) scan per malicious beacon.
-- **full trial**: end-to-end `run()` with the vectorized batch core
-  (the default ``use_vectorized_core=True``, the ``repro.vec`` SoA
-  kernels) vs the scalar event-driven reference. The ``PipelineResult``
-  objects must compare equal to the last bit, and the speedup is
-  asserted >= 10x (``--quick`` smoke mode relaxes the floor, not the
-  equality).
+Every config here pins ``use_vectorized_core=False``: the reference
+must be the scalar oracle, not the default batch core.
 
-Every config here pins ``use_vectorized_core=False``: the spatial-index
-scans only run on the scalar core, and the full-trial reference must be
-the scalar oracle, not the default batch core.
-
-Every measurement lands in ``BENCH_pipeline.json`` at the repo root so
-future PRs have a perf trajectory to compare against; per-phase cost
-tables derived from these numbers live in ``docs/PERFORMANCE.md``.
+The measurement lands in ``BENCH_pipeline.json`` at the repo root so
+future changes have a perf trajectory to compare against; per-phase
+cost tables live in ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -39,11 +30,8 @@ from repro.experiments.series import FigureData
 
 BASELINE_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_pipeline.json"
 
-#: The paper's Section 4 deployment — the workload the fast paths exist for.
-PAPER_CONFIG = PipelineConfig(use_vectorized_core=False)
-
 #: The full-trial comparison runs the paper deployment end to end, once
-#: per path (~1.7 s scalar): the honest number, since it includes the
+#: per path (about 2 s scalar): the honest number, since it includes the
 #: build/calibration work the batch core cannot touch.
 TRIAL_CONFIG = PipelineConfig(seed=11, use_vectorized_core=False)
 
@@ -59,7 +47,6 @@ QUICK_TRIAL_CONFIG = PipelineConfig(
     use_vectorized_core=False,
 )
 
-ASSERTED_REACHABILITY_SPEEDUP = 3.0
 ASSERTED_FULL_TRIAL_SPEEDUP = 10.0
 
 
@@ -94,14 +81,11 @@ def _record_baseline(name, fast_s, naive_s):
     return data["benchmarks"][name]
 
 
-def _speedup_figure(
-    figure_id, title, fast_s, naive_s, notes,
-    x_label="path (1=naive, 2=spatial index)",
-):
+def _speedup_figure(figure_id, title, fast_s, naive_s, notes):
     fig = FigureData(
         figure_id=figure_id,
         title=title,
-        x_label=x_label,
+        x_label="path (1=scalar core, 2=vectorized core)",
         y_label="seconds",
         notes=notes,
     )
@@ -109,85 +93,6 @@ def _speedup_figure(
     wall.append(1, naive_s)
     wall.append(2, fast_s)
     return fig
-
-
-def test_reachability_fast_path(save_figure):
-    """Beacon reachability: grid + wormhole cache vs the naive scan."""
-    pipeline = SecureLocalizationPipeline(PAPER_CONFIG).build()
-    queriers = pipeline.agents + pipeline.benign_beacons
-
-    def fast():
-        return [pipeline._reachable_beacons(n) for n in queriers]
-
-    def naive():
-        return [pipeline._reachable_beacons_naive(n) for n in queriers]
-
-    fast_s, fast_result = _best_of(fast)
-    naive_s, naive_result = _best_of(naive)
-
-    # Correctness before speed: same beacons, same order, every querier.
-    assert [[b.node_id for b in r] for r in fast_result] == [
-        [b.node_id for b in r] for r in naive_result
-    ]
-
-    entry = _record_baseline("reachability", fast_s, naive_s)
-    save_figure(
-        _speedup_figure(
-            "perf_reachability",
-            "Reachability query: naive scan vs spatial index",
-            fast_s,
-            naive_s,
-            notes=(
-                f"{len(queriers)} queriers x {PAPER_CONFIG.n_beacons} beacons "
-                f"(paper deployment); speedup {entry['speedup']}x"
-            ),
-        )
-    )
-    assert naive_s / fast_s >= ASSERTED_REACHABILITY_SPEEDUP, (
-        f"reachability fast path only {naive_s / fast_s:.2f}x faster "
-        f"(need >= {ASSERTED_REACHABILITY_SPEEDUP}x)"
-    )
-
-
-def test_metrics_collection_fast_path(save_figure):
-    """Requesters-per-malicious scan: grid query vs full population scan."""
-    pipeline = SecureLocalizationPipeline(PAPER_CONFIG).build()
-    malicious_ids = {b.node_id for b in pipeline.malicious_beacons}
-    naive_config = dataclasses.replace(PAPER_CONFIG, use_spatial_index=False)
-
-    def fast():
-        pipeline.config = PAPER_CONFIG
-        return [
-            pipeline._requester_counts(malicious_ids) for _ in range(10)
-        ][-1]
-
-    def naive():
-        pipeline.config = naive_config
-        return [
-            pipeline._requester_counts(malicious_ids) for _ in range(10)
-        ][-1]
-
-    fast_s, fast_counts = _best_of(fast)
-    naive_s, naive_counts = _best_of(naive)
-    pipeline.config = PAPER_CONFIG
-    assert fast_counts == naive_counts
-
-    entry = _record_baseline("metrics_collection", fast_s, naive_s)
-    save_figure(
-        _speedup_figure(
-            "perf_metrics",
-            "Metrics requester scan: naive vs spatial index",
-            fast_s,
-            naive_s,
-            notes=(
-                f"{PAPER_CONFIG.n_malicious} malicious beacons x "
-                f"{PAPER_CONFIG.n_total - PAPER_CONFIG.n_malicious} "
-                f"candidates, 10 rounds; speedup {entry['speedup']}x"
-            ),
-        )
-    )
-    # Informative floor only: the asserted bar lives on reachability.
-    assert naive_s / fast_s > 1.0
 
 
 def test_full_trial_speedup(save_figure, quick):
@@ -203,9 +108,8 @@ def test_full_trial_speedup(save_figure, quick):
     scalar_config = QUICK_TRIAL_CONFIG if quick else TRIAL_CONFIG
     vec_config = dataclasses.replace(scalar_config, use_vectorized_core=True)
 
-    # Best-of timing, like every other bench here: the first vectorized
-    # run pays one-time NumPy/kernel import costs that say nothing about
-    # the steady-state cost of a trial.
+    # Best-of timing: the first vectorized run pays one-time NumPy/kernel
+    # import costs that say nothing about the steady-state cost of a trial.
     scalar_s, scalar_result = _best_of(
         lambda: SecureLocalizationPipeline(scalar_config).run(),
         repeats=1 if quick else 2,
@@ -235,7 +139,6 @@ def test_full_trial_speedup(save_figure, quick):
                 f"{scalar_config.n_beacons} beacons, wormhole on; "
                 f"bit-identical results; speedup {entry['speedup']}x"
             ),
-            x_label="path (1=scalar core, 2=vectorized core)",
         )
     )
     assert scalar_s / vec_s >= ASSERTED_FULL_TRIAL_SPEEDUP, (

@@ -134,11 +134,6 @@ class PipelineConfig:
     notice_interval_cycles: float = 2_000_000.0
     notice_rounds: int = 4
     network_loss_rate: float = 0.0
-    #: Route the scalar core's reachability and metrics scans through
-    #: the grid spatial index. False falls back to the naive O(N * N_b)
-    #: scans — kept as a reference oracle; results are bit-identical
-    #: either way (asserted by tests/core/test_pipeline_spatial.py).
-    use_spatial_index: bool = True
     #: Route the detection/localization phases and the metrics scans
     #: through the :mod:`repro.vec` batch kernels (the default fast
     #: path). Falls back to the scalar path silently when the
@@ -313,6 +308,9 @@ class SecureLocalizationPipeline:
         #: noise/RTT draws batched); folded into observability at
         #: finalize and into :meth:`profile_snapshot` as ``vec_*``.
         self._vec_counters: Dict[str, int] = {}
+        #: The batch core's geometry of this trial, built on first use
+        #: (see :func:`repro.vec.turbo.trial_field`).
+        self._field = None
         #: The trial's span tree: its ``phase:*`` spans are the only
         #: phase timer (read back by :meth:`profile_snapshot`). With
         #: ``config.observe`` None it is timing-only: no span event
@@ -613,25 +611,11 @@ class SecureLocalizationPipeline:
     def _reachable_beacons(self, node: Node) -> List[Node]:
         """Beacons a node can exchange packets with (direct or tunnel).
 
-        Both paths return the same beacons in the same (``node_id``)
-        order, so downstream RNG consumption — probe scheduling, beacon
-        requests — is identical; the naive path is the reference oracle.
+        The scalar oracle's full O(N_b) scan with pairwise wormhole
+        checks, in ``node_id`` order; the batch core's
+        ``_Field.reachable_beacon_rows`` must return the same beacons in
+        the same order.
         """
-        if not self.config.use_spatial_index:
-            return self._reachable_beacons_naive(node)
-        assert self.network is not None
-        net = self.network
-        direct = net.beacons_within(node.position, self.config.comm_range_ft)
-        tunneled = net.wormhole_reachable_beacon_ids(node.position)
-        if not tunneled:
-            return [b for b in direct if b.node_id != node.node_id]
-        ids = {b.node_id for b in direct}
-        ids.update(tunneled)
-        ids.discard(node.node_id)
-        return [net.node(i) for i in sorted(ids)]
-
-    def _reachable_beacons_naive(self, node: Node) -> List[Node]:
-        """Reference oracle: full O(N_b) scan with pairwise wormhole checks."""
         assert self.network is not None
         reachable: List[Node] = []
         stats = self.network.stats
@@ -869,29 +853,13 @@ class SecureLocalizationPipeline:
         assert self.network is not None
         cfg = self.config
         if self._vectorized_active():
-            from repro.vec.arrays import requester_counts_vectorized
+            from repro.vec.turbo import trial_field
 
-            return requester_counts_vectorized(
-                self.network,
-                self.malicious_beacons,
-                malicious_ids,
-                cfg.comm_range_ft,
+            return trial_field(self).requester_counts(
+                self.malicious_beacons, malicious_ids
             )
-        if cfg.use_spatial_index:
-            # One grid query per malicious beacon; everything in range
-            # that is not itself malicious is an agent or benign beacon.
-            return [
-                sum(
-                    1
-                    for n in self.network.nodes_within(
-                        b.position, cfg.comm_range_ft
-                    )
-                    if n.node_id not in malicious_ids
-                )
-                for b in self.malicious_beacons
-            ]
-        # Naive oracle; the candidate list is hoisted out of the loop
-        # rather than re-concatenated per malicious beacon.
+        # The candidate list is hoisted out of the loop rather than
+        # re-concatenated per malicious beacon.
         candidates = self.agents + self.benign_beacons
         return [
             len(

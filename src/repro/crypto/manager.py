@@ -125,10 +125,6 @@ class KeyManager:
                 f"{detecting_id} is not an allocated detecting ID"
             ) from None
 
-    def detecting_ids_of(self, beacon_id: int) -> List[int]:
-        """All detecting IDs allocated to ``beacon_id``."""
-        return list(self._detecting_ids.get(beacon_id, ()))
-
     def ring(self, node_id: int) -> KeyRing:
         """The key ring of an enrolled identity."""
         ring = self._rings.get(node_id)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, Optional, Sequence
 
-from repro.core.pipeline import PipelineConfig, PipelineResult
+from repro.core.pipeline import PipelineConfig
 from repro.errors import ConfigurationError
 from repro.experiments.runner import PIPELINE_METRICS, ExperimentRunner
 from repro.experiments.series import FigureData
@@ -37,14 +37,6 @@ from repro.sim.rng import derive_seed
 
 #: PipelineResult attributes a sweep may collect (runner task payload).
 SUPPORTED_METRICS = PIPELINE_METRICS
-
-
-def _metric_value(result: PipelineResult, metric: str) -> float:
-    if metric not in SUPPORTED_METRICS:
-        raise ConfigurationError(
-            f"unsupported metric {metric!r}; pick from {SUPPORTED_METRICS}"
-        )
-    return float(getattr(result, metric))
 
 
 def sweep_config_field(
@@ -67,7 +59,10 @@ def sweep_config_field(
         metrics: :class:`PipelineResult` attributes to collect.
         base: overrides applied to every point (e.g. smaller fields).
         trials: independent runs per point (seeds derived per trial);
-            series hold the per-point mean.
+            series hold the per-point mean over the trials that define
+            the metric. A point where no trial defines it (an undefined
+            rate, or every trial failed under a ``keep_going`` runner)
+            is left out of that metric's series.
         base_seed: determinism anchor.
         figure_id / title: FigureData metadata.
         runner: execution engine (workers + result cache); None runs
@@ -120,14 +115,15 @@ def sweep_config_field(
     results = active.run_pipeline_configs(configs, keys=keys)
 
     for i, value in enumerate(values):
-        sums = {metric: 0.0 for metric in metrics}
-        for trial in range(trials):
-            point = results[i * trials + trial]
-            for metric in metrics:
-                sums[metric] += float(point[metric])
+        # A failed trial (keep_going) holds None; an undefined rate is
+        # absent from its metric dict. Neither enters a mean.
+        trial_results = results[i * trials : (i + 1) * trials]
+        points = [p for p in trial_results if p is not None]
         x = float(value) if isinstance(value, (int, float)) else float(
             values.index(value)
         )
         for metric in metrics:
-            series[metric].append(x, sums[metric] / trials)
+            defined = [float(p[metric]) for p in points if metric in p]
+            if defined:
+                series[metric].append(x, sum(defined) / len(defined))
     return fig

@@ -231,11 +231,3 @@ class NodeCrashFault(FaultModel):
         """True when the node is down at simulation time ``now_cycles``."""
         crash = self.crash_time(node_id)
         return crash is not None and now_cycles >= crash
-
-    def crashed_ids(self) -> Dict[int, float]:
-        """Known crashed nodes and their crash times (for traces/tests)."""
-        return {
-            node_id: time
-            for node_id, time in self._crash_times.items()
-            if time is not None
-        }

@@ -31,10 +31,8 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    FrozenSet,
     List,
     Optional,
-    Set,
     Tuple,
 )
 
@@ -79,7 +77,7 @@ class NetworkCounters:
         distance_evals: Euclidean distance computations performed by
             spatial queries and reference scans.
         grid_cells_visited: non-empty grid buckets inspected by
-            ``nodes_within`` / ``beacons_within``.
+            ``nodes_within``.
         spatial_queries: grid-accelerated range queries issued.
         deliveries: packets actually handed to a receiving node.
     """
@@ -168,9 +166,6 @@ class Network:
         self._aliases: Dict[int, int] = {}
         self._wormholes: List[WormholeLink] = []
         self._grid: Dict[tuple, List[Node]] = {}
-        #: Beacon-only mirror of the grid, so beacon range queries don't
-        #: filter the (10x larger) full node population per bucket.
-        self._beacon_grid: Dict[tuple, List[Node]] = {}
         self._cell = max(self.radio.comm_range_ft, 1.0)
         # Beacon/non-beacon partition, maintained incrementally by
         # add_node (role is fixed at registration) and kept sorted by
@@ -187,13 +182,6 @@ class Network:
         #: fault perturbation — observers see what the node sees). The
         #: pipeline wires this to its ``rtt_cycles`` histogram; RNG-free.
         self.rtt_observer: Optional[Callable[[float, Node], None]] = None
-        # Wormhole-endpoint proximity cache: beacon ids within range of
-        # each tunnel endpoint, recomputed lazily whenever the topology
-        # version moves (node added / moved, wormhole installed).
-        self._topology_version = 0
-        self._endpoint_beacon_cache: Dict[
-            Tuple[int, str], Tuple[int, FrozenSet[int]]
-        ] = {}
 
     # ------------------------------------------------------------------
     # Topology
@@ -208,16 +196,13 @@ class Network:
             raise ConfigurationError(f"duplicate node id {node.node_id}")
         self._nodes[node.node_id] = node
         node.attach(self)
-        cell = self._cell_of(node.position)
-        self._grid.setdefault(cell, []).append(node)
+        self._grid.setdefault(self._cell_of(node.position), []).append(node)
         if node.is_beacon:
             bisect.insort(self._beacons, node, key=lambda n: n.node_id)
             self._beacons_view = None
-            self._beacon_grid.setdefault(cell, []).append(node)
         else:
             bisect.insort(self._non_beacons, node, key=lambda n: n.node_id)
             self._non_beacons_view = None
-        self._topology_version += 1
         return node
 
     def update_position(self, node: Node, new_position: Point) -> None:
@@ -232,31 +217,14 @@ class Network:
         new_cell = self._cell_of(new_position)
         node.position = new_position
         if old_cell != new_cell:
-            grids = (
-                (self._grid, self._beacon_grid) if node.is_beacon else (self._grid,)
-            )
-            for grid in grids:
-                bucket = grid.get(old_cell, [])
-                if node in bucket:
-                    bucket.remove(node)
-                grid.setdefault(new_cell, []).append(node)
-        self._topology_version += 1
+            bucket = self._grid.get(old_cell, [])
+            if node in bucket:
+                bucket.remove(node)
+            self._grid.setdefault(new_cell, []).append(node)
 
     def add_wormhole(self, link: WormholeLink) -> None:
         """Install a wormhole tunnel in the field."""
         self._wormholes.append(link)
-        self._topology_version += 1
-
-    @property
-    def topology_version(self) -> int:
-        """Monotone counter bumped on every topology mutation.
-
-        Node additions, moves, and wormhole installs all advance it, so
-        derived views (the wormhole-endpoint cache here, the
-        struct-of-arrays views in :mod:`repro.vec.arrays`) can be cached
-        against a version number instead of re-deriving per query.
-        """
-        return self._topology_version
 
     @property
     def wormholes(self) -> List[WormholeLink]:
@@ -306,10 +274,11 @@ class Network:
     def _cell_of(self, p: Point) -> tuple:
         return (int(math.floor(p.x / self._cell)), int(math.floor(p.y / self._cell)))
 
-    def _query_grid(
-        self, grid: Dict[tuple, List[Node]], center: Point, radius_ft: float
-    ) -> List[Node]:
-        """Range query over one grid; results sorted by ``node_id``."""
+    def nodes_within(self, center: Point, radius_ft: float) -> List[Node]:
+        """Nodes at distance <= radius from ``center`` (grid-accelerated).
+
+        Results are sorted by ``node_id``.
+        """
         # Prune with the bounding box of the query disc, padded by an
         # epsilon scaled to the operand magnitudes: the membership test
         # below uses the *rounded* float distance, which can admit a node
@@ -326,7 +295,7 @@ class Network:
         found: List[Node] = []
         for gx in range(gx_min, gx_max + 1):
             for gy in range(gy_min, gy_max + 1):
-                bucket = grid.get((gx, gy))
+                bucket = self._grid.get((gx, gy))
                 if not bucket:
                     continue
                 stats.grid_cells_visited += 1
@@ -336,19 +305,6 @@ class Network:
                         found.append(node)
         found.sort(key=lambda n: n.node_id)
         return found
-
-    def nodes_within(self, center: Point, radius_ft: float) -> List[Node]:
-        """Nodes at distance <= radius from ``center`` (grid-accelerated)."""
-        return self._query_grid(self._grid, center, radius_ft)
-
-    def beacons_within(self, center: Point, radius_ft: float) -> List[Node]:
-        """Beacons at distance <= radius from ``center``.
-
-        Served from the beacon-only grid, so the query never touches the
-        non-beacon population; same ordering contract as
-        :meth:`nodes_within` (sorted by ``node_id``).
-        """
-        return self._query_grid(self._beacon_grid, center, radius_ft)
 
     def neighbors_of(self, node: Node) -> List[Node]:
         """Nodes within communication range of ``node`` (excluding itself)."""
@@ -686,45 +642,3 @@ class Network:
             if (a_near_a and b_near_b) or (a_near_b and b_near_a):
                 return link
         return None
-
-    def _endpoint_beacon_ids(self, index: int, side: str) -> FrozenSet[int]:
-        """Beacon ids within radio range of one tunnel endpoint (cached).
-
-        The cache key is (wormhole index, endpoint side); an entry is
-        valid only for the topology version it was computed under, so any
-        node addition, move, or new tunnel transparently invalidates it.
-        """
-        key = (index, side)
-        cached = self._endpoint_beacon_cache.get(key)
-        if cached is not None and cached[0] == self._topology_version:
-            return cached[1]
-        link = self._wormholes[index]
-        endpoint = link.end_a if side == "a" else link.end_b
-        ids = frozenset(
-            b.node_id
-            for b in self.beacons_within(endpoint, self.radio.comm_range_ft)
-        )
-        self._endpoint_beacon_cache[key] = (self._topology_version, ids)
-        return ids
-
-    def wormhole_reachable_beacon_ids(self, position: Point) -> FrozenSet[int]:
-        """Ids of beacons reachable from ``position`` through some tunnel.
-
-        A beacon is tunnel-reachable when ``position`` is within range of
-        one endpoint and the beacon is within range of the other — the
-        same predicate :meth:`wormhole_between` evaluates pairwise, but
-        answered with two distance checks per tunnel plus a cached
-        per-endpoint beacon set instead of four distance calls per
-        (position, beacon) pair.
-        """
-        if not self._wormholes:
-            return frozenset()
-        r = self.radio.comm_range_ft
-        reachable: Set[int] = set()
-        for index, link in enumerate(self._wormholes):
-            self.stats.distance_evals += 2
-            if distance(position, link.end_a) <= r:
-                reachable |= self._endpoint_beacon_ids(index, "b")
-            if distance(position, link.end_b) <= r:
-                reachable |= self._endpoint_beacon_ids(index, "a")
-        return frozenset(reachable)

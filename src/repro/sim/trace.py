@@ -5,21 +5,12 @@ detections, revocations) without reaching into private state. The recorder
 is also the unified event stream the observability layer
 (:mod:`repro.obs`) writes its span begin/end markers into, and the JSONL
 exporter reads back out.
-
-Capacity handling: when ``capacity`` is set and reached, further events
-are *counted* (:attr:`TraceRecorder.dropped`) rather than silently
-discarded, a one-time :class:`RuntimeWarning` is emitted, and — if a
-``spill_path`` was configured — the overflow is appended to a JSONL file
-so long runs lose nothing.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, TextIO, Union
+from typing import Any, Dict, Iterator, List
 
 
 @dataclass(frozen=True)
@@ -49,67 +40,17 @@ class TraceRecorder:
 
     Args:
         enabled: when False, :meth:`record` is a no-op.
-        capacity: maximum events held in memory (None = unbounded).
-        spill_path: optional JSONL file; events past ``capacity`` are
-            appended there (one JSON object per line) instead of being
-            lost. The file is opened lazily on first spill.
     """
 
-    def __init__(
-        self,
-        *,
-        enabled: bool = True,
-        capacity: Optional[int] = None,
-        spill_path: Optional[Union[str, pathlib.Path]] = None,
-    ) -> None:
+    def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.capacity = capacity
-        self.spill_path = pathlib.Path(spill_path) if spill_path else None
-        self.dropped = 0
-        self.spilled = 0
         self._events: List[TraceEvent] = []
-        self._warned = False
-        self._spill_file: Optional[TextIO] = None
 
     def record(self, time: float, kind: str, **fields: Any) -> None:
-        """Append an event; past capacity, spill to JSONL or count the drop."""
+        """Append an event (a no-op when the recorder is disabled)."""
         if not self.enabled:
             return
-        if self.capacity is not None and len(self._events) >= self.capacity:
-            self._overflow(TraceEvent(time=time, kind=kind, fields=fields))
-            return
         self._events.append(TraceEvent(time=time, kind=kind, fields=fields))
-
-    def _overflow(self, event: TraceEvent) -> None:
-        """Handle one event that arrived with the in-memory buffer full."""
-        if not self._warned:
-            self._warned = True
-            sink = (
-                f"spilling to {self.spill_path}"
-                if self.spill_path is not None
-                else "counting drops (set spill_path to keep them)"
-            )
-            warnings.warn(
-                f"TraceRecorder capacity {self.capacity} reached; {sink}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        if self.spill_path is None:
-            self.dropped += 1
-            return
-        if self._spill_file is None:
-            self.spill_path.parent.mkdir(parents=True, exist_ok=True)
-            self._spill_file = self.spill_path.open("a")
-        self._spill_file.write(
-            json.dumps(event.to_dict(), sort_keys=True, default=repr) + "\n"
-        )
-        self.spilled += 1
-
-    def close(self) -> None:
-        """Flush and close the spill file, if one was opened."""
-        if self._spill_file is not None:
-            self._spill_file.close()
-            self._spill_file = None
 
     def __len__(self) -> int:
         return len(self._events)
@@ -134,8 +75,5 @@ class TraceRecorder:
         return out
 
     def clear(self) -> None:
-        """Drop all recorded events and reset overflow accounting."""
+        """Drop all recorded events."""
         self._events.clear()
-        self.dropped = 0
-        self.spilled = 0
-        self._warned = False

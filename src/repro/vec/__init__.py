@@ -32,12 +32,11 @@ def vectorized_core_supported(config) -> bool:
     """True when the batch core reproduces ``config`` draw-for-draw.
 
     The batch core covers the paper's evaluation matrix — wormholes,
-    collusion, network loss, spatial index on/off — for every
-    registered detector, plus the faults that act per scheduled copy
-    or per RTT observation: packet loss, RTT jitter and spikes, clock
-    drift. It does not cover configurations whose control flow
-    interleaves extra events with deliveries or changes who takes
-    part:
+    collusion, network loss — for every registered detector, plus the
+    faults that act per scheduled copy or per RTT observation: packet
+    loss, RTT jitter and spikes, clock drift. It does not cover
+    configurations whose control flow interleaves extra events with
+    deliveries or changes who takes part:
 
     - ARQ channels (``alert_loss_rate``/``request_loss_rate`` > 0)
       schedule timer events between deliveries;

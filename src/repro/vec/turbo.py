@@ -54,7 +54,7 @@ this path does not record per-delivery ``"deliver"`` trace events
 (no protocol logic, invariant check, or metric consumes them). The
 profiling counters (``stats.distance_evals``,
 ``stats.spatial_queries``) are credited with the batch kernels' actual
-work, which differs from the scalar grid-walk counts. Configs that
+work, which differs from the scalar core's counts. Configs that
 need full per-event traces must run with ``use_vectorized_core=False``.
 
 Paper section: §4 (simulation substrate for the batched pipeline)
@@ -77,7 +77,6 @@ from repro.sim.messages import BeaconPacket, BeaconRequest
 from repro.sim.radio import SPEED_OF_LIGHT_FT_PER_CYCLE
 from repro.sim.timing import packet_transmission_cycles
 from repro.utils.geometry import Point
-from repro.vec.arrays import topology_arrays
 from repro.vec.geometry import within_range_matrix
 from repro.vec.measurement import (
     batched_rtt,
@@ -105,21 +104,24 @@ def _exact_distances(ax, ay, bx, by) -> np.ndarray:
 
 
 class _Field:
-    """Per-phase geometric context shared by both waves.
+    """One trial's geometry, shared by every wave of both phases.
 
-    Holds the SoA topology view, node-id -> row resolution, exact
+    Holds the node columns (``node_ids``, ``xs``, ``ys``: row ``i`` of
+    each describes the ``i``-th node in ``node_id`` order, the order
+    ``Network.nodes()`` returns), node-id -> row resolution, exact
     per-node distances to every wormhole endpoint (scalar ``hypot``,
     so every endpoint-range predicate — ``far_end``'s first-match
-    selection and ``wormhole_reachable_beacon_ids``'s union — matches
-    the scalar :class:`~repro.sim.network.Network` bit for bit), and
-    the network's loss and RTT fault models.
+    selection and ``wormhole_between``'s pairing — matches the scalar
+    :class:`~repro.sim.network.Network` bit for bit), the reachability
+    mask, built on first use, and the network's loss and RTT fault
+    models. The arrays are a snapshot: :func:`trial_field` builds one
+    field per trial, and nothing in the pipeline moves a node or
+    installs a tunnel after ``build``.
     """
 
-    def __init__(self, pipeline) -> None:
-        network = pipeline.network
-        self.pipeline = pipeline
+    def __init__(self, network) -> None:
         self.network = network
-        self.engine = pipeline.engine
+        self.engine = network.engine
         self.trace = network.trace
         self.radio = network.radio
         self.comm_range_ft = network.radio.comm_range_ft
@@ -128,25 +130,20 @@ class _Field:
         self.fault_loss = injector.loss if injector is not None else None
         self.rtt_fault = injector.rtt if injector is not None else None
         self.drift = injector.drift if injector is not None else None
-        self.view = topology_arrays(network)
-        self.nodes = network.nodes()
-        self.beacon_rows = np.flatnonzero(self.view.is_beacon)
+        self.nodes = nodes = network.nodes()
+        self.node_ids = np.array([n.node_id for n in nodes], dtype=np.int64)
+        self.xs = np.array([n.position.x for n in nodes], dtype=np.float64)
+        self.ys = np.array([n.position.y for n in nodes], dtype=np.float64)
+        self.beacon_rows = np.flatnonzero([n.is_beacon for n in nodes])
         r = self.comm_range_ft
         #: Per link: (near_a, near_b, latency) over all node rows.
         self.links: List[Tuple[np.ndarray, np.ndarray, float]] = []
         for link in network.wormholes:
-            da = _exact_distances(
-                self.view.xs, self.view.ys, link.end_a.x, link.end_a.y
-            )
-            db = _exact_distances(
-                self.view.xs, self.view.ys, link.end_b.x, link.end_b.y
-            )
+            da = _exact_distances(self.xs, self.ys, link.end_a.x, link.end_a.y)
+            db = _exact_distances(self.xs, self.ys, link.end_b.x, link.end_b.y)
             self.links.append((da <= r, db <= r, link.latency_cycles))
-        network.stats.distance_evals += 2 * self.view.count * len(self.links)
-        self._row_of = {
-            int(node_id): row
-            for row, node_id in enumerate(self.view.node_ids)
-        }
+        network.stats.distance_evals += 2 * len(nodes) * len(self.links)
+        self._row_of = {node.node_id: row for row, node in enumerate(nodes)}
         self._reach = None
 
     def row(self, node_id: int) -> int:
@@ -158,15 +155,15 @@ class _Field:
 
         The exact ``pipeline._reachable_beacons`` membership: directly
         in range, or within range of one tunnel endpoint while the
-        beacon is within range of the other (both directions union, as
-        in ``wormhole_reachable_beacon_ids``) — self excluded. Row
-        order is node-id order, matching the scalar target ordering.
+        beacon is within range of the other (either direction, as in
+        ``Network.wormhole_between``) — self excluded. Row order is
+        node-id order, matching the scalar target ordering. The
+        (nodes x beacons) mask is built on the first call.
         """
         if self._reach is None:
-            view = self.view
             rows = self.beacon_rows
             mask = within_range_matrix(
-                view.xs[rows], view.ys[rows], view.xs, view.ys,
+                self.xs[rows], self.ys[rows], self.xs, self.ys,
                 self.comm_range_ft,
             )
             for near_a, near_b, _ in self.links:
@@ -177,6 +174,25 @@ class _Field:
             self._reach = mask
         self.network.stats.spatial_queries += 1
         return self.beacon_rows[self._reach[row]]
+
+    def requester_counts(self, beacons, excluded_ids) -> List[int]:
+        """The N' scan: per beacon, the nodes in range not ``excluded_ids``.
+
+        One range-mask call over ``beacons``, so a node on the range
+        boundary is counted exactly when the scalar ``distance(...) <=
+        comm_range_ft`` predicate counts it.
+        """
+        in_range = within_range_matrix(
+            self.xs,
+            self.ys,
+            [beacon.position.x for beacon in beacons],
+            [beacon.position.y for beacon in beacons],
+            self.comm_range_ft,
+        )
+        in_range &= ~np.isin(
+            self.node_ids, np.array(sorted(excluded_ids), dtype=np.int64)
+        )
+        return np.count_nonzero(in_range, axis=1).tolist()
 
     def transmit(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
         """Loss draws for ``n`` scheduled copies, in scheduling order.
@@ -288,7 +304,6 @@ class _Wave:
         extras: np.ndarray,
         biases: np.ndarray,
     ) -> None:
-        view = field.view
         count = origin_rows.shape[0]
         slots = 1 + len(field.links)
         valid = np.zeros((count, slots), dtype=bool)
@@ -321,7 +336,7 @@ class _Wave:
                 field.network.wormholes[index - 1].end_a.y,
             )
             dists[:, index] = _exact_distances(
-                view.xs[dst_rows], view.ys[dst_rows], exit_x, exit_y
+                field.xs[dst_rows], field.ys[dst_rows], exit_x, exit_y
             )
             extra_m[:, index] = extras + latency
         field.network.stats.distance_evals += count * len(field.links)
@@ -359,10 +374,6 @@ class _Wave:
         self.measured = np.maximum(
             0.0, (self.dist + noise[order]) + biases[self.packet]
         )
-        pipeline = field.pipeline
-        pipeline._vec_bump("deliveries", self.count)
-        pipeline._vec_bump("noise_batched", self.count)
-        pipeline._vec_bump("waves", 1)
 
     @property
     def count(self) -> int:
@@ -370,15 +381,26 @@ class _Wave:
         return int(self.dist.shape[0])
 
 
+def trial_field(pipeline) -> _Field:
+    """The trial's one :class:`_Field`, built on first use.
+
+    Held on the pipeline, so detection, localization and the N' count
+    share one set-up and one reachability mask.
+    """
+    if pipeline._field is None:
+        pipeline._field = _Field(pipeline.network)
+    return pipeline._field
+
+
 class _TurboPhase:
     """Shared bookkeeping for one turbo phase (two waves + finish)."""
 
     def __init__(self, pipeline) -> None:
-        self.field = _Field(pipeline)
+        self.field = trial_field(pipeline)
         self.pipeline = pipeline
         self.total_events = 0
         self.max_time = pipeline.engine.now()
-        self._received = np.zeros(self.field.view.count, dtype=np.int64)
+        self._received = np.zeros(len(self.field.nodes), dtype=np.int64)
 
     def account(
         self, wave: _Wave, now: np.ndarray, sender_ids: np.ndarray,
@@ -390,14 +412,15 @@ class _TurboPhase:
         order. Per packet, at its schedule time: one ``drop.loss`` or
         ``drop.fault`` per lost copy, naming the packet's ``src_id``
         (on a probe, the detecting ID), or one ``drop.out_of_range``
-        naming the sending node when no copy was in range.
+        naming the sending node when no copy was in range. The wave's
+        deliveries also count into the pipeline's ``vec_*`` counters.
         """
         packets = np.concatenate([wave.lost_packet, wave.undelivered])
         kinds = [
             "drop.fault" if by_fault else "drop.loss"
             for by_fault in wave.lost_by_fault.tolist()
         ] + ["drop.out_of_range"] * wave.undelivered.shape[0]
-        node_ids = self.field.view.node_ids
+        node_ids = self.field.node_ids
         record = self.field.trace.record
         for index in np.argsort(packets, kind="stable").tolist():
             packet = packets[index]
@@ -417,6 +440,10 @@ class _TurboPhase:
         self._received += np.bincount(
             wave.dst_row, minlength=self._received.shape[0]
         )
+        bump = self.pipeline._vec_bump
+        bump("deliveries", wave.count)
+        bump("noise_batched", wave.count)
+        bump("waves", 1)
 
     def finish(self) -> None:
         """Fold event count, clock, and received counters into the sim."""
@@ -442,15 +469,14 @@ def _serve_wave(
     reply delay and fake-wormhole-symptom flag of its reply.
     """
     nodes = field.nodes
-    view = field.view
     count = responder_rows.shape[0]
     biases = np.zeros(count, dtype=np.float64)
     extras = np.zeros(count, dtype=np.float64)
     fakes = np.zeros(count, dtype=bool)
 
-    decl_x = view.xs.copy()
-    decl_y = view.ys.copy()
-    malicious_mask = np.zeros(view.count, dtype=bool)
+    decl_x = field.xs.copy()
+    decl_y = field.ys.copy()
+    malicious_mask = np.zeros(len(nodes), dtype=bool)
     for row in field.beacon_rows:
         node = nodes[row]
         decl_x[row] = node.declared_location.x
@@ -487,7 +513,7 @@ def _serve_wave(
         claimed_y[position] = point.y
 
     # Per-responder protocol counters, by count.
-    served = np.bincount(responder_rows, minlength=view.count)
+    served = np.bincount(responder_rows, minlength=len(nodes))
     for row in np.flatnonzero(served):
         node = nodes[row]
         node.requests_served += int(served[row])
@@ -519,11 +545,10 @@ def _exchange(
         and y, and the fake-wormhole-symptom flag.
     """
     field = phase.field
-    view = field.view
     count = src.shape[0]
     dists = _exact_distances(
-        view.xs[origin_rows], view.ys[origin_rows],
-        view.xs[dst_rows], view.ys[dst_rows],
+        field.xs[origin_rows], field.ys[origin_rows],
+        field.xs[dst_rows], field.ys[dst_rows],
     )
     field.network.stats.distance_evals += count
     now = np.full(count, field.engine.now(), dtype=np.float64)
@@ -532,7 +557,7 @@ def _exchange(
         np.zeros(count), biases,
     )
     phase.account(
-        requests, now, view.node_ids[origin_rows], src, dst_rows,
+        requests, now, field.node_ids[origin_rows], src, dst_rows,
         "BeaconRequest",
     )
 
@@ -543,7 +568,7 @@ def _exchange(
     claimed_x, claimed_y, reply_biases, extras, fakes = _serve_wave(
         field, responder_rows, echoed
     )
-    reply_src = view.node_ids[responder_rows]
+    reply_src = field.node_ids[responder_rows]
     # A reply's direct distance is its request's (|dx|, |dy| are
     # identical either way, and hypot is sign-symmetric).
     replies = _Wave(
@@ -620,7 +645,7 @@ def _wormhole_verdicts(
 
 
 def _replay_cascade(
-    field: _Field,
+    phase: _TurboPhase,
     replies: _Wave,
     subset: np.ndarray,
     src_ids: np.ndarray,
@@ -642,6 +667,7 @@ def _replay_cascade(
         Per subset reply: the observing node (the reply's receiver),
         and the wormhole (range or detector) and local-replay flags.
     """
+    field = phase.field
     rows = replies.dst_row[subset]
     rtts = batched_rtt(
         field.network.rngs.stream("rtt"),
@@ -650,8 +676,8 @@ def _replay_cascade(
         replies.extra[subset],
         replies.time[subset],
     )
-    field.pipeline._vec_bump("rtt_batched", int(subset.shape[0]))
-    observer_ids = field.view.node_ids[rows]
+    phase.pipeline._vec_bump("rtt_batched", int(subset.shape[0]))
+    observer_ids = field.node_ids[rows]
     # Hot Python loops below index these thousands of times; plain
     # lists hold the identical values without per-access conversion.
     rtts = field.perturb_rtts(rtts, observer_ids).tolist()
@@ -733,11 +759,11 @@ def run_detection_turbo(pipeline) -> None:
     # ------------------------------------------------------------------
     if pipeline.detector is None:
         decisions, consistent, indict = _paper_verdicts(
-            field, replies, src_ids, claimed_x, claimed_y, fakes
+            phase, replies, src_ids, claimed_x, claimed_y, fakes
         )
     else:
         decisions, consistent, indict = _rival_verdicts(
-            field, replies, src_ids, dst_ids, claimed_x, claimed_y
+            phase, replies, src_ids, dst_ids, claimed_x, claimed_y
         )
 
     trace = field.trace
@@ -768,7 +794,7 @@ def run_detection_turbo(pipeline) -> None:
 
 
 def _paper_verdicts(
-    field: _Field, replies: _Wave, src_ids: np.ndarray,
+    phase: _TurboPhase, replies: _Wave, src_ids: np.ndarray,
     claimed_x: np.ndarray, claimed_y: np.ndarray, fakes: np.ndarray,
 ) -> Tuple[List[str], List[bool], List[bool]]:
     """The paper's §2.1 check and §2.2 cascade over one reply wave.
@@ -781,10 +807,10 @@ def _paper_verdicts(
     Returns per reply, in delivery order: the decision label, the §2.1
     consistency flag, and whether the prober indicts the target.
     """
-    view = field.view
+    field = phase.field
     prober_rows = replies.dst_row
     calculated = _exact_distances(
-        view.xs[prober_rows], view.ys[prober_rows], claimed_x, claimed_y,
+        field.xs[prober_rows], field.ys[prober_rows], claimed_x, claimed_y,
     )
     field.network.stats.distance_evals += int(calculated.shape[0])
     thresholds = np.array(
@@ -794,9 +820,9 @@ def _paper_verdicts(
     inconsistent = discrepancy_mask(calculated, replies.measured, thresholds)
     bad = np.flatnonzero(inconsistent)
     _, wormhole_flagged, local_flagged = _replay_cascade(
-        field, replies, bad, src_ids, fakes,
+        phase, replies, bad, src_ids, fakes,
         calculated[bad] > field.comm_range_ft,
-        field.pipeline.benign_beacons[0].filter_cascade.wormhole_detector,
+        phase.pipeline.benign_beacons[0].filter_cascade.wormhole_detector,
     )
     decisions = ["consistent"] * prober_rows.shape[0]
     for index, label in zip(
@@ -814,7 +840,7 @@ def _paper_verdicts(
 
 
 def _rival_verdicts(
-    field: _Field, replies: _Wave, src_ids: np.ndarray, dst_ids: np.ndarray,
+    phase: _TurboPhase, replies: _Wave, src_ids: np.ndarray, dst_ids: np.ndarray,
     claimed_x: np.ndarray, claimed_y: np.ndarray,
 ) -> Tuple[List[str], List[bool], List[bool]]:
     """A rival detector's own ``evaluate``, once per reply, in delivery order.
@@ -829,9 +855,9 @@ def _rival_verdicts(
     Returns per reply, in delivery order: the verdict's decision label,
     §2.1 consistency flag and indictment.
     """
-    nodes = field.nodes
-    observe_rtt = field.network.observe_rtt
-    evaluate = field.pipeline.detector.evaluate
+    nodes = phase.field.nodes
+    observe_rtt = phase.field.network.observe_rtt
+    evaluate = phase.pipeline.detector.evaluate
     decisions: List[str] = []
     consistent: List[bool] = []
     indict: List[bool] = []
@@ -911,7 +937,7 @@ def run_localization_turbo(pipeline) -> None:
     # knows_location=False: no range check; every kept copy reaches the
     # wormhole detector.
     agents, wormhole_flagged, local_flagged = _replay_cascade(
-        field, replies, kept, src_ids, fakes,
+        phase, replies, kept, src_ids, fakes,
         np.zeros(kept.shape[0], dtype=bool),
         pipeline.agents[0].filter_cascade.wormhole_detector,
     )

@@ -12,8 +12,8 @@ holds three independent instruments:
 - :mod:`repro.verify.differential` — seeded scenario generators that
   drive production and oracle side by side over thousands of randomized
   cases (boundary-heavy), plus two whole-pipeline bit-identity checks:
-  the semantics-neutral axes (``use_spatial_index``, ``observe``,
-  all-zero ``faults``) and the scalar-vs-vectorized batch core
+  the semantics-neutral axes (``observe``, all-zero ``faults``) and
+  the scalar-vs-vectorized batch core
   (``use_vectorized_core``, across wormhole/fault/loss envelopes, for
   every registered detector);
 - :mod:`repro.verify.invariants` — executable paper invariants replayed

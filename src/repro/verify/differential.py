@@ -9,10 +9,10 @@ draws are boundary-heavy: thresholds are hit exactly, one ulp past, and
 far away, because the paper's rules are all strict inequalities.
 
 :func:`differential_pipeline_axes` is the odd one out: it has no oracle.
-It asserts the documented *semantics-neutrality* of three pipeline knobs
-— ``use_spatial_index``, ``observe``, and an all-zero ``faults`` config
-— by running the same seeded deployment with each knob toggled and
-requiring bit-identical metrics.
+It asserts the documented *semantics-neutrality* of two pipeline knobs
+— ``observe`` and an all-zero ``faults`` config — by running the same
+seeded deployment with each knob toggled and requiring bit-identical
+metrics.
 
 Paper section: §2.1, §2.2, §3.1, §4 (differential conformance)
 """
@@ -360,14 +360,11 @@ def differential_pipeline_axes(
 ) -> DifferentialReport:
     """Bit-identity of the semantics-neutral pipeline knobs.
 
-    For each scenario, one small randomized deployment runs five times:
-    the default-core baseline, ``observe=ObserveConfig()`` and
-    ``faults=FaultConfig()`` (all-zero) against it, and the scalar
-    oracle with and without ``use_spatial_index`` — the index only
-    routes the scalar core's scans, so that axis is compared there.
-    Each pair of metric dicts must be identical to the last bit — these
-    knobs are documented as changing *how* the pipeline computes, never
-    *what*.
+    For each scenario, one small randomized deployment runs three
+    times: the default-core baseline, then ``observe=ObserveConfig()``
+    and ``faults=FaultConfig()`` (all-zero) against it. Each pair of
+    metric dicts must be identical to the last bit — these knobs are
+    documented as changing *how* the pipeline computes, never *what*.
     """
     from repro.core.pipeline import PipelineConfig, SecureLocalizationPipeline
     from repro.experiments.runner import collect_metrics
@@ -396,23 +393,17 @@ def differential_pipeline_axes(
             return collect_metrics(SecureLocalizationPipeline(config).run())
 
         baseline = run()
-        scalar_baseline = run(use_vectorized_core=False)
         variants: List[tuple] = [
-            (
-                "use_spatial_index=False",
-                scalar_baseline,
-                dict(use_vectorized_core=False, use_spatial_index=False),
-            ),
-            ("observe=ObserveConfig()", baseline, dict(observe=ObserveConfig())),
-            ("faults=FaultConfig()", baseline, dict(faults=FaultConfig())),
+            ("observe=ObserveConfig()", dict(observe=ObserveConfig())),
+            ("faults=FaultConfig()", dict(faults=FaultConfig())),
         ]
-        for label, reference, extra in variants:
+        for label, extra in variants:
             metrics = run(**extra)
-            if not _metrics_equal(reference, metrics):
+            if not _metrics_equal(baseline, metrics):
                 diff_keys = sorted(
                     k
-                    for k in reference.keys() | metrics.keys()
-                    if reference.get(k) != metrics.get(k)
+                    for k in baseline.keys() | metrics.keys()
+                    if baseline.get(k) != metrics.get(k)
                 )
                 report.divergences.append(
                     Divergence(

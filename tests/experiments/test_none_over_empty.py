@@ -24,6 +24,7 @@ from repro.experiments.runner import (
     PipelineExperiment,
     collect_metrics,
 )
+from repro.experiments.sweeps import sweep_config_field
 
 #: Small, fast deployment with no malicious beacons at all.
 NO_MALICIOUS = dict(
@@ -141,6 +142,32 @@ class TestQueueBackendLayer:
         for name in serial:
             assert serial[name].mean == queued[name].mean
             assert serial[name].half_width == queued[name].half_width
+
+
+class TestSweepLayer:
+    def test_undefined_rate_leaves_the_point_out(self):
+        fig = sweep_config_field(
+            "p_prime",
+            [0.2, 0.5],
+            metrics=("detection_rate", "false_positive_rate"),
+            base=NO_MALICIOUS,
+        )
+        assert fig.series["detection_rate"].x == []
+        assert fig.series["false_positive_rate"].x == [0.2, 0.5]
+
+    def test_failed_trial_is_skipped_not_averaged(self):
+        # max_events=1 stops the first trial with a budget error; the
+        # keep_going runner leaves its slot None.
+        runner = ExperimentRunner(keep_going=True)
+        fig = sweep_config_field(
+            "max_events",
+            [1, 10**9],
+            metrics=("false_positive_rate",),
+            base=NO_MALICIOUS,
+            runner=runner,
+        )
+        assert len(runner.stats.errors) == 1
+        assert fig.series["false_positive_rate"].x == [10.0**9]
 
 
 class TestArenaReportLayer:

@@ -236,18 +236,6 @@ class TestWormholeDelivery:
 
 
 class TestSpatialIndex:
-    def test_beacons_within_matches_filtered_nodes_within(self):
-        net = make_network()
-        for i in range(1, 13):
-            net.add_node(
-                Node(i, Point(i * 40.0, (i % 3) * 90.0), is_beacon=i % 2 == 0)
-            )
-        center = Point(200.0, 90.0)
-        expected = [
-            n.node_id for n in net.nodes_within(center, 220.0) if n.is_beacon
-        ]
-        assert [n.node_id for n in net.beacons_within(center, 220.0)] == expected
-
     def test_partitions_sorted_despite_insertion_order(self):
         net = make_network()
         for node_id in (7, 2, 9, 4):
@@ -267,14 +255,6 @@ class TestSpatialIndex:
         assert rebuilt is not first
         assert [n.node_id for n in rebuilt] == [1, 2]
 
-    def test_beacons_within_tracks_mobility(self):
-        net = make_network()
-        beacon = net.add_node(Node(1, Point(0, 0), is_beacon=True))
-        assert [n.node_id for n in net.beacons_within(Point(500, 500), 100)] == []
-        net.update_position(beacon, Point(480.0, 480.0))
-        assert [n.node_id for n in net.beacons_within(Point(500, 500), 100)] == [1]
-        assert [n.node_id for n in net.beacons_within(Point(0, 0), 100)] == []
-
     def test_neighbor_index_follows_movement(self):
         net = make_network()
         node = net.add_node(Node(1, Point(500.0, 500.0)))
@@ -284,57 +264,12 @@ class TestSpatialIndex:
         net.update_position(node, Point(900.0, 900.0))
         assert anchor not in net.neighbors_of(node)
 
-    def test_wormhole_reachable_beacon_ids(self):
-        net = make_network()
-        net.add_wormhole(WormholeLink(end_a=Point(0, 0), end_b=Point(1000, 1000)))
-        net.add_node(Node(1, Point(30, 0), is_beacon=True))  # near end_a
-        net.add_node(Node(2, Point(1010, 1000), is_beacon=True))  # near end_b
-        net.add_node(Node(3, Point(500, 500), is_beacon=True))  # near neither
-        net.add_node(Node(4, Point(1020, 1000)))  # near end_b, not a beacon
-        assert net.wormhole_reachable_beacon_ids(Point(10, 10)) == {2}
-        assert net.wormhole_reachable_beacon_ids(Point(990, 990)) == {1}
-        assert net.wormhole_reachable_beacon_ids(Point(500, 500)) == frozenset()
-
-    def test_wormhole_reachability_agrees_with_wormhole_between(self):
-        net = make_network()
-        net.add_wormhole(WormholeLink(end_a=Point(0, 0), end_b=Point(1000, 1000)))
-        beacons = [
-            net.add_node(Node(i, p, is_beacon=True))
-            for i, p in enumerate(
-                [Point(40, 40), Point(960, 1000), Point(400, 400), Point(80, 0)],
-                start=1,
-            )
-        ]
-        for probe in (Point(20, 0), Point(1000, 950), Point(600, 600)):
-            via_index = net.wormhole_reachable_beacon_ids(probe)
-            via_pairs = {
-                b.node_id
-                for b in beacons
-                if net.wormhole_between(probe, b.position) is not None
-            }
-            assert via_index == via_pairs
-
-    def test_wormhole_endpoint_cache_invalidated_by_move(self):
-        net = make_network()
-        net.add_wormhole(WormholeLink(end_a=Point(0, 0), end_b=Point(1000, 1000)))
-        beacon = net.add_node(Node(1, Point(1010, 1000), is_beacon=True))
-        assert net.wormhole_reachable_beacon_ids(Point(10, 0)) == {1}
-        net.update_position(beacon, Point(500, 500))  # out of endpoint range
-        assert net.wormhole_reachable_beacon_ids(Point(10, 0)) == frozenset()
-
-    def test_wormhole_endpoint_cache_invalidated_by_add(self):
-        net = make_network()
-        net.add_wormhole(WormholeLink(end_a=Point(0, 0), end_b=Point(1000, 1000)))
-        assert net.wormhole_reachable_beacon_ids(Point(10, 0)) == frozenset()
-        net.add_node(Node(1, Point(990, 1000), is_beacon=True))
-        assert net.wormhole_reachable_beacon_ids(Point(10, 0)) == {1}
-
     def test_counters_move(self):
         net = make_network()
         net.add_node(Node(1, Point(10, 0), is_beacon=True))
         before = net.stats.spatial_queries
         net.nodes_within(Point(0, 0), 100)
-        net.beacons_within(Point(0, 0), 100)
+        net.nodes_within(Point(10, 0), 100)
         assert net.stats.spatial_queries == before + 2
         assert net.stats.distance_evals >= 2
 

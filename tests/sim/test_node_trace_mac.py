@@ -72,18 +72,6 @@ class TestTraceRecorder:
         t.record(1.0, "x")
         assert len(t) == 0
 
-    def test_capacity_cap(self):
-        t = TraceRecorder(capacity=2)
-        t.record(0.0, "e", i=0)
-        t.record(1.0, "e", i=1)
-        # The first overflow warns once; further drops are silent counts.
-        with pytest.warns(RuntimeWarning, match="capacity 2 reached"):
-            t.record(2.0, "e", i=2)
-        for i in range(3, 5):
-            t.record(float(i), "e", i=i)
-        assert len(t) == 2
-        assert t.dropped == 3
-
     def test_clear(self):
         t = TraceRecorder()
         t.record(1.0, "x")

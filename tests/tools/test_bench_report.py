@@ -31,8 +31,6 @@ bench_report = _load()
 BASELINE_BENCHES = {
     "BENCH_pipeline": {
         "full_trial": {"fast_s": 0.2, "naive_s": 2.0, "speedup": 10.0},
-        "reachability": {"fast_s": 0.02},
-        "metrics_collection": {"fast_s": 0.005},
     },
     "BENCH_obs": {
         "batch_core": {
@@ -289,7 +287,7 @@ class TestReportOutputs:
         assert "| BENCH_pipeline | `full_trial.fast_s` |" in markdown
         payload = json.loads(out_json.read_text())
         assert payload["problems"] == []
-        assert len(payload["rows"]) == 24  # every headline metric present
+        assert len(payload["rows"]) == 22  # every headline metric present
 
     def test_committed_repo_headlines_all_resolve(self):
         # The real BENCH files must keep every headline metric live, or

@@ -62,13 +62,25 @@ def _spy_turbo(monkeypatch):
 
 
 def test_default_trial_runs_the_turbo_tier(monkeypatch):
+    import repro.vec.turbo as turbo
+
     calls = _spy_turbo(monkeypatch)
+    built = []
+
+    class CountedField(turbo._Field):
+        def __init__(self, network):
+            built.append(network)
+            super().__init__(network)
+
+    monkeypatch.setattr(turbo, "_Field", CountedField)
     pipeline = SecureLocalizationPipeline(
         PipelineConfig(observe=ObserveConfig(), **SMALL)
     )
     pipeline.run()
     assert pipeline._vectorized_active()
     assert calls == ["run_detection_turbo", "run_localization_turbo"]
+    # Detection, localization and the N' count share one field.
+    assert built == [pipeline.network]
     assert _vec_counters(pipeline) == TURBO_VEC_COUNTERS
     counters = pipeline.obs.registry.snapshot()["counters"]
     assert {key for key in counters if key.startswith("vec_batch_total")} == {

@@ -26,7 +26,6 @@ from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.timing import RttModel
 from repro.utils.geometry import Point
-from repro.vec.arrays import requester_counts_vectorized
 from repro.vec.geometry import within_range_matrix
 from repro.vec.localization import _batched_seed, batched_estimate_errors
 from repro.vec.measurement import (
@@ -36,6 +35,7 @@ from repro.vec.measurement import (
     discrepancy_mask,
     raw_uniforms,
 )
+from repro.vec.turbo import _Field
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -263,9 +263,7 @@ def test_requester_counts_vectorized_matches_naive_scan():
         )
         for beacon in malicious
     ]
-    counts = requester_counts_vectorized(
-        network, malicious, malicious_ids, 150.0
-    )
+    counts = _Field(network).requester_counts(malicious, malicious_ids)
     assert counts == naive == [1, 2]
 
 

@@ -47,8 +47,6 @@ from typing import Any, Dict, List, Optional
 HEADLINES: Dict[str, List[Dict[str, Any]]] = {
     "BENCH_pipeline": [
         {"path": "full_trial.fast_s", "good": "lower"},
-        {"path": "reachability.fast_s", "good": "lower"},
-        {"path": "metrics_collection.fast_s", "good": "lower"},
         {"path": "full_trial.speedup", "good": "higher"},
     ],
     "BENCH_obs": [

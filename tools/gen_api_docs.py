@@ -12,7 +12,7 @@ imported), so it runs anywhere CI does. Covers the public surface of:
 - ``repro.revocation`` (service, persistence, replay)
 - ``repro.verify`` (oracles, differential, invariants, detectors,
   statgate, cli)
-- ``repro.vec`` (arrays, geometry, measurement, localization, turbo)
+- ``repro.vec`` (geometry, measurement, localization, turbo)
 
 For every module it emits the docstring summary (plus its ``Paper
 section:`` line when the module carries one); for every public class,
@@ -81,7 +81,6 @@ MODULES = [
     ("repro.verify.detectors", SRC / "repro" / "verify" / "detectors.py"),
     ("repro.verify.statgate", SRC / "repro" / "verify" / "statgate.py"),
     ("repro.verify.cli", SRC / "repro" / "verify" / "cli.py"),
-    ("repro.vec.arrays", SRC / "repro" / "vec" / "arrays.py"),
     ("repro.vec.geometry", SRC / "repro" / "vec" / "geometry.py"),
     ("repro.vec.measurement", SRC / "repro" / "vec" / "measurement.py"),
     ("repro.vec.localization", SRC / "repro" / "vec" / "localization.py"),
