@@ -37,7 +37,6 @@ from repro.experiments.fieldmap import (
     render_field_map,
 )
 from repro.experiments.validation import (
-    max_abs_gap,
     proportion_consistent,
     proportion_z_score,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "MarkerGroup",
     "pipeline_field_map",
     "render_field_map",
-    "max_abs_gap",
     "proportion_consistent",
     "proportion_z_score",
     "figures",

@@ -31,6 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import PipelineConfig, SecureLocalizationPipeline
 from repro.detectors import available_detectors
+from repro.errors import ConfigurationError
 from repro.experiments.runner import ExperimentRunner, collect_metrics
 from repro.sim.rng import derive_seed
 
@@ -123,7 +124,12 @@ def run_arena(
          "detectors": {name: {"grid": {"<p>": {metric: mean-or-None}},
                               "headline": {metric: mean-or-None},
                               "decisions": int}}}
+
+    Raises:
+        ConfigurationError: ``trials`` is below 1.
     """
+    if trials < 1:
+        raise ConfigurationError(f"trials must be >= 1, got {trials}")
     names = list(detectors) if detectors is not None else available_detectors()
     if runner is None:
         runner = ExperimentRunner()

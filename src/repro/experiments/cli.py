@@ -54,8 +54,7 @@ aborts the run). ``--keep-going`` degrades gracefully instead — failed
 trials are recorded as structured error records (including the pipeline
 phase that was active), every other trial still runs, an error summary
 goes to stderr (and ``errors.json`` under ``--out``), and the exit code
-is 3 so scripts notice the partial result. ``--task-retries N`` re-runs
-a failing task up to N extra times first.
+is 3 so scripts notice the partial result.
 
 Telemetry export (see docs/OBSERVABILITY.md): ``--metrics-out PATH``
 writes the run's merged metrics registry in Prometheus text format;
@@ -103,11 +102,11 @@ def _workers_type(value: str) -> int:
     return workers
 
 
-def _retries_type(value: str) -> int:
-    retries = int(value)
-    if retries < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return retries
+def _trials_type(value: str) -> int:
+    trials = int(value)
+    if trials < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return trials
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,12 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="abort on the first task failure (the default)",
     )
     parser.add_argument(
-        "--task-retries",
-        type=_retries_type,
-        default=0,
-        help="extra executions of a failing task before giving up",
-    )
-    parser.add_argument(
         "--detector",
         default=None,
         metavar="NAME",
@@ -268,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     revocation.add_argument(
         "--trials",
-        type=_retries_type,
+        type=_trials_type,
         default=3,
         help=(
             "revocation: captured pipeline trials to replay; "
@@ -383,7 +376,6 @@ def make_runner(args) -> ExperimentRunner:
         progress=_print_progress if args.progress else None,
         profile=args.profile,
         keep_going=args.keep_going,
-        task_retries=args.task_retries,
         observe=observe,
         telemetry_port=args.telemetry_port,
     )

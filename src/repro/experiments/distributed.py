@@ -13,9 +13,9 @@ results are bit-identical to the serial path for any worker count.
 The file-queue protocol (one *run* = one coordinator call)::
 
     <queue_dir>/run-0000/
-        meta.json          # pickled task fn, retries, lease timeout
+        meta.json          # pickled task fn, lease timeout
         tasks/<id>.json    # one manifest per task: index, key, shard,
-                           # pickled payload, optional shared-cache key
+                           # pickled payload
         leases/<id>.lease  # exclusive claim (O_CREAT|O_EXCL), heartbeat
                            # = mtime refreshed by the owning worker
         results/<id>.json  # outcome, written atomically, then the lease
@@ -43,16 +43,15 @@ deterministic and results content-equal; the coordinator settles every
 task exactly once (keyed by task id), so metrics and merged telemetry
 never double-count. After ``MAX_REQUEUES`` losses the task is recorded
 as a :class:`~repro.experiments.runner.TrialError` (``WorkerLostError``)
-under ``--keep-going``, or raises. When every spawned worker has died,
-the coordinator first spawns replacements (bounded budget) and, as a
-last resort, executes the remaining tasks inline — the run always
+under ``--keep-going``, or raises. While no spawned worker is alive,
+the coordinator spawns a replacement, up to ``MAX_RESPAWNS_PER_RUN``
+per run; once that budget is spent, every open task is settled as
+``WorkerLostError``. The coordinator never runs a task itself, so a
+task that kills its process kills only a worker, and the run always
 terminates.
 
-**Shared result store.** When the runner has a cache, pipeline-task
-manifests carry the content address; workers elect a single computer
-per key via :meth:`ResultCache.claim` and publish with the atomic
-:meth:`ResultCache.put`, so two workers (even from concurrent runs
-sharing one cache directory) never recompute or torn-write one key.
+Workers never touch the result cache: the runner serves cache hits
+before it enqueues anything and writes every executed miss itself.
 
 **Observability.** Per-trial telemetry rides inside task results
 exactly as in the pool backend; each worker additionally keeps a small
@@ -90,13 +89,12 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-#: File-queue protocol version (bump on incompatible layout changes).
-PROTOCOL_VERSION = 1
-
 #: Lease losses tolerated per task before it is declared failed.
 MAX_REQUEUES = 3
 
-#: Replacement workers the coordinator may spawn per run.
+#: Replacement workers the coordinator may spawn per run. More than
+#: ``MAX_REQUEUES``, so one worker-killing task on a single worker uses
+#: up its requeues, and a replacement still finishes the other tasks.
 MAX_RESPAWNS_PER_RUN = 8
 
 #: Exit code of a fault-injected worker crash (``--crash-after-claims``).
@@ -277,54 +275,6 @@ def _claim_next(
     return None
 
 
-def _compute_with_shared_cache(
-    fn: Callable[[Any], Any],
-    payload: Any,
-    retries: int,
-    cache_root: str,
-    cache_key: str,
-    lease_timeout_s: float,
-    poll_s: float,
-) -> Tuple[bool, Any, float, int]:
-    """Run one cacheable task through the shared result store.
-
-    Exactly one worker per key computes: the first to win
-    :meth:`ResultCache.claim` executes and publishes; everyone else
-    waits for the published entry. A claimant that dies without
-    publishing is waited out for ``lease_timeout_s`` and then bypassed —
-    recomputing is always safe because :meth:`ResultCache.put` is atomic
-    and all writers of a key produce identical entries.
-    """
-    from repro.experiments.runner import ResultCache, _timed_call
-
-    cache = ResultCache(cache_root)
-    hit = cache.get(cache_key)
-    if hit is not None:
-        return True, hit, 0.0, 1
-    waited_from = time.perf_counter()
-    while not cache.claim(cache_key):
-        hit = cache.get(cache_key)
-        if hit is not None:
-            return True, hit, time.perf_counter() - waited_from, 1
-        if time.perf_counter() - waited_from > lease_timeout_s:
-            # The claimant is presumed dead; compute without the claim.
-            outcome = _timed_call(fn, payload, retries)
-            if outcome[0]:
-                cache.put(cache_key, outcome[1])
-            return outcome
-        time.sleep(poll_s)
-    try:
-        hit = cache.get(cache_key)  # published between our get and claim
-        if hit is not None:
-            return True, hit, time.perf_counter() - waited_from, 1
-        outcome = _timed_call(fn, payload, retries)
-        if outcome[0]:
-            cache.put(cache_key, outcome[1])
-        return outcome
-    finally:
-        cache.release(cache_key)
-
-
 def _serve_run(
     layout: _QueueLayout,
     worker_id: str,
@@ -364,7 +314,6 @@ def _serve_run(
         if meta is None:
             time.sleep(poll_s)
     fn = _b64_unpickle(meta["fn_pickle"])
-    retries = int(meta.get("task_retries", 0))
     lease_timeout_s = float(meta.get("lease_timeout_s", 30.0))
     registry = MetricsRegistry()
     # Span ids minted in this process are namespaced by the worker id so
@@ -414,20 +363,7 @@ def _serve_run(
                 # coordinator task:* span as its remote parent.
                 set_process_trace_context(TraceContext.from_dict(trace_info))
             try:
-                payload = _b64_unpickle(manifest["payload_pickle"])
-                cache_info = manifest.get("cache")
-                if cache_info:
-                    outcome = _compute_with_shared_cache(
-                        fn,
-                        payload,
-                        retries,
-                        cache_info["root"],
-                        cache_info["key"],
-                        lease_timeout_s,
-                        poll_s,
-                    )
-                else:
-                    outcome = _timed_call(fn, payload, retries)
+                outcome = _timed_call(fn, _b64_unpickle(manifest["payload_pickle"]))
             finally:
                 heartbeat.stop()
                 set_process_trace_context(None)
@@ -671,13 +607,24 @@ def _lease_is_stale(
 
 
 def _synthesize_lost(
-    key: str, requeues: int
+    key: str, requeues: int, *, budget_spent: bool = False
 ) -> Tuple[bool, Tuple[str, str, str, str], float, int]:
-    """A failure outcome for a task whose workers kept disappearing."""
-    message = (
-        f"task lease lost {requeues} times (worker crash or stall); "
-        f"giving up after {MAX_REQUEUES} re-queues"
-    )
+    """A failure outcome for a task whose workers kept disappearing.
+
+    ``requeues`` counts the leases the task lost. ``budget_spent`` marks
+    a task left open when the run's respawn budget ran out.
+    """
+    if budget_spent:
+        message = (
+            f"no live worker and the respawn budget "
+            f"({MAX_RESPAWNS_PER_RUN} per run) ran out; "
+            f"task lease lost {requeues} times"
+        )
+    else:
+        message = (
+            f"task lease lost {requeues} times (worker crash or stall); "
+            f"giving up after {MAX_REQUEUES} re-queues"
+        )
     return (
         False,
         (WORKER_LOST_ERROR, message, f"{WORKER_LOST_ERROR}: {message} [{key}]\n", ""),
@@ -707,9 +654,6 @@ def execute_queue(
     """
     import tempfile
 
-    from repro.experiments.runner import cache_key as compute_cache_key
-    from repro.experiments.runner import execute_pipeline
-
     if runner.queue_dir is not None:
         queue_root = pathlib.Path(runner.queue_dir)
     else:
@@ -721,7 +665,6 @@ def execute_queue(
     layout.create()
 
     n_workers = min(runner.n_workers, len(pending))
-    cacheable = runner.cache is not None and fn is execute_pipeline
     trace_id: Optional[str] = None
     span_mark = len(runner.stats.run_spans)
     if runner.observe is not None:
@@ -749,18 +692,11 @@ def execute_queue(
                 "trace_id": trace_id,
                 "parent_span_id": f"coord:{index + 1}",
             }
-        if cacheable:
-            manifest["cache"] = {
-                "root": str(runner.cache.root),
-                "key": compute_cache_key(payloads[index]),
-            }
         _atomic_write_json(layout.task_path(task_id), manifest)
     _atomic_write_json(
         layout.meta,
         {
-            "protocol": PROTOCOL_VERSION,
             "fn_pickle": _b64_pickle(fn),
-            "task_retries": runner.task_retries,
             "lease_timeout_s": runner.lease_timeout_s,
             "tasks": len(pending),
         },
@@ -848,7 +784,7 @@ def execute_queue(
                     )
 
             if live == 0 and len(settled) < len(pending):
-                if respawns < min(MAX_RESPAWNS_PER_RUN, n_workers):
+                if respawns < MAX_RESPAWNS_PER_RUN:
                     # Every spawned worker died; field a replacement so
                     # the re-queued work still runs out-of-process.
                     worker_id = f"r{respawns}"
@@ -857,33 +793,25 @@ def execute_queue(
                     )
                     respawns += 1
                 else:
-                    # Last resort: the coordinator claims and executes
-                    # the remaining tasks inline. Claiming still goes
-                    # through the lease, so a surviving standalone
-                    # worker and the coordinator never collide.
-                    claimed = _claim_next(layout, "coordinator", None)
-                    if claimed is not None:
-                        manifest, _ = claimed
-                        from repro.experiments.runner import _timed_call
-
-                        payload = _b64_unpickle(manifest["payload_pickle"])
-                        outcome = _timed_call(fn, payload, runner.task_retries)
-                        ok, value, seconds, attempts = outcome
-                        _atomic_write_json(
-                            layout.result_path(str(manifest["id"])),
-                            {
-                                "ok": bool(ok),
-                                "value_pickle": _b64_pickle(value),
-                                "seconds": float(seconds),
-                                "attempts": int(attempts),
-                                "worker": "coordinator",
-                            },
+                    for index in pending:
+                        if index in settled or layout.result_path(
+                            task_ids[index]
+                        ).exists():
+                            continue  # a published result settles next sweep
+                        settled.add(index)
+                        done += 1
+                        runner._settle(
+                            index,
+                            task_keys[index],
+                            _synthesize_lost(
+                                task_keys[index],
+                                requeue_counts.get(index, 0),
+                                budget_spent=True,
+                            ),
+                            results,
+                            done,
+                            total,
                         )
-                        try:
-                            layout.lease_path(str(manifest["id"])).unlink()
-                        except OSError:
-                            pass
-                        continue  # settle it on the next sweep
 
             if not progressed:
                 time.sleep(poll_s)

@@ -21,7 +21,7 @@ Paper section: §4 (Figures 4-14).
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import analysis
 from repro.core.analysis import Population
@@ -306,22 +306,50 @@ def figure11_deployment(*, seed: int = 0) -> FigureData:
 # ----------------------------------------------------------------------
 # Figures 12/13 — simulation vs theory
 # ----------------------------------------------------------------------
+def _defined_mean(
+    trial_metrics: Sequence[Dict[str, float]], name: str
+) -> Optional[float]:
+    """Mean of ``name`` over the trials that define it, in trial order.
+
+    None when no trial defines it (an undefined rate, or every trial
+    failed); the caller then leaves the point out of its series.
+    """
+    values = [metrics[name] for metrics in trial_metrics if name in metrics]
+    return sum(values) / len(values) if values else None
+
+
 def _simulate_sweep(
+    fig: FigureData,
+    metric: str,
+    theory_fn: Callable[..., float],
     p_grid: Sequence[float],
     *,
     trials: int,
     seed: int,
-    config_kwargs: Optional[dict] = None,
-    runner: Optional[ExperimentRunner] = None,
-) -> List[Tuple[float, Dict[str, float], int]]:
-    """Run the pipeline at each ``P'``; returns (p, metrics, n_c) tuples.
+    config_kwargs: Optional[dict],
+    runner: Optional[ExperimentRunner],
+) -> FigureData:
+    """Fill ``fig`` with simulated ``metric`` and its theory curve vs ``P'``.
 
     Configs are built in the historical (point-major, trial-minor) order
     with the historical seed formula, then executed through the runner —
-    so the tuples are identical to the old serial generator's output for
-    any worker count.
+    so both curves are identical for any worker count. A point's
+    simulated value is the mean of ``metric`` over the trials that
+    define it; its theory value uses the trials' mean ``N_c`` (each
+    trial's rounded first). A trial that failed under a ``keep_going``
+    runner defines nothing, and a point no trial defines is left out of
+    that series.
     """
+    sim = fig.new_series("simulation")
+    theory = fig.new_series("theory")
     kwargs = dict(config_kwargs or {})
+    pop = Population(
+        n_total=kwargs.get("n_total", 1_000),
+        n_beacons=kwargs.get("n_beacons", 110),
+        n_malicious=kwargs.get("n_malicious", 10),
+    )
+    tau_alert = kwargs.get("tau_alert", 2)
+    m = kwargs.get("m_detecting_ids", 8)
     configs = [
         PipelineConfig(p_prime=p, seed=seed + 7_919 * trial, **kwargs)
         for p in p_grid
@@ -332,14 +360,22 @@ def _simulate_sweep(
     ]
     active = runner if runner is not None else ExperimentRunner()
     results = active.run_pipeline_configs(configs, keys=keys)
-    out: List[Tuple[float, Dict[str, float], int]] = []
     for i, p in enumerate(p_grid):
-        for trial in range(trials):
-            metrics = results[i * trials + trial]
-            out.append(
-                (p, metrics, int(round(metrics["mean_requesters_per_malicious"])))
-            )
-    return out
+        trial_metrics = [
+            r for r in results[i * trials : (i + 1) * trials] if r is not None
+        ]
+        value = _defined_mean(trial_metrics, metric)
+        if value is not None:
+            sim.append(p, value)
+        ncs = [
+            int(round(r["mean_requesters_per_malicious"]))
+            for r in trial_metrics
+            if "mean_requesters_per_malicious" in r
+        ]
+        if ncs:
+            mean_nc = int(round(sum(ncs) / len(ncs)))
+            theory.append(p, theory_fn(p, m, tau_alert, mean_nc, pop))
+    return fig
 
 
 def figure12_sim_detection_rate(
@@ -358,32 +394,10 @@ def figure12_sim_detection_rate(
         y_label="detection rate",
         notes="tau'=2, tau=2, m=8, p_d=0.9",
     )
-    sim = fig.new_series("simulation")
-    theory = fig.new_series("theory")
-    kwargs = dict(config_kwargs or {})
-    pop = Population(
-        n_total=kwargs.get("n_total", 1_000),
-        n_beacons=kwargs.get("n_beacons", 110),
-        n_malicious=kwargs.get("n_malicious", 10),
+    return _simulate_sweep(
+        fig, "detection_rate", analysis.revocation_detection_rate, p_grid,
+        trials=trials, seed=seed, config_kwargs=config_kwargs, runner=runner,
     )
-    tau_alert = kwargs.get("tau_alert", 2)
-    m = kwargs.get("m_detecting_ids", 8)
-
-    acc: dict = {}
-    ncs: dict = {}
-    for p, metrics, n_c in _simulate_sweep(
-        p_grid, trials=trials, seed=seed, config_kwargs=config_kwargs,
-        runner=runner,
-    ):
-        acc.setdefault(p, []).append(metrics["detection_rate"])
-        ncs.setdefault(p, []).append(n_c)
-    for p in p_grid:
-        sim.append(p, sum(acc[p]) / len(acc[p]))
-        mean_nc = int(round(sum(ncs[p]) / len(ncs[p])))
-        theory.append(
-            p, analysis.revocation_detection_rate(p, m, tau_alert, mean_nc, pop)
-        )
-    return fig
 
 
 def figure13_sim_affected(
@@ -402,32 +416,11 @@ def figure13_sim_affected(
         y_label="N'",
         notes="tau'=2, tau=2, m=8, p_d=0.9",
     )
-    sim = fig.new_series("simulation")
-    theory = fig.new_series("theory")
-    kwargs = dict(config_kwargs or {})
-    pop = Population(
-        n_total=kwargs.get("n_total", 1_000),
-        n_beacons=kwargs.get("n_beacons", 110),
-        n_malicious=kwargs.get("n_malicious", 10),
-    )
-    tau_alert = kwargs.get("tau_alert", 2)
-    m = kwargs.get("m_detecting_ids", 8)
-
-    acc: dict = {}
-    ncs: dict = {}
-    for p, metrics, n_c in _simulate_sweep(
+    return _simulate_sweep(
+        fig, "affected_non_beacons_per_malicious", analysis.affected_non_beacons,
         p_grid, trials=trials, seed=seed, config_kwargs=config_kwargs,
         runner=runner,
-    ):
-        acc.setdefault(p, []).append(metrics["affected_non_beacons_per_malicious"])
-        ncs.setdefault(p, []).append(n_c)
-    for p in p_grid:
-        sim.append(p, sum(acc[p]) / len(acc[p]))
-        mean_nc = int(round(sum(ncs[p]) / len(ncs[p])))
-        theory.append(
-            p, analysis.affected_non_beacons(p, m, tau_alert, mean_nc, pop)
-        )
-    return fig
+    )
 
 
 # ----------------------------------------------------------------------
@@ -492,14 +485,14 @@ def figure14_roc(
         for tau_report in tau_reports:
             series = fig.new_series(f"N_a={n_a}, tau'={tau_report}")
             for tau_alert in tau_alerts:
-                det_sum = 0.0
-                fp_sum = 0.0
-                for _trial in range(trials):
-                    metrics = results[index]
-                    index += 1
-                    det_sum += metrics["detection_rate"]
-                    fp_sum += metrics["false_positive_rate"]
-                series.append(fp_sum / trials, det_sum / trials)
+                trial_metrics = [
+                    m for m in results[index : index + trials] if m is not None
+                ]
+                index += trials
+                detection = _defined_mean(trial_metrics, "detection_rate")
+                fp = _defined_mean(trial_metrics, "false_positive_rate")
+                if detection is not None and fp is not None:
+                    series.append(fp, detection)
     return fig
 
 

@@ -14,19 +14,16 @@ figure generators, sweeps, and benches route through:
 - **graceful degradation** — with ``keep_going=True`` a task that raises
   does not abort the sweep: the exception is captured worker-side as a
   picklable :class:`TrialError` record (type, message, traceback,
-  attempts), the task's slot in the results list becomes ``None``, and
-  every other task still runs. ``task_retries`` re-runs a failing task a
-  bounded number of times before recording the failure (fault-injected
-  configs can raise legitimately transient errors such as
-  :class:`repro.errors.BudgetExceededError`). The default
-  (``keep_going=False``) fails fast with :class:`ExperimentError`;
+  phase), the task's slot in the results list becomes ``None``, and
+  every other task still runs. A failed task is not rerun: it is a pure
+  function of its payload, so it would fail the same way again. The
+  default (``keep_going=False``) fails fast with :class:`ExperimentError`;
 - :class:`ResultCache` — JSON files on disk, content-addressed by a
   stable SHA-256 of the pipeline config + seed + library version, so
-  re-running a bench skips every already-computed point. Writes are
-  atomic (write-temp + :func:`os.replace`) and safe under concurrent
-  writers, and :meth:`ResultCache.claim`/:meth:`ResultCache.release`
-  give cooperating processes an exclusive compute claim so a shared
-  store never recomputes the same key twice;
+  re-running a bench skips every already-computed point. The runner is
+  the cache's only writer: it serves hits before executing anything and
+  writes each executed miss, with any backend. Writes are atomic
+  (write-temp + :func:`os.replace`) and safe under concurrent writers;
 - ``backend="queue"`` — the distributed execution backend
   (:mod:`repro.experiments.distributed`): a file-queue coordinator that
   shards task manifests to standalone worker processes with work
@@ -174,10 +171,6 @@ class ResultCache:
     reader never observes a torn entry and the last concurrent writer
     wins whole-file (all writers of one key produce identical bytes —
     results are content-addressed — so "last wins" is also "any wins").
-    :meth:`claim`/:meth:`release` additionally give cooperating writers
-    an exclusive *compute* claim per key (an ``O_EXCL`` lock file), which
-    the distributed backend uses so two workers never recompute the same
-    entry.
     """
 
     #: Process-wide uniquifier so concurrent threads of one process never
@@ -190,37 +183,6 @@ class ResultCache:
     def path(self, key: str) -> pathlib.Path:
         """Where the entry for ``key`` lives (whether or not it exists)."""
         return self.root / f"{key}.json"
-
-    def claim_path(self, key: str) -> pathlib.Path:
-        """Where the exclusive compute claim for ``key`` lives."""
-        return self.root / f"{key}.claim"
-
-    def claim(self, key: str) -> bool:
-        """Atomically acquire the exclusive compute claim for ``key``.
-
-        Returns True when this caller now holds the claim (it must
-        eventually :meth:`release`), False when another process already
-        holds it. Claiming is advisory — :meth:`put` works without one —
-        but cooperating workers use it to elect a single computer per
-        key.
-        """
-        self.root.mkdir(parents=True, exist_ok=True)
-        try:
-            fd = os.open(
-                self.claim_path(key), os.O_CREAT | os.O_EXCL | os.O_WRONLY
-            )
-        except FileExistsError:
-            return False
-        with os.fdopen(fd, "w") as handle:
-            handle.write(json.dumps({"pid": os.getpid()}))
-        return True
-
-    def release(self, key: str) -> None:
-        """Drop the compute claim for ``key`` (idempotent)."""
-        try:
-            self.claim_path(key).unlink()
-        except OSError:
-            pass
 
     def get(self, key: str) -> Optional[Dict[str, float]]:
         """The cached metrics for ``key``, or None on miss/corruption."""
@@ -281,7 +243,7 @@ class ResultCache:
 
 @dataclass(frozen=True)
 class TrialError:
-    """A structured record of one task that failed despite retries.
+    """A structured record of one task that failed.
 
     Captured worker-side (tracebacks do not pickle; their formatted text
     does), so a crash in a subprocess surfaces with full context instead
@@ -291,13 +253,15 @@ class TrialError:
         key: the task's human-readable label.
         index: the task's position in the input sequence.
         error_type: the exception class name (e.g. ``"BudgetExceededError"``).
-        message: ``str(exception)`` of the final attempt.
-        traceback_text: the final attempt's formatted traceback.
-        attempts: executions of the task, including retries.
-        phase: the innermost span/phase open when the final attempt
-            failed (e.g. ``"phase:detection"``), or ``""`` when nothing
-            tagged the exception. Pipeline phases tag exceptions even
-            with observability off.
+        message: ``str(exception)``.
+        traceback_text: the formatted traceback.
+        attempts: 1, except for a queue task settled as
+            ``WorkerLostError``: there it counts the workers that died
+            while holding it.
+        phase: the innermost span/phase open when the task failed
+            (e.g. ``"phase:detection"``), or ``""`` when nothing tagged
+            the exception. Pipeline phases tag exceptions even with
+            observability off.
     """
 
     key: str
@@ -353,9 +317,8 @@ class RunStats:
     #: Per-executed-trial profile snapshots (only with ``profile=True``;
     #: cache hits contribute none — they executed nothing).
     profiles: List[Dict[str, Any]] = field(default_factory=list)
-    #: Structured records of tasks that failed after exhausting their
-    #: retry budget (only populated under ``keep_going=True``; the
-    #: fail-fast path raises instead).
+    #: Structured records of tasks that failed (only populated under
+    #: ``keep_going=True``; the fail-fast path raises instead).
     errors: List[TrialError] = field(default_factory=list)
     #: Per-executed-trial telemetry (only when the runner observes):
     #: ``{"index", "key", "registry", "spans", "events"}`` entries in
@@ -437,36 +400,29 @@ class RunStats:
 
 
 def _timed_call(
-    fn: Callable[[Any], Any], payload: Any, retries: int = 0
+    fn: Callable[[Any], Any], payload: Any
 ) -> Tuple[bool, Any, float, int]:
-    """Worker-side wrapper: run ``fn(payload)``, timing and shielding it.
+    """Worker-side wrapper: run ``fn(payload)`` once, timing and shielding it.
 
-    Returns ``(ok, value, seconds, attempts)``. On failure ``value`` is
-    the picklable 4-tuple ``(error_type, message, traceback_text,
-    phase)`` of the last attempt — live exception objects (and their
+    Returns ``(ok, value, seconds, attempts)`` with ``attempts == 1``. On
+    failure ``value`` is the picklable 4-tuple ``(error_type, message,
+    traceback_text, phase)`` — live exception objects (and their
     tracebacks) do not survive the process boundary reliably, their
     formatted text does. ``phase`` is the innermost span/phase that
     tagged the exception (see :func:`repro.obs.active_span_of`).
-    ``retries`` extra attempts are made before giving up; ``seconds``
-    covers all attempts.
     """
     start = time.perf_counter()
-    attempts = 0
-    failure: Tuple[str, str, str, str] = ("", "", "", "")
-    for _ in range(retries + 1):
-        attempts += 1
-        try:
-            result = fn(payload)
-        except Exception as exc:  # noqa: BLE001 - the shield is the point
-            failure = (
-                type(exc).__name__,
-                str(exc),
-                traceback.format_exc(),
-                active_span_of(exc),
-            )
-            continue
-        return True, result, time.perf_counter() - start, attempts
-    return False, failure, time.perf_counter() - start, attempts
+    try:
+        result = fn(payload)
+    except Exception as exc:  # noqa: BLE001 - the shield is the point
+        failure = (
+            type(exc).__name__,
+            str(exc),
+            traceback.format_exc(),
+            active_span_of(exc),
+        )
+        return False, failure, time.perf_counter() - start, 1
+    return True, result, time.perf_counter() - start, 1
 
 
 class ExperimentRunner:
@@ -504,14 +460,10 @@ class ExperimentRunner:
             (aggregate via :meth:`RunStats.profile_summary`). Metrics
             are unchanged; cache behaviour is unchanged (entries store
             metrics only, and hits contribute no profile).
-        keep_going: degrade gracefully — a task that raises (after
-            ``task_retries`` extra attempts) yields ``None`` in the
-            result list and a :class:`TrialError` in ``stats.errors``
-            instead of aborting the whole sweep. The default fails fast
-            with :class:`repro.errors.ExperimentError`.
-        task_retries: extra executions of a failing task before it is
-            declared failed (applies to both modes; retried tasks that
-            eventually succeed leave no error record).
+        keep_going: degrade gracefully — a task that raises yields
+            ``None`` in the result list and a :class:`TrialError` in
+            ``stats.errors`` instead of aborting the whole sweep. The
+            default fails fast with :class:`repro.errors.ExperimentError`.
         observe: collect observability telemetry for executed pipeline
             tasks. ``True`` means a default
             :class:`repro.obs.ObserveConfig`; an explicit config selects
@@ -547,7 +499,6 @@ class ExperimentRunner:
         progress: Optional[Callable[[ProgressEvent], None]] = None,
         profile: bool = False,
         keep_going: bool = False,
-        task_retries: int = 0,
         observe: Union[ObserveConfig, bool, None] = None,
         telemetry_port: Optional[int] = None,
     ) -> None:
@@ -562,10 +513,6 @@ class ExperimentRunner:
         if not isinstance(lease_timeout_s, (int, float)) or lease_timeout_s <= 0:
             raise ConfigurationError(
                 f"lease_timeout_s must be > 0, got {lease_timeout_s!r}"
-            )
-        if not isinstance(task_retries, int) or task_retries < 0:
-            raise ConfigurationError(
-                f"task_retries must be an int >= 0, got {task_retries!r}"
             )
         if observe is True:
             observe = ObserveConfig()
@@ -584,7 +531,6 @@ class ExperimentRunner:
         self.progress = progress
         self.profile = bool(profile)
         self.keep_going = bool(keep_going)
-        self.task_retries = task_retries
         self.observe = observe
         self.stats = RunStats()
         self._wall0 = time.perf_counter()
@@ -634,11 +580,6 @@ class ExperimentRunner:
     def __exit__(self, *exc_info: Any) -> None:
         """Stop the attached telemetry server on exit."""
         self.close()
-
-    def reset_stats(self) -> None:
-        """Zero the timing/caching counters (runners are reusable)."""
-        self.stats = RunStats()
-        self._wall0 = time.perf_counter()
 
     # ------------------------------------------------------------------
     # generic mapping
@@ -864,14 +805,14 @@ class ExperimentRunner:
             return
         if self.n_workers == 1:
             for index in pending:
-                outcome = _timed_call(fn, payloads[index], self.task_retries)
+                outcome = _timed_call(fn, payloads[index])
                 done += 1
                 self._settle(index, task_keys[index], outcome, results, done, total)
             return
         workers = min(self.n_workers, len(pending))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
-                pool.submit(_timed_call, fn, payloads[index], self.task_retries): index
+                pool.submit(_timed_call, fn, payloads[index]): index
                 for index in pending
             }
             # Collect in completion order so progress is live; results land

@@ -5,18 +5,21 @@ bit-identical to serial for any worker count, in input order, including
 after an injected worker crash under ``keep_going`` — with the crashed
 task re-queued exactly once and never double-counted in the merged
 telemetry. Also covers the shared result store (atomic concurrent
-writers, exclusive claims) and the standalone-worker CLI plumbing.
+writers) and the standalone-worker CLI plumbing.
 """
 
 import json
 import multiprocessing
 import os
+import pathlib
 import pickle
+import subprocess
+import sys
 
 import pytest
 
 from repro.core.pipeline import PipelineConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.distributed import (
     CRASH_EXIT_CODE,
     MAX_REQUEUES,
@@ -28,6 +31,8 @@ from repro.experiments.distributed import (
     allocate_run_dir,
 )
 from repro.experiments.runner import ExperimentRunner, ResultCache, cache_key
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 
 #: Small enough for sub-second pipeline runs; still a real deployment.
 SMALL = dict(
@@ -54,6 +59,30 @@ def _boom(x):
     return x * x
 
 
+def _exit_on_two(x):
+    """Toy task that kills the process running it on one payload."""
+    if x == 2:
+        os._exit(3)
+    return x * x
+
+
+#: Coordinates one keep-going queue run of ``_exit_on_two`` and prints
+#: the results and error records as JSON.
+_KILLER_COORDINATOR = """
+import json, sys
+from repro.experiments.runner import ExperimentRunner
+from tests.experiments.test_distributed import _exit_on_two
+
+runner = ExperimentRunner(
+    backend="queue", n_workers=int(sys.argv[1]), queue_dir=sys.argv[2],
+    keep_going=True,
+)
+results = runner.map(_exit_on_two, [1, 2, 3])
+errors = [[e.index, e.error_type, e.attempts] for e in runner.stats.errors]
+print(json.dumps({"results": results, "errors": errors}))
+"""
+
+
 def _cache_writer(args):
     """One concurrent-writer process: hammer the same cache key."""
     root, key, value, rounds = args
@@ -61,12 +90,6 @@ def _cache_writer(args):
     for _ in range(rounds):
         cache.put(key, value)
     return True
-
-
-def _claim_once(args):
-    """One contender for an exclusive cache claim."""
-    root, key = args
-    return ResultCache(root).claim(key)
 
 
 class TestConfigValidation:
@@ -181,6 +204,51 @@ class TestQueueFailureModel:
         assert runner.stats.requeues >= 1
         assert runner.stats.errors == []
 
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_worker_killing_task_settles_as_worker_lost(self, tmp_path, n_workers):
+        # The coordinator runs in a child process: were it to run the
+        # task itself, the task would kill the test process.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src"), str(REPO_ROOT)]
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", _KILLER_COORDINATOR, str(n_workers), str(tmp_path)],
+            cwd=REPO_ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stdout + child.stderr
+        report = json.loads(child.stdout)
+        assert report["results"] == [1, None, 9]
+        # One death per claim of the task, until its re-queues run out.
+        assert report["errors"] == [[1, WORKER_LOST_ERROR, MAX_REQUEUES + 1]]
+
+    def test_workers_that_cannot_start_settle_as_worker_lost(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments import distributed
+
+        monkeypatch.setattr(
+            distributed,
+            "_worker_command",
+            lambda *args: [sys.executable, "-c", "raise SystemExit(1)"],
+        )
+        runner = ExperimentRunner(
+            backend="queue", n_workers=1, queue_dir=tmp_path, keep_going=True
+        )
+        assert runner.map(_square, [4, 6]) == [None, None]
+        errors = runner.stats.errors
+        assert [e.error_type for e in errors] == [WORKER_LOST_ERROR] * 2
+        assert all("respawn budget" in e.message for e in errors)
+        fail_fast = ExperimentRunner(
+            backend="queue", n_workers=1, queue_dir=tmp_path
+        )
+        with pytest.raises(ExperimentError, match="respawn budget"):
+            fail_fast.map(_square, [4])
+
     def test_exhausted_requeues_synthesize_worker_lost_error(self):
         from repro.experiments.distributed import _synthesize_lost
 
@@ -210,22 +278,6 @@ class TestQueueSharedStore:
         warm = ExperimentRunner(cache_dir=cache_dir)
         assert warm.run_pipeline_configs(configs) == first
         assert warm.stats.executed == 0 and warm.stats.cache_hits == 2
-
-    def test_claim_is_exclusive_and_releasable(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert cache.claim("k")
-        assert not cache.claim("k")
-        assert not ResultCache(tmp_path).claim("k")
-        cache.release("k")
-        assert cache.claim("k")
-        cache.release("k")
-        cache.release("k")  # idempotent
-
-    def test_claim_exclusive_across_processes(self, tmp_path):
-        ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(4) as pool:
-            wins = pool.map(_claim_once, [(str(tmp_path), "key")] * 4)
-        assert sum(wins) == 1
 
     def test_concurrent_writers_leave_a_valid_entry(self, tmp_path):
         # Regression: pre-atomic-rename puts could interleave two

@@ -240,6 +240,20 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "--profile" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["arena", "revocation"])
+    def test_zero_trials_rejected(self, target, capsys):
+        # Zero trials would check nothing and still exit 0.
+        with pytest.raises(SystemExit) as exit_info:
+            main([target, "--trials", "0"])
+        assert exit_info.value.code == 2
+        assert "--trials" in capsys.readouterr().err
+
+    def test_run_arena_rejects_zero_trials(self):
+        from repro.experiments.arena import run_arena
+
+        with pytest.raises(ConfigurationError, match="trials"):
+            run_arena(["paper"], trials=0)
+
     def test_all_target_runs_every_generator(self, tmp_path, monkeypatch):
         from repro.experiments import figures as figures_module
         from repro.experiments.series import FigureData

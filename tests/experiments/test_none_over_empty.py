@@ -4,8 +4,8 @@ An undefined rate (detection rate with no malicious beacons, FP rate
 with no benign beacons) must surface as ``None`` — never be coerced to
 0 — at every layer it crosses: the pipeline result, the flattened
 metric dict, the Monte-Carlo aggregation, the distributed queue
-backend's merged results, and finally the arena report, which renders
-it as "n/a". Each layer gets its own regression test here so a
+backend's merged results, the sweeps and Figures 12-14, and finally the
+arena report, which renders it as "n/a". Each layer gets its own regression test here so a
 future "helpful" ``or 0.0`` anywhere on the path fails loudly.
 """
 
@@ -17,6 +17,7 @@ from repro.core.pipeline import (
     SecureLocalizationPipeline,
 )
 from repro.errors import ConfigurationError
+from repro.experiments import figures
 from repro.experiments.arena import _fmt, arena_headlines, render_arena_markdown
 from repro.experiments.montecarlo import run_trials
 from repro.experiments.runner import (
@@ -168,6 +169,50 @@ class TestSweepLayer:
         )
         assert len(runner.stats.errors) == 1
         assert fig.series["false_positive_rate"].x == [10.0**9]
+
+
+class TestFigureLayer:
+    def test_undefined_rate_leaves_the_simulated_point_out(self):
+        fig = figures.figure12_sim_detection_rate(
+            p_grid=(0.2,), config_kwargs=NO_MALICIOUS
+        )
+        assert fig.series["simulation"].x == []
+        assert fig.series["theory"].x == [0.2]
+
+    def test_failed_trial_is_recorded_and_left_out(self):
+        runner = ExperimentRunner(keep_going=True)
+        fig = figures.figure13_sim_affected(
+            p_grid=(0.2,),
+            config_kwargs={**NO_MALICIOUS, "max_events": 1},
+            runner=runner,
+        )
+        assert [e.error_type for e in runner.stats.errors] == [
+            "BudgetExceededError"
+        ]
+        assert fig.series["simulation"].x == []
+        assert fig.series["theory"].x == []
+
+    def test_roc_point_needs_both_rates_defined(self, monkeypatch):
+        # Stand-in trials: at tau=1 both fail, at tau=2 neither defines
+        # a detection rate, at tau=3 only the seed-17 trial does.
+        def fake_pipeline(config):
+            if config.tau_alert == 1:
+                raise RuntimeError("injected")
+            if config.tau_alert == 2 or config.seed != 17:
+                return {"false_positive_rate": 0.25}
+            return {"detection_rate": 0.5, "false_positive_rate": 0.25}
+
+        monkeypatch.setattr(
+            "repro.experiments.runner.execute_pipeline", fake_pipeline
+        )
+        runner = ExperimentRunner(keep_going=True)
+        fig = figures.figure14_roc(
+            n_as=(5,), tau_reports=(2,), tau_alerts=(1, 2, 3), trials=2,
+            runner=runner,
+        )
+        assert len(runner.stats.errors) == 2
+        [series] = fig.series.values()
+        assert (series.x, series.y) == ([0.25], [0.5])
 
 
 class TestArenaReportLayer:

@@ -81,8 +81,6 @@ class TestRunnerBasics:
         assert not any(e.cached for e in events)
         assert set(runner.stats.task_seconds) == {"a", "b"}
         assert runner.stats.total_seconds >= 0.0
-        runner.reset_stats()
-        assert runner.stats.executed == 0
 
 
 class TestCacheKey:

@@ -68,15 +68,6 @@ class TestKeepGoing:
         runner.map(flaky_task, [1, 2])
         assert [e.ok for e in events] == [True, False]
 
-    def test_retries_counted(self):
-        runner = ExperimentRunner(keep_going=True, task_retries=2)
-        runner.map(flaky_task, [2])
-        assert runner.stats.errors[0].attempts == 3
-
-    def test_invalid_retries_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ExperimentRunner(task_retries=-1)
-
 
 class TestRunTrialsDegradation:
     @pytest.mark.parametrize("n_workers", [1, 2])

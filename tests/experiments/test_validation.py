@@ -6,14 +6,9 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.series import Series
 from repro.experiments.validation import (
-    dominates,
-    is_monotone,
-    max_abs_gap,
     proportion_consistent,
     proportion_z_score,
-    single_peak_index,
 )
 
 
@@ -55,44 +50,3 @@ class TestProportionZ:
         rng = random.Random(12)
         hits = sum(1 for _ in range(1000) if rng.random() < 0.3)
         assert not proportion_consistent(hits, 1000, 0.5)
-
-
-class TestSeriesHelpers:
-    def make(self, ys, label="s", xs=None):
-        s = Series(label)
-        for i, y in enumerate(ys):
-            s.append(xs[i] if xs else i, y)
-        return s
-
-    def test_max_abs_gap(self):
-        a = self.make([1.0, 2.0, 3.0])
-        b = self.make([1.5, 2.0, 2.0])
-        assert max_abs_gap(a, b) == pytest.approx(1.0)
-
-    def test_gap_requires_same_grid(self):
-        a = self.make([1.0], xs=[0])
-        b = self.make([1.0], xs=[5])
-        with pytest.raises(ConfigurationError):
-            max_abs_gap(a, b)
-
-    def test_is_monotone(self):
-        assert is_monotone([1, 2, 2, 3])
-        assert not is_monotone([1, 3, 2])
-        assert is_monotone([3, 2, 1], increasing=False)
-
-    def test_single_peak(self):
-        assert single_peak_index([1, 3, 7, 4, 2]) == 2
-
-    def test_peak_at_ends_allowed(self):
-        assert single_peak_index([5, 4, 3]) == 0
-        assert single_peak_index([1, 2, 3]) == 2
-
-    def test_non_unimodal_rejected(self):
-        with pytest.raises(ConfigurationError):
-            single_peak_index([1, 5, 2, 6, 1])
-
-    def test_dominates(self):
-        hi = self.make([2.0, 3.0])
-        lo = self.make([1.0, 3.0])
-        assert dominates(hi, lo)
-        assert not dominates(lo, hi) or hi.y == lo.y
