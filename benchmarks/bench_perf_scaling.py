@@ -208,16 +208,16 @@ def queue_scaling_sweep(
     by_workers = {}
     queue_results = {}
     for workers in worker_counts:
-        runner = ExperimentRunner(
+        with ExperimentRunner(
             backend="queue",
             n_workers=workers,
             queue_dir=queue_root / f"w{workers}",
-        )
-        start = time.perf_counter()
-        queue_results[workers] = run_trials(
-            experiment, trials=trials, base_seed=31, runner=runner
-        )
-        by_workers[workers] = time.perf_counter() - start
+        ) as runner:
+            start = time.perf_counter()
+            queue_results[workers] = run_trials(
+                experiment, trials=trials, base_seed=31, runner=runner
+            )
+            by_workers[workers] = time.perf_counter() - start
 
     fig = FigureData(
         figure_id="perf_queue_scaling",
@@ -262,17 +262,17 @@ def test_queue_backend_scaling(save_figure, tmp_path, quick):
     # Fault tolerance rides the same bar: a worker crash mid-run changes
     # nothing but the wall clock.
     experiment = PipelineExperiment(overrides=overrides)
-    crashed = ExperimentRunner(
+    with ExperimentRunner(
         backend="queue",
         n_workers=2,
         queue_dir=tmp_path / "queue-crash",
         keep_going=True,
         queue_crash_after={0: 1},
-    )
-    _assert_identical_aggregates(
-        serial,
-        run_trials(experiment, trials=trials, base_seed=31, runner=crashed),
-    )
+    ) as crashed:
+        _assert_identical_aggregates(
+            serial,
+            run_trials(experiment, trials=trials, base_seed=31, runner=crashed),
+        )
     assert crashed.stats.requeues >= 1 and not crashed.stats.errors
 
     if not quick:

@@ -29,9 +29,7 @@ Paper section: §6 (distributed revocation, future work)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.crypto.mutesla import (
     KeyChain,
@@ -43,6 +41,9 @@ from repro.errors import ConfigurationError
 from repro.sim.engine import Engine
 from repro.sim.network import Network
 from repro.utils.validation import check_int_in_range
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -176,6 +177,11 @@ class DistributedRevocationProtocol:
             bid: RevocationLedger(bid, cfg.tau_report, cfg.tau_alert)
             for bid in self.beacon_ids
         }
+        # networkx is imported here, not at module top: this protocol is
+        # its only user, and importing it costs every process that
+        # imports repro.core about 0.2 s.
+        import networkx as nx
+
         self._graph = self._beacon_graph()
         self._hops = dict(nx.all_pairs_shortest_path_length(self._graph))
         self.alerts_published = 0
@@ -185,6 +191,8 @@ class DistributedRevocationProtocol:
     # Topology
     # ------------------------------------------------------------------
     def _beacon_graph(self) -> nx.Graph:
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self.beacon_ids)
         nodes = [self.network.node(bid) for bid in self.beacon_ids]

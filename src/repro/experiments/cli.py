@@ -44,10 +44,11 @@ the figure targets and ``trial``, and any other target rejects it.
 ``--backend queue`` swaps the in-process pool for the distributed
 file-queue backend (``repro.experiments.distributed``): the CLI acts as
 the coordinator, spawns ``--workers`` worker processes against
-``--queue-dir`` (standalone workers started with ``--worker QUEUE_DIR``
-— on this or any host sharing the path — join in), and re-queues tasks
-whose worker crashes or stalls past ``--lease-timeout``. Results stay
-bit-identical to the serial path.
+``--queue-dir`` once and keeps them for every run of the invocation
+(standalone workers started with ``--worker QUEUE_DIR`` — on this or any
+host sharing the path — join in), and re-queues tasks whose worker
+crashes or stalls past ``--lease-timeout``. Results stay bit-identical
+to the serial path.
 
 Failure handling: the default is ``--fail-fast`` (first task exception
 aborts the run). ``--keep-going`` degrades gracefully instead — failed
@@ -172,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "queue directory for --backend queue (shared path standalone "
-            "workers attach to; default: a fresh temporary directory)"
+            "workers attach to; default: a temporary directory, deleted "
+            "on exit)"
         ),
     )
     parser.add_argument(

@@ -26,9 +26,11 @@ figure generators, sweeps, and benches route through:
   (write-temp + :func:`os.replace`) and safe under concurrent writers;
 - ``backend="queue"`` — the distributed execution backend
   (:mod:`repro.experiments.distributed`): a file-queue coordinator that
-  shards task manifests to standalone worker processes with work
-  stealing and lease-based crash recovery, still bit-identical to the
-  serial path;
+  shards task manifests to worker processes with work stealing and
+  lease-based crash recovery, still bit-identical to the serial path.
+  The runner's worker fleet lives from its first queue run until
+  :meth:`ExperimentRunner.close`, so close a queue-backed runner (or use
+  it as a context manager);
 - :class:`PipelineExperiment` — a picklable ``seed -> metrics`` callable
   for :func:`repro.experiments.montecarlo.run_trials`.
 
@@ -46,6 +48,7 @@ import os
 import pathlib
 import time
 import traceback
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -333,10 +336,12 @@ class RunStats:
     #: Queue backend only: tasks a worker claimed from another worker's
     #: shard (work stealing for stragglers).
     steals: int = 0
-    #: Queue backend only: one summary dict per worker process
-    #: (``{"worker", "claims", "completed", "steals", "registry"}``),
-    #: sorted by worker id. Merge the registries with
-    #: :meth:`worker_registry`.
+    #: Queue backend only: one summary dict per worker and run
+    #: (``{"worker", "claims", "completed", "steals", "ru_maxrss",
+    #: "registry"}``), sorted by worker id within a run. ``ru_maxrss`` is
+    #: the worker process's peak RSS when it left the run, as
+    #: :func:`resource.getrusage` reports it (KiB on Linux). Merge the
+    #: registries with :meth:`worker_registry`.
     worker_snapshots: List[Dict[str, Any]] = field(default_factory=list)
     #: Queue backend + observe only: the trace id the coordinator minted
     #: for the latest run (propagated to workers via task manifests; see
@@ -431,28 +436,32 @@ class ExperimentRunner:
     Args:
         n_workers: process count; 1 (the default) runs everything in the
             calling process with zero multiprocessing machinery (with
-            ``backend="queue"`` it is the spawned worker count instead,
-            and 1 still exercises the full queue protocol).
+            ``backend="queue"`` it is the size of the worker fleet
+            instead, and 1 still exercises the full queue protocol).
         backend: ``"pool"`` (the default) shards over an in-process
             :class:`~concurrent.futures.ProcessPoolExecutor`;
             ``"queue"`` routes execution through the distributed
             file-queue coordinator (:mod:`repro.experiments.distributed`)
-            — standalone worker processes claiming leased task manifests
-            with work stealing and crash re-queue. Both are bit-identical
-            to serial.
+            — worker processes claiming leased task manifests with work
+            stealing and crash re-queue. The runner spawns its fleet of
+            ``n_workers`` at its first queue run and keeps it, across
+            runs, until :meth:`close`. Both are bit-identical to serial.
         queue_dir: queue backend only — the queue directory (shared
-            filesystem path workers rendezvous on). Default: a fresh
-            temporary directory per runner call. Pre-started standalone
-            workers (``python -m repro.experiments --worker DIR``) attach
-            to the same directory.
+            filesystem path workers rendezvous on). Default: one
+            temporary directory, made at the runner's first queue run
+            and deleted by :meth:`close`. Pre-started standalone workers
+            (``python -m repro.experiments --worker DIR``) attach to the
+            same directory and outlive the runner.
         lease_timeout_s: queue backend only — a claimed task whose lease
             heartbeat goes stale for this long is treated as lost and
             re-queued (crashed workers spawned by the coordinator are
             detected immediately via their exit status).
         queue_crash_after: queue backend only — fault injection for
-            tests/benches: maps a spawned worker's index to the claim
-            count after which it hard-crashes (``os._exit``) while still
-            holding its lease, exercising the re-queue path.
+            tests/benches: maps a fleet worker's index to the claim
+            count, counted per run, at which it hard-crashes
+            (``os._exit``) while still holding its lease, exercising the
+            re-queue path. Only the first worker spawned for an index
+            crashes; its replacements never do.
         cache_dir: enable the on-disk :class:`ResultCache` rooted here.
         progress: called with a :class:`ProgressEvent` after each task.
         profile: collect per-trial phase timings and hot-path counters
@@ -478,13 +487,16 @@ class ExperimentRunner:
             :attr:`telemetry_server`). ``/metrics`` is the union of the
             merged per-trial registries, the queue workers' registries,
             and — while a queue run is in flight — its liveness gauges
-            (depth, in-flight leases, heartbeat staleness). Call
-            :meth:`close` (or use the runner as a context manager) to
-            stop the server.
+            (depth, in-flight leases, heartbeat staleness). :meth:`close`
+            stops the server.
 
     The runner is deterministic: results come back in input order and are
     bit-identical for any worker count, because every task is a pure
     function of its (picklable) payload.
+
+    Call :meth:`close`, or use the runner as a context manager, to stop
+    the telemetry server and the queue worker fleet. A runner that is
+    garbage-collected unclosed stops its fleet then.
     """
 
     def __init__(
@@ -536,6 +548,11 @@ class ExperimentRunner:
         self._wall0 = time.perf_counter()
         #: Queue run directory currently being coordinated (liveness hook).
         self._active_queue_run: Optional[pathlib.Path] = None
+        #: Queue backend: the worker fleet (spawned at the first queue
+        #: run, never here, so constructing a runner stays cheap) and the
+        #: finalizer that stops it if the runner is never closed.
+        self._fleet = None
+        self._fleet_finalizer: Optional[weakref.finalize] = None
         self.telemetry_server = None
         if telemetry_port is not None:
             from repro.obs import TelemetryServer
@@ -567,18 +584,36 @@ class ExperimentRunner:
             )
         return merge_snapshots(parts)
 
+    def _queue_fleet(self):
+        """The queue backend's :class:`WorkerFleet`, spawned on first use."""
+        if self._fleet is None:
+            from repro.experiments.distributed import WorkerFleet
+
+            self._fleet = WorkerFleet(
+                self.queue_dir, self.n_workers, self.queue_crash_after
+            )
+            self._fleet_finalizer = weakref.finalize(self, self._fleet.close)
+        return self._fleet
+
     def close(self) -> None:
-        """Stop the telemetry server, if one is attached (idempotent)."""
+        """Stop the telemetry server and the queue fleet (idempotent).
+
+        Stopping the fleet also deletes the temporary queue root made
+        when ``queue_dir`` is None. A later queue run spawns a new fleet.
+        """
         if self.telemetry_server is not None:
             self.telemetry_server.stop()
             self.telemetry_server = None
+        if self._fleet_finalizer is not None:
+            self._fleet_finalizer()
+            self._fleet = self._fleet_finalizer = None
 
     def __enter__(self) -> "ExperimentRunner":
         """Context-manager form: ensures :meth:`close` on exit."""
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        """Stop the attached telemetry server on exit."""
+        """Stop the telemetry server and the queue fleet on exit."""
         self.close()
 
     # ------------------------------------------------------------------

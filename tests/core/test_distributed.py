@@ -1,5 +1,10 @@
 """Tests for distributed (base-station-less) revocation."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.distributed import (
@@ -160,3 +165,26 @@ class TestProtocol:
         proto = DistributedRevocationProtocol(net, FAST)
         with pytest.raises(ConfigurationError):
             proto.publish_alert(999, 1)
+
+
+class TestImportCost:
+    def test_pipeline_import_leaves_networkx_out(self):
+        # Only the protocol builds a graph, so only it imports networkx;
+        # a queue worker or benchmark importing the pipeline does not pay
+        # for it.
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        child = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.core.pipeline; "
+                "print('networkx' in sys.modules)",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "False"

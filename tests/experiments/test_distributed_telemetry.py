@@ -57,11 +57,11 @@ def _span_records(path):
 def observed_run(tmp_path_factory):
     """One observed 2-worker queue run; (runner, run_dir, results)."""
     queue_dir = tmp_path_factory.mktemp("queue")
-    runner = ExperimentRunner(
-        backend="queue", n_workers=2, queue_dir=queue_dir, observe=True
-    )
     configs = [PipelineConfig(seed=s, **SMALL) for s in (31, 32, 33, 34)]
-    results = runner.run_pipeline_configs(configs)
+    with ExperimentRunner(
+        backend="queue", n_workers=2, queue_dir=queue_dir, observe=True
+    ) as runner:
+        results = runner.run_pipeline_configs(configs)
     return runner, next(queue_dir.glob("run-*")), results
 
 
@@ -107,11 +107,11 @@ class TestSpanIdUniqueness:
     def test_four_worker_fleet_never_reuses_a_span_id(self, tmp_path):
         # Regression: per-trial serial counters once restarted at 1 for
         # every task, so two trials on one worker both minted "w0:1".
-        runner = ExperimentRunner(
-            backend="queue", n_workers=4, queue_dir=tmp_path, observe=True
-        )
         configs = [PipelineConfig(seed=s, **SMALL) for s in range(41, 49)]
-        runner.run_pipeline_configs(configs)
+        with ExperimentRunner(
+            backend="queue", n_workers=4, queue_dir=tmp_path, observe=True
+        ) as runner:
+            runner.run_pipeline_configs(configs)
         run_dir = next(tmp_path.glob("run-*"))
         ids = []
         for log in (run_dir / "workers").glob("*.events.jsonl"):

@@ -130,14 +130,10 @@ class TestQueueBackendLayer:
     def test_merged_queue_results_preserve_missing_keys(self, tmp_path):
         experiment = PipelineExperiment(overrides=NO_MALICIOUS)
         serial = run_trials(experiment, trials=3, base_seed=9)
-        queued = run_trials(
-            experiment,
-            trials=3,
-            base_seed=9,
-            runner=ExperimentRunner(
-                backend="queue", n_workers=2, queue_dir=tmp_path / "q"
-            ),
-        )
+        with ExperimentRunner(
+            backend="queue", n_workers=2, queue_dir=tmp_path / "q"
+        ) as runner:
+            queued = run_trials(experiment, trials=3, base_seed=9, runner=runner)
         assert "detection_rate" not in queued
         assert set(serial) == set(queued)
         for name in serial:

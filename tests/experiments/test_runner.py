@@ -280,16 +280,16 @@ class TestProfiledRuns:
     @pytest.mark.parametrize("backend", ["pool", "queue"])
     def test_profiled_parallel_matches_serial(self, backend, tmp_path):
         serial = ExperimentRunner(profile=True)
-        parallel = ExperimentRunner(
-            profile=True, n_workers=2, backend=backend, queue_dir=tmp_path
-        )
         configs = [
             SMALL_CONFIG,
             PipelineConfig(seed=6, **SMALL),
         ]
-        assert serial.run_pipeline_configs(configs) == (
-            parallel.run_pipeline_configs(configs)
-        )
+        with ExperimentRunner(
+            profile=True, n_workers=2, backend=backend, queue_dir=tmp_path
+        ) as parallel:
+            assert serial.run_pipeline_configs(configs) == (
+                parallel.run_pipeline_configs(configs)
+            )
         merged = parallel.stats.profile_summary()
         assert merged["trials"] == 2
         assert merged["counters"] == serial.stats.profile_summary()["counters"]
