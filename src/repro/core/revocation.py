@@ -235,7 +235,7 @@ class BaseStation:
         self.log: List[AlertRecord] = []
         self._metrics_cursor = 0
         self._revocations_flushed = 0
-        self._on_revoke = on_revoke
+        self.on_revoke = on_revoke
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
 
     # The paper's two counter maps and the revoked set live in the
@@ -310,8 +310,8 @@ class BaseStation:
                 f"beacon {target_id} not committed as revoked"
             )
         self.trace.record(time, "revoke", target=target_id)
-        if self._on_revoke is not None:
-            self._on_revoke(target_id)
+        if self.on_revoke is not None:
+            self.on_revoke(target_id)
 
     def is_revoked(self, beacon_id: int) -> bool:
         """True when ``beacon_id`` has been revoked."""

@@ -27,6 +27,7 @@ delivery order (see :mod:`repro.vec.turbo`).
 
 from __future__ import annotations
 
+from contextlib import closing
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import PipelineConfig, SecureLocalizationPipeline
@@ -68,12 +69,12 @@ def run_arena_trial(config: PipelineConfig) -> Dict[str, Any]:
     Returns ``{"metrics": ..., "decisions": ...}`` where ``decisions``
     counts the probe verdicts the detector issued.
     """
-    pipeline = SecureLocalizationPipeline(config)
-    metrics = collect_metrics(pipeline.run())
-    decisions = sum(
-        len(beacon.probe_outcomes) for beacon in pipeline.benign_beacons
-    )
-    return {"metrics": metrics, "decisions": decisions}
+    with closing(SecureLocalizationPipeline(config)) as pipeline:
+        metrics = collect_metrics(pipeline.run())
+        decisions = sum(
+            len(beacon.probe_outcomes) for beacon in pipeline.benign_beacons
+        )
+        return {"metrics": metrics, "decisions": decisions}
 
 
 def arena_configs(

@@ -50,6 +50,7 @@ import time
 import traceback
 import weakref
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -103,7 +104,8 @@ def collect_metrics(result: PipelineResult) -> Dict[str, float]:
 
 def execute_pipeline(config: PipelineConfig) -> Dict[str, float]:
     """Run one pipeline and return its metrics (the worker entry point)."""
-    return collect_metrics(SecureLocalizationPipeline(config).run())
+    with closing(SecureLocalizationPipeline(config)) as pipeline:
+        return collect_metrics(pipeline.run())
 
 
 @dataclass(frozen=True)
@@ -126,14 +128,14 @@ class _InstrumentedTask:
     def __call__(self, config: PipelineConfig) -> Dict[str, Any]:
         if self.observe is not None and config.observe is None:
             config = dataclasses.replace(config, observe=self.observe)
-        pipeline = SecureLocalizationPipeline(config)
-        metrics = collect_metrics(pipeline.run())
-        out: Dict[str, Any] = {"metrics": metrics}
-        if self.profile:
-            out["profile"] = pipeline.profile_snapshot()
-        if config.observe is not None:
-            out["telemetry"] = pipeline.telemetry()
-        return out
+        with closing(SecureLocalizationPipeline(config)) as pipeline:
+            metrics = collect_metrics(pipeline.run())
+            out: Dict[str, Any] = {"metrics": metrics}
+            if self.profile:
+                out["profile"] = pipeline.profile_snapshot()
+            if config.observe is not None:
+                out["telemetry"] = pipeline.telemetry()
+            return out
 
 
 def cache_key(config: PipelineConfig, *, kind: str = "pipeline") -> str:

@@ -36,6 +36,7 @@ evaluation's alert streams)
 from __future__ import annotations
 
 import asyncio
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -75,20 +76,20 @@ def capture_stream(config: PipelineConfig) -> CapturedStream:
     Module-level and argument-picklable, so sweeps can fan capture out
     with ``runner.map(capture_stream, configs)``.
     """
-    pipeline = SecureLocalizationPipeline(config)
-    pipeline.run()
-    station = pipeline.base_station
-    assert station is not None
-    return CapturedStream(
-        key=f"seed={config.seed}",
-        tau_report=config.tau_report,
-        tau_alert=config.tau_alert,
-        alerts=tuple(
-            (r.detector_id, r.target_id, r.time) for r in station.log
-        ),
-        expected_log=tuple((r.accepted, r.reason) for r in station.log),
-        expected_state=station.state.to_dict(),
-    )
+    with closing(SecureLocalizationPipeline(config)) as pipeline:
+        pipeline.run()
+        station = pipeline.base_station
+        assert station is not None
+        return CapturedStream(
+            key=f"seed={config.seed}",
+            tau_report=config.tau_report,
+            tau_alert=config.tau_alert,
+            alerts=tuple(
+                (r.detector_id, r.target_id, r.time) for r in station.log
+            ),
+            expected_log=tuple((r.accepted, r.reason) for r in station.log),
+            expected_state=station.state.to_dict(),
+        )
 
 
 def capture_streams(

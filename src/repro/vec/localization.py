@@ -1,15 +1,30 @@
 """Batched Gauss-Newton multilateration for the localization metrics.
 
-Position solving groups agents by reference count and runs every group
-through one batched Gauss-Newton: because the scalar solver in
+Position solving runs every solvable agent through one batched
+Gauss-Newton loop. The scalar solver in
 :mod:`repro.localization.multilateration` does all of its linear
 algebra in closed form (elementwise ufuncs plus contiguous 1-D sums),
-each batched iterate is the *bit-identical* float sequence of the
+so each batched iterate is the *bit-identical* float sequence of the
 scalar per-agent iterate, and every estimate — converged, cap-limited,
-or stalled — matches the reference path exactly. Only a row that
-diverges to a non-finite position leaves the batch: it is re-run
-through the scalar solver so the identical ``SolverError`` surfaces.
-The references themselves are gathered by
+or stalled — matches the reference path exactly.
+
+The agents' distinct references are scattered into one ``(rows, width)``
+array per column, rows stable-sorted by reference count. Each row is
+padded past its count with copies of its last reference, so a padded
+cell computes the values of a real one and raises no floating-point
+warning the scalar solver would not. Each iteration does the
+elementwise algebra once for all active rows, then takes the five
+normal-equation sums once per count block, as ``np.sum`` over the
+strided ``[:, lo:hi, :n]`` view: each row's sum is then the same
+contiguous reduction of exactly ``n`` elements that the scalar loop
+performs. Two shortcuts are excluded because they change the float
+sums: summing over the padding (NumPy's pairwise summation changes its
+association at ``n >= 8``) and ``np.add.reduceat`` (it sums
+sequentially).
+
+Only a row that diverges to a non-finite position leaves the batch: it
+is re-run through the scalar solver so the identical ``SolverError``
+surfaces. The references themselves are gathered by
 :func:`repro.vec.turbo.run_localization_turbo`.
 
 Paper section: §4 (stage-2 localization over the batch substrate)
@@ -24,6 +39,7 @@ import numpy as np
 from repro.localization.multilateration import (
     _DEGENERACY_FACTOR,
     _MIN_DISTANCE_FT,
+    MIN_REFERENCES,
     mmse_multilaterate,
 )
 from repro.utils.geometry import Point
@@ -46,77 +62,133 @@ def batched_estimate_errors(agents) -> List[float]:
     through the scalar solver so divergence surfaces as the same
     ``SolverError``.
     """
-    prepared: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
-    for agent in agents:
-        prepared.append(_prepare(agent))
-    solutions = _solve_groups(agents, prepared)
+    # Reference dedup (latest per beacon id, sorted by id) and the
+    # minimum-count check reproduce ``NonBeaconAgent.estimate_position``.
+    rows: List[Tuple[int, list]] = []
+    for index, agent in enumerate(agents):
+        distinct: Dict[int, object] = {}
+        for ref in agent.references:
+            distinct[ref.beacon_id] = ref
+        if len(distinct) >= MIN_REFERENCES:
+            rows.append((index, [distinct[k] for k in sorted(distinct)]))
+    # Stable: agents keep their order within one count block.
+    rows.sort(key=lambda row: len(row[1]))
+    positions: List[Optional[Point]] = [None] * len(agents)
+    if rows:
+        xs, ys, solved, broken = _solve([refs for _, refs in rows])
+        for (index, refs), x, y, ok, lost in zip(
+            rows, xs.tolist(), ys.tolist(), solved, broken
+        ):
+            if lost:
+                # Divergence to a non-finite iterate: reproduce the
+                # scalar outcome — its SolverError — with the reference
+                # solver on the identical reference set.
+                positions[index] = mmse_multilaterate(refs).position
+            elif ok:
+                positions[index] = Point(x, y)
     errors: List[float] = []
-    for agent, solution in zip(agents, solutions):
-        if solution is None:
-            continue
-        agent.estimated_position = solution
-        errors.append(agent.location_error_ft())
+    for agent, position in zip(agents, positions):
+        if position is not None:
+            agent.estimated_position = position
+            errors.append(agent.location_error_ft())
     return errors
 
 
-def _prepare(agent) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Distinct-reference anchor columns/ranges for one agent, or None.
+def _solve(
+    references: List[list],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Seed and iterate every row at once; rows sorted by reference count.
 
-    Reference dedup (latest per beacon id, sorted by id) and the
-    minimum-count check reproduce ``NonBeaconAgent.estimate_position``.
+    Rows leave the active set exactly when the scalar loop would leave
+    its iteration: on convergence (update norm below tolerance, after
+    applying the update), on a stalled normal matrix (non-positive or
+    non-finite determinant, before applying), or at the iteration cap.
+
+    Returns:
+        ``(xs, ys, solved, broken)`` per row: final positions, a mask
+        that is False where the scalar seed raises
+        ``InsufficientReferencesError`` (collinear/duplicated anchors),
+        and a mask of rows whose iterate went non-finite (the scalar
+        ``SolverError`` path); the caller re-runs those through the
+        scalar solver.
     """
-    distinct: Dict[int, object] = {}
-    for ref in agent.references:
-        distinct[ref.beacon_id] = ref
-    refs = [distinct[k] for k in sorted(distinct)]
-    if len(refs) < 3:
-        return None
-    ax = np.array([r.beacon_location.x for r in refs], dtype=float)
-    ay = np.array([r.beacon_location.y for r in refs], dtype=float)
-    ranges = np.array([r.measured_distance_ft for r in refs], dtype=float)
-    return ax, ay, ranges
+    counts = np.array([len(refs) for refs in references])
+    flat = np.array(
+        [
+            (r.beacon_location.x, r.beacon_location.y, r.measured_distance_ft)
+            for refs in references
+            for r in refs
+        ],
+        dtype=float,
+    )
+    last = np.cumsum(counts) - 1
+    filled = np.arange(counts[-1]) < counts[:, None]
 
+    def scatter(column: np.ndarray) -> np.ndarray:
+        grid = np.repeat(column[last][:, None], counts[-1], axis=1)
+        grid[filled] = column
+        return grid
 
-def _solve_groups(agents, prepared) -> List[Optional[Point]]:
-    """Batched closed-form Gauss-Newton over agents grouped by count."""
-    solutions: List[Optional[Point]] = [None] * len(agents)
-    groups: Dict[int, List[int]] = {}
-    for index, prep in enumerate(prepared):
-        if prep is None:
-            continue
-        groups.setdefault(prep[0].shape[0], []).append(index)
-    for count, members in sorted(groups.items()):
-        axs = np.stack([prepared[i][0] for i in members])  # (g, n)
-        ays = np.stack([prepared[i][1] for i in members])  # (g, n)
-        ranges = np.stack([prepared[i][2] for i in members])  # (g, n)
-        xs, ys, seeded = _batched_seed(axs, ays, ranges)
-        keep = np.flatnonzero(seeded)
-        if keep.size == 0:
-            continue
-        xs, ys, broken = _gauss_newton(
-            xs[keep], ys[keep], axs[keep], ays[keep], ranges[keep]
+    axs, ays, ranges = (scatter(flat[:, k]) for k in range(3))
+
+    xs = np.empty(counts.size)
+    ys = np.empty(counts.size)
+    solved = np.empty(counts.size, dtype=bool)
+    for lo, hi in _blocks(counts):
+        n = counts[lo]
+        xs[lo:hi], ys[lo:hi], solved[lo:hi] = _batched_seed(
+            axs[lo:hi, :n], ays[lo:hi, :n], ranges[lo:hi, :n]
         )
-        for row, keep_row in enumerate(keep):
-            index = members[int(keep_row)]
-            if broken[row]:
-                # Divergence to a non-finite iterate: reproduce the
-                # scalar outcome — its SolverError — with the
-                # reference solver on the identical reference set.
-                result = mmse_multilaterate(
-                    [
-                        r
-                        for _, r in sorted(
-                            {
-                                ref.beacon_id: ref
-                                for ref in agents[index].references
-                            }.items()
-                        )
-                    ]
-                )
-                solutions[index] = result.position
-                continue
-            solutions[index] = Point(float(xs[row]), float(ys[row]))
-    return solutions
+
+    broken = np.zeros(counts.size, dtype=bool)
+    active = np.flatnonzero(solved)
+    for _ in range(_MAX_ITERATIONS):
+        if active.size == 0:
+            break
+        active_counts = counts[active]
+        width = active_counts[-1]
+        cx = xs[active]
+        cy = ys[active]
+        dx = cx[:, None] - axs[active, :width]
+        dy = cy[:, None] - ays[active, :width]
+        dists = np.sqrt(dx * dx + dy * dy)
+        dists = np.maximum(dists, _MIN_DISTANCE_FT)
+        residuals = dists - ranges[active, :width]
+        jx = dx / dists
+        jy = dy / dists
+        products = np.empty((5, active.size, width))
+        np.multiply(jx, jx, out=products[0])
+        np.multiply(jx, jy, out=products[1])
+        np.multiply(jy, jy, out=products[2])
+        np.multiply(jx, residuals, out=products[3])
+        np.multiply(jy, residuals, out=products[4])
+        sums = np.empty((5, active.size))
+        for lo, hi in _blocks(active_counts):
+            sums[:, lo:hi] = np.sum(
+                products[:, lo:hi, : active_counts[lo]], axis=2
+            )
+        a, b, c, gx, gy = sums
+        det = a * c - b * b
+        live = (det > 0.0) & np.isfinite(det)
+        with np.errstate(all="ignore"):
+            ux = (b * gy - c * gx) / det
+            uy = (b * gx - a * gy) / det
+            nx = cx + ux
+            ny = cy + uy
+            converged = np.sqrt(ux * ux + uy * uy) < _TOLERANCE_FT
+        applied = active[live]
+        xs[applied] = nx[live]
+        ys[applied] = ny[live]
+        finite = np.isfinite(nx) & np.isfinite(ny)
+        broken[active[live & ~finite]] = True
+        active = active[live & finite & ~converged]
+    return xs, ys, solved, broken
+
+
+def _blocks(counts: np.ndarray) -> List[Tuple[int, int]]:
+    """``(lo, hi)`` bounds of the runs of equal values in sorted ``counts``."""
+    cuts = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), counts.size]
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def _batched_seed(
@@ -163,64 +235,3 @@ def _batched_seed(
         x = (r * tx - q * ty) / det
         y = (p * ty - q * tx) / det
     return x, y, seeded
-
-
-def _gauss_newton(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    axs: np.ndarray,
-    ays: np.ndarray,
-    ranges: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Iterate all systems of one size together, bit-exact per row.
-
-    Each iteration gathers the still-active rows and evaluates the
-    scalar solver's step — distances, residuals, Jacobian columns,
-    closed-form normal equations — as fresh elementwise arrays, so
-    per-row reductions are the same contiguous 1-D sums the scalar
-    loop performs. Rows leave the active set exactly when the scalar
-    loop would leave its iteration: on convergence (update norm below
-    tolerance, after applying the update), on a stalled normal matrix
-    (non-positive or non-finite determinant, before applying), or at
-    the iteration cap.
-
-    Returns:
-        ``(xs, ys, broken)`` — final positions per row, plus a mask of
-        rows whose iterate went non-finite (the scalar ``SolverError``
-        path); the caller re-runs those through the scalar solver.
-    """
-    count = xs.shape[0]
-    broken = np.zeros(count, dtype=bool)
-    active = np.arange(count)
-    for _ in range(_MAX_ITERATIONS):
-        cx = xs[active]
-        cy = ys[active]
-        dx = cx[:, None] - axs[active]
-        dy = cy[:, None] - ays[active]
-        dists = np.sqrt(dx * dx + dy * dy)
-        dists = np.maximum(dists, _MIN_DISTANCE_FT)
-        residuals = dists - ranges[active]
-        jx = dx / dists
-        jy = dy / dists
-        a = np.sum(jx * jx, axis=1)
-        b = np.sum(jx * jy, axis=1)
-        c = np.sum(jy * jy, axis=1)
-        gx = np.sum(jx * residuals, axis=1)
-        gy = np.sum(jy * residuals, axis=1)
-        det = a * c - b * b
-        live = (det > 0.0) & np.isfinite(det)
-        with np.errstate(all="ignore"):
-            ux = (b * gy - c * gx) / det
-            uy = (b * gx - a * gy) / det
-            nx = cx + ux
-            ny = cy + uy
-            converged = np.sqrt(ux * ux + uy * uy) < _TOLERANCE_FT
-        applied = active[live]
-        xs[applied] = nx[live]
-        ys[applied] = ny[live]
-        finite = np.isfinite(nx) & np.isfinite(ny)
-        broken[active[live & ~finite]] = True
-        active = active[live & finite & ~converged]
-        if active.size == 0:
-            break
-    return xs, ys, broken

@@ -366,8 +366,8 @@ def differential_pipeline_axes(
     metric dicts must be identical to the last bit — these knobs are
     documented as changing *how* the pipeline computes, never *what*.
     """
-    from repro.core.pipeline import PipelineConfig, SecureLocalizationPipeline
-    from repro.experiments.runner import collect_metrics
+    from repro.core.pipeline import PipelineConfig
+    from repro.experiments.runner import execute_pipeline
     from repro.faults.config import FaultConfig
     from repro.obs import ObserveConfig
 
@@ -389,8 +389,7 @@ def differential_pipeline_axes(
         kwargs.update(overrides)
 
         def run(**extra) -> Dict[str, float]:
-            config = PipelineConfig(**kwargs, **extra)
-            return collect_metrics(SecureLocalizationPipeline(config).run())
+            return execute_pipeline(PipelineConfig(**kwargs, **extra))
 
         baseline = run()
         variants: List[tuple] = [

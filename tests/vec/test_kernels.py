@@ -346,23 +346,36 @@ def _scalar_errors(agents):
     return errors
 
 
-@given(
-    population=st.lists(
-        st.tuples(
-            st.tuples(field_ft, field_ft),
-            st.lists(
-                st.tuples(st.integers(0, 11), field_ft, field_ft, range_ft),
-                max_size=10,
-            ),
-        ),
-        min_size=1,
-        max_size=8,
-    )
-)
+@st.composite
+def populations(draw):
+    """1-16 agents of 0-16 references each, on beacon ids 0-15.
+
+    Both sizes are drawn as integers rather than left to ``st.lists``,
+    whose small average size would seldom reach 8 distinct references:
+    one population then typically mixes counts below 8 with counts at
+    or above 8 (where NumPy's pairwise summation changes its
+    association) and puts several rows in one count block.
+    """
+    reference = st.tuples(st.integers(0, 15), field_ft, field_ft, range_ft)
+    population = []
+    for _ in range(draw(st.integers(1, 16))):
+        size = draw(st.integers(0, 16))
+        population.append(
+            (
+                draw(st.tuples(field_ft, field_ft)),
+                draw(st.lists(reference, min_size=size, max_size=size)),
+            )
+        )
+    return population
+
+
+@given(population=populations())
 @settings(max_examples=100, deadline=None)
 def test_batched_estimate_errors_bit_identical_to_mmse_multilaterate(population):
-    # Beacon ids repeat (0-11) so dedup-latest-per-id is exercised, and
+    # Beacon ids repeat (0-15) so dedup-latest-per-id is exercised, and
     # agents with < 3 distinct references are skipped on both sides.
+    # A sum that strays from each row's own n elements (padding, or a
+    # sequential segment sum) shows up as a mismatch here.
     def agents():
         return [_agent(i, truth, refs) for i, (truth, refs) in enumerate(population)]
 
