@@ -48,7 +48,8 @@ the coordinator, spawns ``--workers`` worker processes against
 (standalone workers started with ``--worker QUEUE_DIR`` — on this or any
 host sharing the path — join in), and re-queues tasks whose worker
 crashes or stalls past ``--lease-timeout``. Results stay bit-identical
-to the serial path.
+to the serial path. Each worker it spawns is this program in worker
+mode, pinned to its runs with ``--coordinator``.
 
 Failure handling: the default is ``--fail-fast`` (first task exception
 aborts the run). ``--keep-going`` degrades gracefully instead — failed
@@ -78,6 +79,7 @@ import os
 import pathlib
 import platform
 import sys
+import threading
 from typing import List, Optional, Sequence
 
 from repro.experiments import figures
@@ -164,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "execution backend: 'pool' (in-process worker pool, the "
             "default) or 'queue' (distributed file-queue coordinator "
-            "with work stealing and crash re-queue; see --queue-dir)"
+            "whose workers claim the lowest-id open task, with crash "
+            "re-queue; see --queue-dir)"
         ),
     )
     parser.add_argument(
@@ -194,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "run as a standalone queue worker serving this queue "
             "directory instead of generating figures (see also "
-            "--worker-id; workers exit when the queue's runs stop)"
+            "--worker-id; without --once it serves runs until killed)"
         ),
     )
     parser.add_argument(
@@ -206,6 +209,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--once",
         action="store_true",
         help="with --worker: exit after the first run completes",
+    )
+    parser.add_argument(
+        "--coordinator",
+        type=int,
+        default=None,
+        metavar="PID",
+        help=(
+            "with --worker: serve only the runs this coordinator pid "
+            "started, and exit when stdin reaches EOF (how a queue "
+            "runner spawns its own workers)"
+        ),
+    )
+    parser.add_argument(
+        "--crash-after-claims",
+        type=int,
+        default=None,
+        metavar="N",
+        help="with --worker, fault injection: hard-crash at claim N of a run",
     )
     parser.add_argument(
         "--cache-dir",
@@ -425,6 +446,12 @@ def _emit_profile(runner: ExperimentRunner, args) -> None:
         (args.out / "profile.json").write_text(payload + "\n")
 
 
+def _exit_on_eof() -> None:
+    """Block until stdin reaches EOF, then end the process at once."""
+    sys.stdin.buffer.read()
+    os._exit(0)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     parser = build_parser()
@@ -433,11 +460,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.worker is not None:
         from repro.experiments.distributed import run_worker
 
+        if args.coordinator is not None:
+            # The coordinator holds the other end of stdin: close() and
+            # the coordinator's death both end this worker.
+            threading.Thread(target=_exit_on_eof, daemon=True).start()
         worker_id = args.worker_id or f"w{os.getpid()}"
         return run_worker(
             args.worker,
             worker_id,
+            crash_after_claims=args.crash_after_claims,
             once=args.once,
+            coordinator=args.coordinator,
             telemetry_port=args.telemetry_port,
         )
 

@@ -10,33 +10,35 @@ serial path for any worker count.
 
 **The fleet.** A runner spawns its N workers (a :class:`WorkerFleet`) at
 its first queue run and keeps them until ``ExperimentRunner.close()``,
-so later runs pay no interpreter start-up. Each fleet member
-(``python -m repro.experiments.distributed``) is a worker serving its
-coordinator's runs under the runner's queue root, run after run. It
-exits when its stdin reaches EOF: the runner closes the pipe on
-``close()`` (a :func:`weakref.finalize` does it for a runner that is
-never closed), and the pipe also reaches EOF when the coordinator
-process dies. At the start of each run the coordinator replaces dead
-members, each under a fresh worker id; ids are unique per queue root,
-so fleets sharing a root never share one. Workers started by hand
-(``python -m repro.experiments --worker DIR``, possibly on other hosts
-sharing the filesystem) serve every coordinator's runs and outlive any
-runner.
+so later runs pay no interpreter start-up. A fleet member is the
+standalone worker program run with two more flags,
+``python -m repro.experiments --worker ROOT --worker-id ID
+--coordinator PID``: it serves only the runs whose ``meta.json`` names
+its coordinator's pid, run after run, and exits when its stdin reaches
+EOF. The runner closes the pipe on ``close()`` (a
+:func:`weakref.finalize` does it for a runner that is never closed), and
+the pipe also reaches EOF when the coordinator process dies. At the
+start of each run the coordinator replaces dead members, each under a
+fresh worker id; ids are unique per queue root, so fleets sharing a root
+never share one. Workers started by hand (the same command without
+``--coordinator``, possibly on other hosts sharing the filesystem) serve
+every coordinator's runs and outlive any runner.
 
 The file-queue protocol (one *run* per runner call; the fleet outlives
 its runs)::
 
     <queue_dir>/run-0000/
         meta.json          # pickled task fn, lease timeout,
-                           # coordinator pid
-        tasks/<id>.json    # one manifest per task: index, key, shard,
+                           # coordinator pid; heartbeat = mtime
+                           # refreshed by the coordinator
+        tasks/<id>.json    # one manifest per task: index, key,
                            # pickled payload
         leases/<id>.lease  # exclusive claim (O_CREAT|O_EXCL), heartbeat
                            # = mtime refreshed by the owning worker
         results/<id>.json  # outcome, written atomically, then the lease
                            # is dropped; presence == task settled
         workers/<w>.json   # summary a worker writes as it leaves the run:
-                           # counts, peak RSS, metrics registry
+                           # worker id, peak RSS, metrics registry
         STOP               # sentinel: the run is over
     <queue_dir>/<w>.log    # a fleet member's stdout and stderr; created
                            # exclusively, which reserves the id <w>
@@ -45,24 +47,30 @@ Claiming is the only point of contention and it is atomic: a lease file
 is created with ``O_CREAT | O_EXCL``, which exactly one claimant can
 win. Everything else is rendered atomic by write-temp + ``os.replace``.
 
+**Claim order.** Every worker claims the lowest-id task that has
+neither a result nor a lease, so whichever worker is idle takes the next
+task and a straggler's backlog never builds up. A task can be published,
+and its lease dropped, between a worker's scan and its claim; the winner
+of a claim therefore checks for a result once more and lets the task go
+if one appeared, so a published task never runs again.
+
 A worker serves the runs it finds in order; it leaves a run once STOP
 is present and nothing is left to claim, and it never enters a run that
 was already stopped when the worker started (nobody reads such a run any
-more). A fleet member enters only the runs of its own coordinator
-(meta.json names the coordinator's pid): a coordinator killed mid-run
-leaves a run that never gets STOP, and no other runner's fleet may wait
-in it. At the end of a run the coordinator withdraws every task manifest
-without a published result (after fail-fast, or a task settled as lost),
-so the fleet stops computing them, then touches STOP and waits for the
-summary of each live fleet member that published a result in the run. A
-member still busy after ``SUMMARY_TIMEOUT_S`` is killed, and the next
-run replaces it.
-
-**Work stealing.** Each manifest carries a shard hint
-(``index % n_workers``) and each fleet member a shard identity.
-Workers prefer manifests of their own shard and steal from other shards
-only when their own is empty, so a straggling worker's backlog drains
-into idle workers instead of gating the run.
+more). A fleet member enters only the runs of its own coordinator: a
+coordinator killed mid-run leaves a run that never gets STOP, and no
+other runner's fleet may wait in it. A standalone worker leaves such a
+run once the coordinator's heartbeat (``meta.json``'s mtime, refreshed
+on every sweep of the coordinator) is older than the run's lease
+timeout; it checks before each claim, so a dead run costs it at most
+one task. A fleet member makes no such check: it ends with its
+coordinator anyway, and it must not leave the run of a coordinator that
+was only suspended, which no other worker may serve. At the end of a run
+the coordinator withdraws every task manifest without a published result
+(after fail-fast, or a task settled as lost), so the fleet stops
+computing them, then touches STOP and waits for the summary of each live
+fleet member that published a result in the run. A member still busy
+after ``SUMMARY_TIMEOUT_S`` is killed, and the next run replaces it.
 
 **Failure model.** A worker heartbeats each held lease (mtime) while
 computing. The coordinator re-queues a task — unlinking its lease so
@@ -86,7 +94,7 @@ before it enqueues anything and writes every executed miss itself.
 
 **Observability.** Per-trial telemetry rides inside task results
 exactly as in the pool backend; each worker additionally keeps a small
-:class:`~repro.obs.MetricsRegistry` (claims, completions, steals) whose
+:class:`~repro.obs.MetricsRegistry` (claims, completions) whose
 snapshot the coordinator collects into ``RunStats.worker_snapshots``
 and merges order-insensitively via
 :func:`~repro.obs.merge_snapshots` (``RunStats.worker_registry``).
@@ -108,7 +116,6 @@ see :class:`repro.obs.TelemetryServer`). None of this draws randomness
 
 from __future__ import annotations
 
-import argparse
 import base64
 import json
 import os
@@ -273,63 +280,63 @@ def _try_claim(layout: _QueueLayout, task_id: str, worker_id: str) -> bool:
 
 
 def _claim_next(
-    layout: _QueueLayout, worker_id: str, shard: Optional[int]
-) -> Optional[Tuple[Dict[str, Any], bool]]:
-    """Claim the next available task, preferring this worker's shard.
+    layout: _QueueLayout, worker_id: str
+) -> Optional[Dict[str, Any]]:
+    """Claim the lowest-id open task and return its manifest.
 
-    Returns ``(manifest, stolen)`` or None when nothing is claimable.
-    ``stolen`` is True when the task carried another shard's hint (work
-    stealing); shard-less workers steal nothing — every task is fair
-    game for them.
+    Returns None when nothing is claimable. A task is open while it has
+    neither a result nor a lease. Another worker may publish a task and
+    drop its lease between the scan and the claim, so a won claim is
+    checked for a result once more; a task published meanwhile, or
+    withdrawn by the coordinator, is let go.
     """
-    own: List[pathlib.Path] = []
-    other: List[pathlib.Path] = []
     for manifest_path in sorted(layout.tasks.glob("*.json")):
         task_id = manifest_path.stem
-        if layout.result_path(task_id).exists():
+        result = layout.result_path(task_id)
+        lease = layout.lease_path(task_id)
+        if result.exists() or lease.exists():
             continue
-        if layout.lease_path(task_id).exists():
+        if not _try_claim(layout, task_id, worker_id):
             continue
-        manifest = _read_json(manifest_path)
+        manifest = None if result.exists() else _read_json(manifest_path)
         if manifest is None:
+            lease.unlink(missing_ok=True)
             continue
-        if shard is not None and manifest.get("shard") != shard:
-            other.append(manifest_path)
-        else:
-            own.append(manifest_path)
-    for stolen, candidates in ((False, own), (True, other)):
-        for manifest_path in candidates:
-            task_id = manifest_path.stem
-            if layout.result_path(task_id).exists():
-                continue
-            if not _try_claim(layout, task_id, worker_id):
-                continue
-            manifest = _read_json(manifest_path)
-            if manifest is None:  # pragma: no cover - manifest vanished
-                try:
-                    layout.lease_path(task_id).unlink()
-                except OSError:
-                    pass
-                continue
-            return manifest, stolen and shard is not None
+        return manifest
     return None
+
+
+def _coordinator_is_stale(layout: _QueueLayout, timeout_s: float) -> bool:
+    """Whether the run's coordinator heartbeat is older than ``timeout_s``.
+
+    The heartbeat is ``meta.json``'s mtime, which the coordinator
+    refreshes on every sweep; a run directory deleted under the worker
+    counts as stale.
+    """
+    try:
+        age = time.time() - layout.meta.stat().st_mtime
+    except OSError:
+        return True
+    return age > timeout_s
 
 
 def _serve_run(
     layout: _QueueLayout,
     worker_id: str,
     *,
-    shard: Optional[int],
     crash_after_claims: Optional[int],
+    check_coordinator: bool,
     status: Optional[Dict[str, Any]] = None,
 ) -> None:
     """One worker's main loop over one run: claim, execute, publish.
 
     Exits when the run's STOP sentinel is present and nothing is left to
-    claim. On exit, writes the worker summary (claims/completions/steals,
-    the process's peak RSS so far as ``resource`` reports it — KiB on
-    Linux — and the worker's metrics-registry snapshot) for the
-    coordinator to merge. Observed trials additionally log their
+    claim, or, with ``check_coordinator``, when STOP is absent and the
+    coordinator's heartbeat is older than the run's lease timeout (the
+    coordinator died mid-run). On exit, writes the worker summary (the
+    worker id, the process's peak RSS so far as ``resource`` reports
+    it — KiB on Linux — and the worker's metrics-registry snapshot) for
+    the coordinator to merge. Observed trials additionally log their
     completed spans to ``workers/<id>.events.jsonl`` for cross-process
     stitching. ``crash_after_claims`` counts this run's claims only.
 
@@ -367,26 +374,26 @@ def _serve_run(
     if status is not None:
         status["registry"] = registry
         status["run_dir"] = layout.run_dir
-    claims = completed = steals = 0
+    claims = 0
     try:
         while True:
-            claimed = _claim_next(layout, worker_id, shard)
-            if claimed is None:
+            if (
+                check_coordinator
+                and not layout.stop.exists()
+                and _coordinator_is_stale(layout, lease_timeout_s)
+            ):
+                break
+            manifest = _claim_next(layout, worker_id)
+            if manifest is None:
                 if layout.stop.exists():
                     break
                 time.sleep(POLL_S)
                 continue
-            manifest, stolen = claimed
             task_id = str(manifest["id"])
             claims += 1
             registry.counter(
                 "queue_worker_claims_total", worker=worker_id
             ).inc()
-            if stolen:
-                steals += 1
-                registry.counter(
-                    "queue_worker_steals_total", worker=worker_id
-                ).inc()
             if crash_after_claims is not None and claims >= crash_after_claims:
                 # Fault injection: die while still holding the lease, as
                 # a power-cut worker would. The coordinator must notice
@@ -440,7 +447,6 @@ def _serve_run(
                 lease.unlink()
             except OSError:
                 pass
-            completed += 1
             registry.counter(
                 "queue_worker_completed_total", worker=worker_id
             ).inc()
@@ -452,9 +458,6 @@ def _serve_run(
             layout.worker_path(worker_id),
             {
                 "worker": worker_id,
-                "claims": claims,
-                "completed": completed,
-                "steals": steals,
                 "ru_maxrss": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
                 "registry": registry.snapshot(),
             },
@@ -487,7 +490,6 @@ def run_worker(
     queue_dir: pathlib.Path,
     worker_id: str,
     *,
-    shard: Optional[int] = None,
     crash_after_claims: Optional[int] = None,
     once: bool = False,
     coordinator: Optional[int] = None,
@@ -501,7 +503,10 @@ def run_worker(
     runs until killed — the long-running multi-host deployment mode, and
     what each member of a :class:`WorkerFleet` runs. A fleet member
     passes its coordinator's pid as ``coordinator`` and serves only that
-    coordinator's runs; a standalone worker (None) serves every run.
+    coordinator's runs; a standalone worker (None) serves every run and
+    leaves one whose coordinator's heartbeat went stale.
+    ``crash_after_claims`` (fault injection) hard-crashes the worker at
+    that claim of a run.
     ``telemetry_port`` (0 = ephemeral) attaches a
     :class:`~repro.obs.TelemetryServer` exposing this worker's registry,
     the served run's queue-liveness gauges, and a recent-span ring.
@@ -553,8 +558,8 @@ def run_worker(
             _serve_run(
                 _QueueLayout(run_dir),
                 worker_id,
-                shard=shard,
                 crash_after_claims=crash_after_claims,
+                check_coordinator=coordinator is None,
                 status=status,
             )
             served.add(run_dir)
@@ -569,22 +574,23 @@ def run_worker(
 # coordinator side
 # ----------------------------------------------------------------------
 def _worker_command(
-    root: pathlib.Path,
-    worker_id: str,
-    shard: int,
-    crash_after_claims: Optional[int],
+    root: pathlib.Path, worker_id: str, crash_after_claims: Optional[int]
 ) -> List[str]:
-    """The argv that launches one fleet member serving ``root``."""
+    """The argv that launches one fleet member serving ``root``.
+
+    It is the standalone worker program pinned to this process's runs;
+    ``--coordinator`` also makes it exit when its stdin reaches EOF.
+    """
     command = [
         sys.executable,
         "-m",
-        "repro.experiments.distributed",
-        "--queue-dir",
+        "repro.experiments",
+        "--worker",
         str(root),
         "--worker-id",
         worker_id,
-        "--shard",
-        str(shard),
+        "--coordinator",
+        str(os.getpid()),
     ]
     if crash_after_claims is not None:
         command += ["--crash-after-claims", str(crash_after_claims)]
@@ -592,10 +598,7 @@ def _worker_command(
 
 
 def _spawn_worker(
-    root: pathlib.Path,
-    worker_id: str,
-    shard: int,
-    crash_after_claims: Optional[int],
+    root: pathlib.Path, worker_id: str, crash_after_claims: Optional[int]
 ) -> Optional[subprocess.Popen]:
     """Launch one fleet member with ``repro`` importable and stdin piped.
 
@@ -618,7 +621,7 @@ def _spawn_worker(
         return None
     try:
         return subprocess.Popen(
-            _worker_command(root, worker_id, shard, crash_after_claims),
+            _worker_command(root, worker_id, crash_after_claims),
             env=env,
             stdin=subprocess.PIPE,
             stdout=log,
@@ -631,13 +634,12 @@ def _spawn_worker(
 class WorkerFleet:
     """A runner's queue workers, alive from its first queue run to close.
 
-    ``members[shard]`` is the ``(worker_id, process)`` pair that holds
-    that shard hint. The fleet serves this process's runs under ``root``:
-    ``queue_dir``, or a temporary directory it makes and :meth:`close`
-    deletes.
-    ``crash_after`` (fault injection) maps a shard to the claim count,
-    counted per run, at which its first member hard-crashes;
-    replacements never crash.
+    ``members`` holds one ``(worker_id, process)`` pair per position.
+    The fleet serves this process's runs under ``root``: ``queue_dir``,
+    or a temporary directory it makes and :meth:`close` deletes.
+    ``crash_after`` (fault injection) maps a position to the claim
+    count, counted per run, at which the first member spawned there
+    hard-crashes; replacements never crash.
     """
 
     def __init__(
@@ -655,12 +657,12 @@ class WorkerFleet:
         self.root.mkdir(parents=True, exist_ok=True)
         self._next_id = 0
         self.members = [
-            self._spawn(shard, crash_after.get(shard))
-            for shard in range(n_workers)
+            self._spawn(crash_after.get(position))
+            for position in range(n_workers)
         ]
 
     def _spawn(
-        self, shard: int, crash_after_claims: Optional[int] = None
+        self, crash_after_claims: Optional[int] = None
     ) -> Tuple[str, subprocess.Popen]:
         """Spawn a member under the next id no process has used here.
 
@@ -670,22 +672,22 @@ class WorkerFleet:
         while True:
             worker_id = f"w{self._next_id}"
             self._next_id += 1
-            proc = _spawn_worker(self.root, worker_id, shard, crash_after_claims)
+            proc = _spawn_worker(self.root, worker_id, crash_after_claims)
             if proc is not None:
                 return worker_id, proc
 
-    def dead_shards(self) -> List[int]:
-        """Shards whose member has exited (reaped by this call)."""
+    def dead_positions(self) -> List[int]:
+        """Positions whose member has exited (reaped by this call)."""
         return [
-            shard
-            for shard, (_, proc) in enumerate(self.members)
+            position
+            for position, (_, proc) in enumerate(self.members)
             if proc.poll() is not None
         ]
 
-    def replace(self, shard: int) -> None:
+    def replace(self, position: int) -> None:
         """Put a fresh worker, under a new id, in a dead member's place."""
-        self.members[shard][1].stdin.close()
-        self.members[shard] = self._spawn(shard)
+        self.members[position][1].stdin.close()
+        self.members[position] = self._spawn()
 
     def await_summaries(self, layout: _QueueLayout, worker_ids: set) -> None:
         """Wait until each live member in ``worker_ids`` has left the run.
@@ -716,8 +718,8 @@ class WorkerFleet:
     def close(self) -> None:
         """Stop every member, then delete a temporary root (idempotent).
 
-        Closing a member's stdin ends it (see :func:`main`); one that has
-        not exited within a few seconds is killed.
+        Closing a member's stdin ends it (see :func:`_worker_command`);
+        one that has not exited within a few seconds is killed.
         """
         for _, proc in self.members:
             proc.stdin.close()
@@ -812,8 +814,8 @@ def execute_queue(
     the runner's fleet, whose dead members are replaced first.
     """
     fleet = runner._queue_fleet()
-    for shard in fleet.dead_shards():
-        fleet.replace(shard)
+    for position in fleet.dead_positions():
+        fleet.replace(position)
     run_dir = allocate_run_dir(fleet.root)
     layout = _QueueLayout(run_dir)
     layout.create()
@@ -830,14 +832,13 @@ def execute_queue(
         runner.stats.trace_id = trace_id
     runner._active_queue_run = run_dir
     task_ids: Dict[int, str] = {}
-    for position, index in enumerate(pending):
+    for index in pending:
         task_id = f"{index:06d}"
         task_ids[index] = task_id
         manifest: Dict[str, Any] = {
             "id": task_id,
             "index": index,
             "key": task_keys[index],
-            "shard": position % len(fleet.members),
             "payload_pickle": _b64_pickle(payloads[index]),
         }
         if trace_id is not None:
@@ -864,6 +865,9 @@ def execute_queue(
     done = done_offset
     try:
         while len(settled) < len(pending):
+            # The coordinator heartbeat: standalone workers leave a run
+            # whose meta.json has not been touched for the lease timeout.
+            os.utime(layout.meta)
             progressed = False
             for index in pending:
                 if index in settled:
@@ -888,8 +892,8 @@ def execute_queue(
                 break
 
             # Reap dead fleet members; their leases expire immediately.
-            dead = fleet.dead_shards()
-            dead_pids.update(fleet.members[shard][1].pid for shard in dead)
+            dead = fleet.dead_positions()
+            dead_pids.update(fleet.members[position][1].pid for position in dead)
 
             # Expire stale leases so the task becomes claimable again.
             for index in pending:
@@ -967,7 +971,6 @@ def execute_queue(
             if summary is None:
                 continue
             runner.stats.worker_snapshots.append(summary)
-            runner.stats.steals += int(summary.get("steals", 0))
         runner._active_queue_run = None
         if trace_id is not None:
             _write_coordinator_events(
@@ -1004,57 +1007,3 @@ def _write_coordinator_events(
         process="coord",
     )
     append_event_lines(layout.run_dir / "coordinator.events.jsonl", lines)
-
-
-def _exit_on_eof() -> None:
-    """Block until stdin reaches EOF, then end the process at once."""
-    sys.stdin.buffer.read()
-    os._exit(0)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point of ``python -m repro.experiments.distributed``.
-
-    Runs one :class:`WorkerFleet` member: a :func:`run_worker` over the
-    queue root that serves only its parent's (the coordinator's) runs and
-    ends, whatever it is doing, when its stdin reaches EOF. The runner
-    closes the pipe to stop it, and a dead coordinator closes it too, so
-    no fleet member outlives its runner. Workers started by hand use
-    ``python -m repro.experiments --worker DIR``, which ignores stdin.
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.distributed",
-        description=(
-            "Fleet worker of the file-queue execution backend; "
-            "exits when its stdin closes."
-        ),
-    )
-    parser.add_argument(
-        "--queue-dir",
-        type=pathlib.Path,
-        required=True,
-        help="queue root to serve",
-    )
-    parser.add_argument("--worker-id", required=True, help="worker name")
-    parser.add_argument(
-        "--shard", type=int, required=True, help="preferred task shard"
-    )
-    parser.add_argument(
-        "--crash-after-claims",
-        type=int,
-        default=None,
-        help="fault injection: hard-crash at this claim of a run",
-    )
-    args = parser.parse_args(argv)
-    threading.Thread(target=_exit_on_eof, daemon=True).start()
-    return run_worker(
-        args.queue_dir,
-        args.worker_id,
-        shard=args.shard,
-        crash_after_claims=args.crash_after_claims,
-        coordinator=os.getppid(),
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    raise SystemExit(main())

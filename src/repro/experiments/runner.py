@@ -25,8 +25,8 @@ figure generators, sweeps, and benches route through:
   writes each executed miss, with any backend. Writes are atomic
   (write-temp + :func:`os.replace`) and safe under concurrent writers;
 - ``backend="queue"`` — the distributed execution backend
-  (:mod:`repro.experiments.distributed`): a file-queue coordinator that
-  shards task manifests to worker processes with work stealing and
+  (:mod:`repro.experiments.distributed`): a file-queue coordinator whose
+  worker processes claim task manifests lowest id first, with
   lease-based crash recovery, still bit-identical to the serial path.
   The runner's worker fleet lives from its first queue run until
   :meth:`ExperimentRunner.close`, so close a queue-backed runner (or use
@@ -335,15 +335,15 @@ class RunStats:
     #: Queue backend only: leases expired and re-queued after a worker
     #: crashed or stalled (each re-queue reruns one task elsewhere).
     requeues: int = 0
-    #: Queue backend only: tasks a worker claimed from another worker's
-    #: shard (work stealing for stragglers).
+    #: Always 0: queue workers share one claim order, so no task is
+    #: stolen. Kept only because the repository benchmark
+    #: (``benchmarks/e2e``) still reads it.
     steals: int = 0
     #: Queue backend only: one summary dict per worker and run
-    #: (``{"worker", "claims", "completed", "steals", "ru_maxrss",
-    #: "registry"}``), sorted by worker id within a run. ``ru_maxrss`` is
-    #: the worker process's peak RSS when it left the run, as
-    #: :func:`resource.getrusage` reports it (KiB on Linux). Merge the
-    #: registries with :meth:`worker_registry`.
+    #: (``{"worker", "ru_maxrss", "registry"}``), sorted by worker id
+    #: within a run. ``ru_maxrss`` is the worker process's peak RSS when
+    #: it left the run, as :func:`resource.getrusage` reports it (KiB on
+    #: Linux). Merge the registries with :meth:`worker_registry`.
     worker_snapshots: List[Dict[str, Any]] = field(default_factory=list)
     #: Queue backend + observe only: the trace id the coordinator minted
     #: for the latest run (propagated to workers via task manifests; see
@@ -354,8 +354,8 @@ class RunStats:
         """The workers' own metrics registries reduced into one.
 
         Order-insensitive like :meth:`merged_registry`, but over the
-        queue workers' *process-level* counters (tasks completed, steals)
-        rather than the per-trial simulation telemetry.
+        queue workers' *process-level* counters (tasks claimed and
+        completed) rather than the per-trial simulation telemetry.
         """
         return merge_snapshots(
             entry["registry"]
@@ -444,8 +444,8 @@ class ExperimentRunner:
             :class:`~concurrent.futures.ProcessPoolExecutor`;
             ``"queue"`` routes execution through the distributed
             file-queue coordinator (:mod:`repro.experiments.distributed`)
-            — worker processes claiming leased task manifests with work
-            stealing and crash re-queue. The runner spawns its fleet of
+            — worker processes claiming leased task manifests lowest id
+            first, with crash re-queue. The runner spawns its fleet of
             ``n_workers`` at its first queue run and keeps it, across
             runs, until :meth:`close`. Both are bit-identical to serial.
         queue_dir: queue backend only — the queue directory (shared
@@ -578,11 +578,7 @@ class ExperimentRunner:
         active = self._active_queue_run
         if active is not None:
             parts.append(
-                queue_liveness_snapshot(
-                    active,
-                    requeues=self.stats.requeues,
-                    steals=self.stats.steals,
-                )
+                queue_liveness_snapshot(active, requeues=self.stats.requeues)
             )
         return merge_snapshots(parts)
 

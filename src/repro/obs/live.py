@@ -329,7 +329,6 @@ def queue_liveness_snapshot(
     run_dir: os.PathLike,
     *,
     requeues: int = 0,
-    steals: int = 0,
     now: Optional[float] = None,
 ) -> Dict[str, Any]:
     """Liveness gauges for one file-queue run directory.
@@ -342,8 +341,8 @@ def queue_liveness_snapshot(
     - ``queue_heartbeat_age_seconds_max`` — staleness of the oldest
       lease heartbeat (``_max`` suffix → merges by max across scrapes);
     - ``queue_tasks_total`` / ``queue_results_total`` counters;
-    - ``queue_requeues_total`` / ``queue_steals_total`` counters (from
-      the caller's run stats, when available).
+    - ``queue_requeues_total`` counter (from the caller's run stats,
+      when available).
 
     Safe to call while workers are mutating the directory: a task file
     vanishing mid-scan is treated as completed.
@@ -364,7 +363,6 @@ def queue_liveness_snapshot(
             "queue_tasks_total": len(tasks),
             "queue_results_total": len(results),
             "queue_requeues_total": int(requeues),
-            "queue_steals_total": int(steals),
         },
         "gauges": {
             "queue_depth": depth,

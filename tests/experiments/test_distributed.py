@@ -5,9 +5,10 @@ bit-identical to serial for any worker count, in input order, including
 after an injected worker crash under ``keep_going`` — with the crashed
 task re-queued exactly once and never double-counted in the merged
 telemetry. Also covers the worker fleet's lifetime (reused across runs,
-gone after ``close()``, garbage collection or a killed coordinator), the
-shared result store (atomic concurrent writers) and the standalone-worker
-CLI plumbing.
+gone after ``close()``, garbage collection or a killed coordinator),
+standalone workers (``--once``, and leaving a killed coordinator's run),
+the claim order, the shared result store (atomic concurrent writers) and
+the worker CLI plumbing.
 """
 
 import gc
@@ -16,6 +17,7 @@ import multiprocessing
 import os
 import pathlib
 import pickle
+import signal
 import subprocess
 import sys
 import time
@@ -30,6 +32,7 @@ from repro.experiments.distributed import (
     CRASH_EXIT_CODE,
     MAX_REQUEUES,
     WORKER_LOST_ERROR,
+    _atomic_write_json,
     _b64_pickle,
     _b64_unpickle,
     _QueueLayout,
@@ -51,6 +54,10 @@ CHILD_ENV = dict(
     os.environ,
     PYTHONPATH=os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT)]),
 )
+
+#: A fleet member that never claims: only a standalone worker can serve
+#: the runs of a runner whose ``_worker_command`` returns this.
+IDLE_MEMBER = [sys.executable, "-c", "import sys; sys.stdin.read()"]
 
 #: Small enough for sub-second pipeline runs; still a real deployment.
 SMALL = dict(
@@ -167,17 +174,22 @@ with ExperimentRunner(
     time.sleep(120)
 """
 
-#: Spawns its fleet, prints the fleet's pids, then coordinates a run whose
-#: tasks outlast any test: the test kills it mid-run.
-_STUCK_COORDINATOR = """
+#: Spawns its fleet and prints the fleet's pids, then coordinates a run
+#: of ``argv[2]`` naps of ``argv[3]`` seconds under lease timeout
+#: ``argv[4]`` and prints the results. With 600 s naps the run outlasts
+#: any test, which kills it mid-run.
+_NAP_COORDINATOR = """
 import json, sys
 from repro.experiments.runner import ExperimentRunner
 from tests.experiments.test_distributed import _nap
 
-runner = ExperimentRunner(backend="queue", n_workers=2, queue_dir=sys.argv[1])
-fleet = runner._queue_fleet()
-print(json.dumps([proc.pid for _, proc in fleet.members]), flush=True)
-runner.map(_nap, [600] * 4)
+with ExperimentRunner(
+    backend="queue", n_workers=2, queue_dir=sys.argv[1],
+    lease_timeout_s=float(sys.argv[4]),
+) as runner:
+    fleet = runner._queue_fleet()
+    print(json.dumps([proc.pid for _, proc in fleet.members]), flush=True)
+    print(json.dumps(runner.map(_nap, [float(sys.argv[3])] * int(sys.argv[2]))))
 """
 
 #: Coordinates one queue run of ``_square`` and prints its results.
@@ -188,6 +200,21 @@ from tests.experiments.test_distributed import _square
 
 with ExperimentRunner(
     backend="queue", n_workers=2, queue_dir=sys.argv[1]
+) as runner:
+    print(json.dumps(runner.map(_square, [1, 2, 3])))
+"""
+
+#: Coordinates one queue run of ``_square`` on a fleet whose only member
+#: never claims, and prints its results.
+_IDLE_FLEET_COORDINATOR = """
+import json, sys
+from repro.experiments import distributed
+from repro.experiments.runner import ExperimentRunner
+from tests.experiments.test_distributed import IDLE_MEMBER, _square
+
+distributed._worker_command = lambda *args: IDLE_MEMBER
+with ExperimentRunner(
+    backend="queue", n_workers=1, queue_dir=sys.argv[1]
 ) as runner:
     print(json.dumps(runner.map(_square, [1, 2, 3])))
 """
@@ -304,8 +331,7 @@ class TestQueueFailureModel:
             if k.startswith("queue_worker_completed_total")
         )
         assert completed == len(configs)
-        # The crashed worker never wrote its summary; the surviving
-        # worker drained its shard.
+        # The crashed worker never wrote its summary.
         run_dir = next(tmp_path.glob("run-*"))
         assert not (run_dir / "workers" / "w0.json").exists()
         # The run was observed: the coordinator logged one task:* span per
@@ -399,6 +425,9 @@ class TestWorkerFleet:
             pids = [proc.pid for _, proc in fleet.members]
             assert runner.map(_square, [4, 5]) == [16, 25]
             assert [proc.pid for _, proc in fleet.members] == pids
+        # Members print nothing, not even runpy's warning about running a
+        # module the package had already imported.
+        assert [(tmp_path / f"w{i}.log").read_text() for i in (0, 1)] == ["", ""]
         runs = sorted(tmp_path.glob("run-*"))
         assert len(runs) == 2
         publishers = {
@@ -480,7 +509,7 @@ class TestWorkerFleet:
 
     def test_run_of_a_killed_coordinator_strands_no_later_fleet(self, tmp_path):
         coordinator = subprocess.Popen(
-            [sys.executable, "-c", _STUCK_COORDINATOR, str(tmp_path)],
+            [sys.executable, "-c", _NAP_COORDINATOR, str(tmp_path), "4", "600", "30"],
             cwd=REPO_ROOT,
             env=CHILD_ENV,
             stdout=subprocess.PIPE,
@@ -511,6 +540,36 @@ class TestWorkerFleet:
         )
         assert child.returncode == 0, child.stdout + child.stderr
         assert json.loads(child.stdout) == [1, 4, 9]
+
+    def test_fleet_serves_the_run_of_a_suspended_coordinator(self, tmp_path):
+        # The coordinator stops sweeping, so its heartbeat goes stale,
+        # for longer than the lease timeout; its own fleet must still
+        # finish the run, which no other worker may serve.
+        coordinator = subprocess.Popen(
+            [sys.executable, "-c", _NAP_COORDINATOR, str(tmp_path), "8", "0.5", "1"],
+            cwd=REPO_ROOT,
+            env=CHILD_ENV,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            coordinator.stdout.readline()
+            leases = tmp_path / "run-0000" / "leases"
+            deadline = time.monotonic() + 60.0
+            while not any(leases.glob("*.lease")):
+                assert time.monotonic() < deadline, "the fleet never claimed"
+                time.sleep(0.02)
+            os.kill(coordinator.pid, signal.SIGSTOP)
+            time.sleep(3.0)
+            os.kill(coordinator.pid, signal.SIGCONT)
+            out, _ = coordinator.communicate(timeout=60)
+        finally:
+            if coordinator.poll() is None:
+                coordinator.kill()
+                coordinator.wait(timeout=30)
+            coordinator.stdout.close()
+        assert coordinator.returncode == 0
+        assert json.loads(out) == [0.5] * 8
 
     def test_fleets_sharing_a_root_keep_to_their_own_runs(self, tmp_path):
         other = subprocess.Popen(
@@ -566,15 +625,100 @@ class TestWorkerFleet:
                 assert runner.map(_square, [1, 2]) == [1, 4]
             # This fleet's members never claim, so only s0 can serve.
             monkeypatch.setattr(
-                distributed,
-                "_worker_command",
-                lambda *args: [sys.executable, "-c", "import sys; sys.stdin.read()"],
+                distributed, "_worker_command", lambda *args: IDLE_MEMBER
             )
             with ExperimentRunner(
                 backend="queue", n_workers=1, queue_dir=tmp_path
             ) as idle:
                 assert idle.map(_square, [3, 4]) == [9, 16]
             assert standalone.poll() is None
+        finally:
+            standalone.kill()
+            standalone.wait(timeout=30)
+
+    def test_once_worker_serves_the_next_run_and_exits(self, tmp_path, monkeypatch):
+        from repro.experiments import distributed
+
+        standalone = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.experiments",
+                "--worker", str(tmp_path), "--worker-id", "s0", "--once",
+            ],
+            cwd=REPO_ROOT,
+            env=CHILD_ENV,
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL,
+        )
+        try:
+            # This fleet's member never claims, so s0 serves every task.
+            monkeypatch.setattr(
+                distributed, "_worker_command", lambda *args: IDLE_MEMBER
+            )
+            with ExperimentRunner(
+                backend="queue", n_workers=1, queue_dir=tmp_path
+            ) as runner:
+                assert runner.map(_square, [1, 2, 3]) == [1, 4, 9]
+            assert standalone.wait(timeout=30) == 0
+        finally:
+            if standalone.poll() is None:
+                standalone.kill()
+                standalone.wait(timeout=30)
+        run_dir = tmp_path / "run-0000"
+        publishers = {
+            json.loads(path.read_text())["worker"]
+            for path in (run_dir / "results").glob("*.json")
+        }
+        assert publishers == {"s0"}
+        assert (run_dir / "workers" / "s0.json").exists()
+
+    def test_standalone_worker_leaves_a_killed_coordinators_run(self, tmp_path):
+        # As many endless tasks as fleet members, so once both are leased
+        # the run has nothing left to claim; its coordinator then dies.
+        coordinator = subprocess.Popen(
+            [sys.executable, "-c", _NAP_COORDINATOR, str(tmp_path), "2", "600", "2"],
+            cwd=REPO_ROOT,
+            env=CHILD_ENV,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            pids = json.loads(coordinator.stdout.readline())
+            leases = tmp_path / "run-0000" / "leases"
+            deadline = time.monotonic() + 60.0
+            while len(list(leases.glob("*.lease"))) < 2:
+                assert time.monotonic() < deadline, "the fleet never claimed"
+                time.sleep(0.02)
+        finally:
+            coordinator.kill()
+            coordinator.wait(timeout=30)
+            coordinator.stdout.close()
+        assert _still_alive(pids) == []
+        standalone = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.experiments",
+                "--worker", str(tmp_path), "--worker-id", "s0",
+            ],
+            cwd=REPO_ROOT,
+            env=CHILD_ENV,
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL,
+        )
+        try:
+            # s0 enters run-0000, which never gets STOP; it must leave once
+            # the dead coordinator's heartbeat is 2 s old and serve the
+            # next runner, whose own member never claims.
+            child = subprocess.run(
+                [sys.executable, "-c", _IDLE_FLEET_COORDINATOR, str(tmp_path)],
+                cwd=REPO_ROOT,
+                env=CHILD_ENV,
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert child.returncode == 0, child.stdout + child.stderr
+            assert json.loads(child.stdout) == [1, 4, 9]
+            assert not (tmp_path / "run-0000" / "STOP").exists()
+            assert (tmp_path / "run-0000" / "workers" / "s0.json").exists()
         finally:
             standalone.kill()
             standalone.wait(timeout=30)
@@ -646,6 +790,35 @@ class TestQueueProtocol:
         owner = json.loads(layout.lease_path("000001").read_text())
         assert owner["worker"] == "w0" and owner["pid"] == os.getpid()
 
+    def test_claims_go_lowest_id_first(self, tmp_path):
+        from repro.experiments.distributed import _claim_next
+
+        layout = _QueueLayout(tmp_path)
+        layout.create()
+        for task_id in ("000002", "000000", "000001"):
+            _atomic_write_json(layout.task_path(task_id), {"id": task_id})
+        _atomic_write_json(layout.result_path("000000"), {"ok": True})
+        assert _claim_next(layout, "w0") == {"id": "000001"}
+        assert _claim_next(layout, "w1") == {"id": "000002"}
+        assert _claim_next(layout, "w0") is None
+
+    def test_published_task_is_never_claimed_again(self, tmp_path, monkeypatch):
+        from repro.experiments import distributed
+
+        layout = _QueueLayout(tmp_path)
+        layout.create()
+        _atomic_write_json(layout.task_path("000000"), {"id": "000000"})
+
+        def publish_then_claim(layout, task_id, worker_id):
+            # Another worker publishes the task and drops its lease
+            # between this worker's scan and its claim.
+            _atomic_write_json(layout.result_path(task_id), {"ok": True})
+            return _try_claim(layout, task_id, worker_id)
+
+        monkeypatch.setattr(distributed, "_try_claim", publish_then_claim)
+        assert distributed._claim_next(layout, "w0") is None
+        assert list(layout.leases.iterdir()) == []
+
     def test_manifest_payloads_pickle_roundtrip(self):
         config = PipelineConfig(seed=3, **SMALL)
         assert pickle.loads(pickle.dumps(config)) == config
@@ -678,5 +851,11 @@ class TestWorkerCli:
     def test_worker_mode_requires_no_target(self):
         from repro.experiments.cli import build_parser
 
-        args = build_parser().parse_args(["--worker", "/tmp/q", "--once"])
+        args = build_parser().parse_args(
+            [
+                "--worker", "/tmp/q", "--once",
+                "--coordinator", "4242", "--crash-after-claims", "2",
+            ]
+        )
         assert str(args.worker) == "/tmp/q" and args.target is None
+        assert args.coordinator == 4242 and args.crash_after_claims == 2

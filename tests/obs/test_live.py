@@ -254,12 +254,11 @@ class TestQueueLivenessSnapshot:
             results=("000001",),
             leases=("000002",),
         )
-        snapshot = queue_liveness_snapshot(tmp_path, requeues=1, steals=2)
+        snapshot = queue_liveness_snapshot(tmp_path, requeues=1)
         assert snapshot["counters"] == {
             "queue_tasks_total": 3,
             "queue_results_total": 1,
             "queue_requeues_total": 1,
-            "queue_steals_total": 2,
         }
         assert snapshot["gauges"]["queue_depth"] == 2
         assert snapshot["gauges"]["queue_inflight_leases"] == 1
