@@ -31,6 +31,7 @@ import time
 
 from repro.core.pipeline import PipelineConfig, SecureLocalizationPipeline
 from repro.experiments import figures
+from repro.experiments.distributed import AfterExit
 from repro.experiments.montecarlo import run_trials
 from repro.experiments.runner import ExperimentRunner, PipelineExperiment
 from repro.experiments.series import FigureData
@@ -260,8 +261,8 @@ def test_queue_backend_scaling(save_figure, tmp_path, quick):
         _assert_identical_aggregates(serial, queue_results[workers])
 
     # Fault tolerance rides the same bar: a worker crash mid-run changes
-    # nothing but the wall clock.
-    experiment = PipelineExperiment(overrides=overrides)
+    # nothing but the wall clock. Every trial waits for w0 to exit, so
+    # w1 cannot drain the queue before w0 makes the claim that crashes it.
     with ExperimentRunner(
         backend="queue",
         n_workers=2,
@@ -269,6 +270,8 @@ def test_queue_backend_scaling(save_figure, tmp_path, quick):
         keep_going=True,
         queue_crash_after={0: 1},
     ) as crashed:
+        _, w0 = crashed._queue_fleet().members[0]
+        experiment = AfterExit(w0.pid, PipelineExperiment(overrides=overrides))
         _assert_identical_aggregates(
             serial,
             run_trials(experiment, trials=trials, base_seed=31, runner=crashed),

@@ -154,12 +154,13 @@ class PipelineConfig:
     #: :class:`repro.errors.BudgetExceededError` instead of running away.
     max_events: Optional[int] = None
     #: Observability switches (see :mod:`repro.obs`). ``None`` (default)
-    #: keeps only the phase-timing spans and exports nothing; an
-    #: :class:`repro.obs.ObserveConfig` also collects span events,
-    #: metrics and RTT histograms. Either way the layer draws zero
-    #: randomness, so results are bit-identical to observe=None
-    #: (asserted by tests/core/test_pipeline_observe.py). Excluded from
-    #: result-cache keys for the same reason.
+    #: keeps only the phase-timing spans, records no protocol events
+    #: (``pipeline.trace`` stays empty) and exports nothing; an
+    #: :class:`repro.obs.ObserveConfig` also records the protocol trace
+    #: and collects span events, metrics and RTT histograms. Either way
+    #: the layer draws zero randomness, so results are bit-identical to
+    #: observe=None (asserted by tests/core/test_pipeline_observe.py).
+    #: Excluded from result-cache keys for the same reason.
     observe: Optional[ObserveConfig] = None
     seed: int = 0
 
@@ -284,7 +285,10 @@ class SecureLocalizationPipeline:
     def __init__(self, config: Optional[PipelineConfig] = None) -> None:
         self.config = config if config is not None else PipelineConfig()
         self.rngs = RngRegistry(self.config.seed)
-        self.trace = TraceRecorder(enabled=True)
+        #: The protocol event stream (probes, alerts, revocations, drops,
+        #: deliveries, span markers). Recorded only when the trial is
+        #: observed: with ``config.observe`` None it stays empty.
+        self.trace = TraceRecorder(enabled=self.config.observe is not None)
         self.engine: Engine = Engine(event_budget=self.config.max_events)
         #: Built by :meth:`build` when the config enables faults; None on
         #: the (bit-identical) fault-free path.
@@ -299,6 +303,10 @@ class SecureLocalizationPipeline:
         #: (where each beacon owns a PaperDetector); set by :meth:`build`.
         self.detector = None
         self.notice_distributor = None
+        #: Oracle revocation's one revoked set: :meth:`build` hands it to
+        #: every agent as its ``revoked_beacons`` (flooded revocation
+        #: keeps per-agent sets, which the notices fill).
+        self._oracle_revoked: Set[int] = set()
         self._built = False
         self._probes_sent = 0
         #: Lazily resolved: config switch AND supported envelope. None
@@ -555,6 +563,8 @@ class SecureLocalizationPipeline:
                 )
         else:
             self.notice_distributor = None
+            for agent in self.agents:
+                agent.revoked_beacons = self._oracle_revoked
 
         self._built = True
         return self
@@ -600,12 +610,14 @@ class SecureLocalizationPipeline:
             # Flooded µTESLA notice: agents learn it (or not) over radio.
             self.notice_distributor.announce_revocation(beacon_id)
             return
-        # Oracle mode: the paper's working assumption — every node learns.
+        # Oracle mode: the paper's working assumption — every node learns
+        # at once, through the revoked set all agents share.
+        self._oracle_revoked.add(beacon_id)
         for agent in self.agents:
-            agent.revoked_beacons.add(beacon_id)
-            agent.references = [
-                r for r in agent.references if r.beacon_id != beacon_id
-            ]
+            if agent.references:
+                agent.references = [
+                    r for r in agent.references if r.beacon_id != beacon_id
+                ]
 
     # ------------------------------------------------------------------
     # Reachability

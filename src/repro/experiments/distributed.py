@@ -127,6 +127,7 @@ import sys
 import tempfile
 import threading
 import time
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: Lease losses tolerated per task before it is declared failed.
@@ -573,6 +574,42 @@ def run_worker(
 # ----------------------------------------------------------------------
 # coordinator side
 # ----------------------------------------------------------------------
+def process_alive(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    if not os.path.isdir("/proc/self"):
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@dataclass(frozen=True)
+class AfterExit:
+    """A task that runs ``task(payload)`` once process ``pid`` has exited.
+
+    A fault-injection aid for ``queue_crash_after``: a run whose tasks
+    all wait for the exit of the member set to crash cannot be drained
+    by the other members before that member makes its crashing claim,
+    so the crash and its re-queue happen on every run. Picklable, and
+    importable by every fleet member.
+    """
+
+    pid: int
+    task: Callable[[Any], Any]
+
+    def __call__(self, payload: Any) -> Any:
+        """Wait for ``pid`` to exit, then run the task."""
+        while process_alive(self.pid):
+            time.sleep(0.005)
+        return self.task(payload)
+
+
 def _worker_command(
     root: pathlib.Path, worker_id: str, crash_after_claims: Optional[int]
 ) -> List[str]:

@@ -1,11 +1,14 @@
 """Observability feature switches (``PipelineConfig.observe``).
 
 ``observe=None`` — the default everywhere — means *nothing is
-exported*: the pipeline's span tree still times its phases (spans are
-its only timer, so they cannot be switched off), but no event reaches
-the trace stream and nothing reaches a metrics registry. An
-:class:`ObserveConfig` instance turns collection on; its switches select
-which signals are collected. Because collection never touches an RNG,
+recorded or exported*: the pipeline's span tree still times its phases
+(spans are its only timer, so they cannot be switched off), but no
+event reaches the trace stream — no span marker and no protocol event
+(probe, alert, revocation, drop, delivery), so ``pipeline.trace`` stays
+empty — and nothing reaches a metrics registry. An
+:class:`ObserveConfig` instance turns collection on: the trace records
+the full protocol stream, and its switches select which other signals
+are collected. Because collection never touches an RNG,
 results stay bit-identical even with everything enabled (asserted in
 ``tests/core/test_pipeline_observe.py``) — the knobs exist for overhead
 control, not correctness.

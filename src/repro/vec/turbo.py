@@ -32,10 +32,13 @@ Python survives only where the scalar path is genuinely stateful per
 item, and each of those loops runs in delivery order: malicious
 responders (sticky strategy draws), first-seen wormhole pair verdicts
 (sticky detector coin flips), probe-outcome and alert recording,
-dropped-copy traces, and accepted reference construction. All
-distances that feed protocol decisions or measurements are computed
-with the correctly rounded scalar ``math.hypot``, so every float
-matches the scalar run bit for bit.
+dropped-copy and probe traces (observed trials only), and accepted
+reference construction. The request fan-out, the revoked-source
+filter and the local-replay window are array operations whose
+per-node counters advance by count. All distances that feed protocol
+decisions or measurements are computed with the correctly rounded
+scalar ``math.hypot``, so every float matches the scalar run bit for
+bit.
 
 The paper detector's §2.1 check and §2.2 cascade run as array masks
 over the reply wave. A rival detector (``pipeline.detector``) is one
@@ -55,7 +58,9 @@ this path does not record per-delivery ``"deliver"`` trace events
 profiling counters (``stats.distance_evals``,
 ``stats.spatial_queries``) are credited with the batch kernels' actual
 work, which differs from the scalar core's counts. Configs that
-need full per-event traces must run with ``use_vectorized_core=False``.
+need full per-event traces must run observed, with
+``use_vectorized_core=False``; an unobserved trial records no
+protocol events on either core.
 
 Paper section: §4 (simulation substrate for the batched pipeline)
 """
@@ -150,15 +155,14 @@ class _Field:
         """Topology row of a (canonical) node id."""
         return self._row_of[node_id]
 
-    def reachable_beacon_rows(self, row: int) -> np.ndarray:
-        """Rows of beacons reachable from node ``row``, sorted by id.
+    def _reach_mask(self) -> np.ndarray:
+        """The (nodes x beacons) reachability mask, built on first use.
 
         The exact ``pipeline._reachable_beacons`` membership: directly
         in range, or within range of one tunnel endpoint while the
         beacon is within range of the other (either direction, as in
-        ``Network.wormhole_between``) — self excluded. Row order is
-        node-id order, matching the scalar target ordering. The
-        (nodes x beacons) mask is built on the first call.
+        ``Network.wormhole_between``) — self excluded. Columns are in
+        node-id order, matching the scalar target ordering.
         """
         if self._reach is None:
             rows = self.beacon_rows
@@ -172,8 +176,30 @@ class _Field:
             mask[rows, np.arange(rows.size)] = False
             self.network.stats.distance_evals += int(mask.size)
             self._reach = mask
+        return self._reach
+
+    def reachable_beacon_rows(self, row: int) -> np.ndarray:
+        """Rows of beacons reachable from node ``row``, sorted by id."""
         self.network.stats.spatial_queries += 1
-        return self.beacon_rows[self._reach[row]]
+        return self.beacon_rows[self._reach_mask()[row]]
+
+    def fan_out(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Every (requester, reachable beacon) pair of the ``rows`` nodes.
+
+        Row-major over their mask rows, so the pairs come in requester
+        order, then beacon-id order: what one
+        :meth:`reachable_beacon_rows` call per row returns, concatenated
+        (and counted as that many spatial queries).
+
+        Returns:
+            Per pair: the requester's index into ``rows``, and the
+            beacon's row. No ``rows``, no pairs: the mask is not built.
+        """
+        if rows.shape[0] == 0:
+            return rows, rows
+        self.network.stats.spatial_queries += rows.shape[0]
+        requesters, columns = np.nonzero(self._reach_mask()[rows])
+        return requesters, self.beacon_rows[columns]
 
     def requester_counts(self, beacons, excluded_ids) -> List[int]:
         """The N' scan: per beacon, the nodes in range not ``excluded_ids``.
@@ -408,31 +434,33 @@ class _TurboPhase:
     ) -> None:
         """Trace one wave's drops and fold its deliveries into the sim.
 
-        The drops mirror the scalar ``drop.*`` traces in scheduling
-        order. Per packet, at its schedule time: one ``drop.loss`` or
-        ``drop.fault`` per lost copy, naming the packet's ``src_id``
-        (on a probe, the detecting ID), or one ``drop.out_of_range``
-        naming the sending node when no copy was in range. The wave's
-        deliveries also count into the pipeline's ``vec_*`` counters.
+        When the trial records its trace, the drops mirror the scalar
+        ``drop.*`` traces in scheduling order. Per packet, at its
+        schedule time: one ``drop.loss`` or ``drop.fault`` per lost
+        copy, naming the packet's ``src_id`` (on a probe, the detecting
+        ID), or one ``drop.out_of_range`` naming the sending node when
+        no copy was in range. The wave's deliveries also count into the
+        pipeline's ``vec_*`` counters.
         """
-        packets = np.concatenate([wave.lost_packet, wave.undelivered])
-        kinds = [
-            "drop.fault" if by_fault else "drop.loss"
-            for by_fault in wave.lost_by_fault.tolist()
-        ] + ["drop.out_of_range"] * wave.undelivered.shape[0]
-        node_ids = self.field.node_ids
-        record = self.field.trace.record
-        for index in np.argsort(packets, kind="stable").tolist():
-            packet = packets[index]
-            name = kinds[index]
-            src = sender_ids if name == "drop.out_of_range" else src_ids
-            record(
-                float(now[packet]),
-                name,
-                src=int(src[packet]),
-                dst=int(node_ids[dst_rows[packet]]),
-                packet_kind=kind,
-            )
+        trace = self.field.trace
+        if trace.enabled:
+            packets = np.concatenate([wave.lost_packet, wave.undelivered])
+            kinds = [
+                "drop.fault" if by_fault else "drop.loss"
+                for by_fault in wave.lost_by_fault.tolist()
+            ] + ["drop.out_of_range"] * wave.undelivered.shape[0]
+            node_ids = self.field.node_ids
+            for index in np.argsort(packets, kind="stable").tolist():
+                packet = packets[index]
+                name = kinds[index]
+                src = sender_ids if name == "drop.out_of_range" else src_ids
+                trace.record(
+                    float(now[packet]),
+                    name,
+                    src=int(src[packet]),
+                    dst=int(node_ids[dst_rows[packet]]),
+                    packet_kind=kind,
+                )
         self.total_events += wave.count
         if wave.count:
             self.max_time = max(self.max_time, float(wave.time.max()))
@@ -652,7 +680,7 @@ def _replay_cascade(
     fakes: np.ndarray,
     range_flagged: np.ndarray,
     wormhole_detector: ProbabilisticWormholeDetector,
-) -> Tuple[List, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The §2.2 replay filters over the replies ``subset`` picks.
 
     ``subset`` indexes the reply wave in delivery order; ``src_ids``
@@ -664,8 +692,9 @@ def _replay_cascade(
     the replies no wormhole check flagged.
 
     Returns:
-        Per subset reply: the observing node (the reply's receiver),
-        and the wormhole (range or detector) and local-replay flags.
+        Per subset reply: the observing node's row (the reply's
+        receiver), and the wormhole (range or detector) and local-replay
+        flags.
     """
     field = phase.field
     rows = replies.dst_row[subset]
@@ -678,14 +707,12 @@ def _replay_cascade(
     )
     phase.pipeline._vec_bump("rtt_batched", int(subset.shape[0]))
     observer_ids = field.node_ids[rows]
-    # Hot Python loops below index these thousands of times; plain
-    # lists hold the identical values without per-access conversion.
-    rtts = field.perturb_rtts(rtts, observer_ids).tolist()
-    observers = [field.nodes[row] for row in rows.tolist()]
+    rtts = field.perturb_rtts(rtts, observer_ids)
     observe = field.network.rtt_observer
     if observe is not None:
-        for rtt, node in zip(rtts, observers):
-            observe(rtt, node)
+        nodes = field.nodes
+        for rtt, row in zip(rtts.tolist(), rows.tolist()):
+            observe(rtt, nodes[row])
     wormhole_flagged = range_flagged | _wormhole_verdicts(
         wormhole_detector,
         ~range_flagged,
@@ -695,10 +722,26 @@ def _replay_cascade(
         src_ids[subset],
     )
     local_flagged = np.zeros(subset.shape[0], dtype=bool)
-    for position in np.flatnonzero(~wormhole_flagged).tolist():
-        window = observers[position].filter_cascade.local_replay_detector
-        local_flagged[position] = window.is_replayed(rtts[position])
-    return observers, wormhole_flagged, local_flagged
+    # ``LocalReplayDetector.is_replayed`` over the replies no wormhole
+    # check flagged: one comparison against each observer's own window,
+    # with its counters advanced by count.
+    checked = np.flatnonzero(~wormhole_flagged)
+    observer_rows, inverse = np.unique(rows[checked], return_inverse=True)
+    windows = [
+        field.nodes[row].filter_cascade.local_replay_detector
+        for row in observer_rows.tolist()
+    ]
+    x_max = np.array(
+        [window.calibration.x_max for window in windows], dtype=np.float64
+    )
+    replayed = rtts[checked] > x_max[inverse]
+    local_flagged[checked] = replayed
+    checks = np.bincount(inverse, minlength=len(windows)).tolist()
+    flagged = np.bincount(inverse[replayed], minlength=len(windows)).tolist()
+    for window, count, hits in zip(windows, checks, flagged):
+        window.checks += count
+        window.flagged += hits
+    return rows, wormhole_flagged, local_flagged
 
 
 def run_detection_turbo(pipeline) -> None:
@@ -766,7 +809,7 @@ def run_detection_turbo(pipeline) -> None:
             phase, replies, src_ids, dst_ids, claimed_x, claimed_y
         )
 
-    trace = field.trace
+    record = field.trace.record if field.trace.enabled else None
     nodes = field.nodes
     for row, detecting_id, target, time, decision, signal_consistent, alert in zip(
         replies.dst_row.tolist(), dst_ids.tolist(), src_ids.tolist(),
@@ -778,15 +821,16 @@ def run_detection_turbo(pipeline) -> None:
                 detecting_id=detecting_id, target_id=target, decision=decision
             )
         )
-        trace.record(
-            time,
-            "probe",
-            detector=prober.node_id,
-            detecting_id=detecting_id,
-            target=target,
-            decision=decision,
-            signal_consistent=signal_consistent,
-        )
+        if record is not None:
+            record(
+                time,
+                "probe",
+                detector=prober.node_id,
+                detecting_id=detecting_id,
+                target=target,
+                decision=decision,
+                signal_consistent=signal_consistent,
+            )
         if alert:
             prober.report_alert(target, time=time)
 
@@ -893,27 +937,21 @@ def run_localization_turbo(pipeline) -> None:
     # ------------------------------------------------------------------
     # Beacon requests (scalar build order: agent, then target id order).
     # ------------------------------------------------------------------
-    src_chunks: List[np.ndarray] = []
-    dst_chunks: List[np.ndarray] = []
-    agent_chunks: List[np.ndarray] = []
-    for agent in pipeline.agents:
-        row = field.row(agent.node_id)
-        targets = field.reachable_beacon_rows(row)
-        k = targets.shape[0]
-        if k == 0:
-            continue
-        src_chunks.append(np.full(k, agent.node_id, dtype=np.int64))
-        dst_chunks.append(targets)
-        agent_chunks.append(np.full(k, row, dtype=np.int64))
-        agent._next_nonce += k
-
-    if not src_chunks:
+    agents = pipeline.agents
+    agent_rows = np.array(
+        [field.row(agent.node_id) for agent in agents], dtype=np.int64
+    )
+    requesters, dst = field.fan_out(agent_rows)
+    if dst.shape[0] == 0:
         phase.finish()
         return
-    src = np.concatenate(src_chunks)
+    for agent, k in zip(
+        agents, np.bincount(requesters, minlength=len(agents)).tolist()
+    ):
+        agent._next_nonce += k
+    origin = agent_rows[requesters]
     replies, src_ids, _, claimed_x, claimed_y, fakes = _exchange(
-        phase, src, np.concatenate(dst_chunks), np.concatenate(agent_chunks),
-        np.zeros(src.shape[0]),
+        phase, field.node_ids[origin], dst, origin, np.zeros(dst.shape[0]),
     )
 
     # ------------------------------------------------------------------
@@ -922,31 +960,30 @@ def run_localization_turbo(pipeline) -> None:
     # Revocation filtering precedes the RTT draw in the scalar handler,
     # and no new revocations occur during localization (only detecting
     # beacons alert), so filtering the whole batch up front is exact.
-    nodes = field.nodes
+    # The batch core runs oracle revocation only, where every agent's
+    # ``revoked_beacons`` is the pipeline's one revoked set.
+    revoked = pipeline._oracle_revoked
     kept = np.flatnonzero(
-        np.array(
-            [
-                src_id not in nodes[row].revoked_beacons
-                for src_id, row in zip(
-                    src_ids.tolist(), replies.dst_row.tolist()
-                )
-            ],
-            dtype=bool,
+        ~np.isin(
+            src_ids,
+            np.fromiter(revoked, dtype=np.int64, count=len(revoked)),
         )
     )
     # knows_location=False: no range check; every kept copy reaches the
     # wormhole detector.
-    agents, wormhole_flagged, local_flagged = _replay_cascade(
+    rows, wormhole_flagged, local_flagged = _replay_cascade(
         phase, replies, kept, src_ids, fakes,
         np.zeros(kept.shape[0], dtype=bool),
-        pipeline.agents[0].filter_cascade.wormhole_detector,
+        agents[0].filter_cascade.wormhole_detector,
     )
-    for agent, rejected, src_id, x, y, measured, time in zip(
-        agents, (wormhole_flagged | local_flagged).tolist(),
+    nodes = field.nodes
+    for row, rejected, src_id, x, y, measured, time in zip(
+        rows.tolist(), (wormhole_flagged | local_flagged).tolist(),
         src_ids[kept].tolist(), claimed_x[kept].tolist(),
         claimed_y[kept].tolist(), replies.measured[kept].tolist(),
         replies.time[kept].tolist(),
     ):
+        agent = nodes[row]
         if rejected:
             agent.rejected_replays += 1
         else:

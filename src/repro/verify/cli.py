@@ -105,9 +105,11 @@ def _run_differential(args: argparse.Namespace) -> int:
 
 
 def _run_invariants(args: argparse.Namespace) -> int:
-    # Deferred import: the pipeline pulls in the whole simulator.
+    # Deferred imports: the pipeline pulls in the whole simulator.
     from repro.core.pipeline import PipelineConfig, SecureLocalizationPipeline
+    from repro.obs import ObserveConfig
 
+    # Observed: an unobserved trial records no protocol events.
     config = PipelineConfig(
         n_total=200,
         n_beacons=30,
@@ -116,6 +118,7 @@ def _run_invariants(args: argparse.Namespace) -> int:
         field_height_ft=600.0,
         p_prime=0.5,
         rtt_calibration_samples=1000,
+        observe=ObserveConfig(),
         seed=args.seed + 101,
     )
     pipeline = SecureLocalizationPipeline(config)
@@ -126,6 +129,13 @@ def _run_invariants(args: argparse.Namespace) -> int:
         tau_alert=config.tau_alert,
         reporter_ids={b.node_id for b in pipeline.malicious_beacons},
     )
+    # The checks above pass vacuously on a stream without the events
+    # they read.
+    for kind in ("probe", "alert"):
+        if pipeline.trace.count(kind) == 0:
+            violations.append(
+                InvariantViolation("trace", f"no {kind!r} event recorded")
+            )
 
     # §2.2.2 honest-window check under zero jitter: calibrate at the
     # radio range (as the pipeline does) and confirm no honest in-range

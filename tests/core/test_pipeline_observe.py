@@ -216,14 +216,18 @@ class TestOneTimer:
         }
 
     def test_unobserved_trial_times_every_phase_and_exports_nothing(self):
-        pipeline = SecureLocalizationPipeline(small_config())
-        pipeline.run()
-        phases = pipeline.profile_snapshot()["phases"]
-        assert set(phases) == set(PHASES)
-        assert all(seconds >= 0.0 for seconds in phases.values())
-        assert not any(event.kind.startswith("span.") for event in pipeline.trace)
-        assert pipeline.obs.registry.snapshot()["counters"] == {}
-        assert pipeline.telemetry() == {}
+        for vectorized in (True, False):
+            pipeline = SecureLocalizationPipeline(
+                small_config(use_vectorized_core=vectorized)
+            )
+            pipeline.run()
+            phases = pipeline.profile_snapshot()["phases"]
+            assert set(phases) == set(PHASES)
+            assert all(seconds >= 0.0 for seconds in phases.values())
+            # No protocol event and no span marker reaches the trace.
+            assert len(pipeline.trace) == 0
+            assert pipeline.obs.registry.snapshot()["counters"] == {}
+            assert pipeline.telemetry() == {}
 
     @pytest.mark.parametrize(
         "overrides, keys",

@@ -21,8 +21,6 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
-from typing import Any, Callable
 
 import pytest
 
@@ -32,12 +30,14 @@ from repro.experiments.distributed import (
     CRASH_EXIT_CODE,
     MAX_REQUEUES,
     WORKER_LOST_ERROR,
+    AfterExit,
     _atomic_write_json,
     _b64_pickle,
     _b64_unpickle,
     _QueueLayout,
     _try_claim,
     allocate_run_dir,
+    process_alive,
 )
 from repro.experiments.runner import (
     ExperimentRunner,
@@ -105,42 +105,14 @@ def _nap(seconds):
     return seconds
 
 
-def _alive(pid):
-    """Whether process ``pid`` exists and is not a zombie."""
-    if not os.path.isdir("/proc/self"):
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        return True
-    try:
-        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
-    except FileNotFoundError:
-        return False
-    return stat.rsplit(")", 1)[1].split()[0] != "Z"
-
-
 def _still_alive(pids, timeout_s=5.0):
     """The pids that are still alive after up to ``timeout_s`` seconds."""
     deadline = time.monotonic() + timeout_s
     while True:
-        alive = [pid for pid in pids if _alive(pid)]
+        alive = [pid for pid in pids if process_alive(pid)]
         if not alive or time.monotonic() > deadline:
             return alive
         time.sleep(0.05)
-
-
-@dataclass(frozen=True)
-class _AfterExit:
-    """Runs ``task`` once process ``pid`` has exited (picklable)."""
-
-    pid: int
-    task: Callable[[Any], Any]
-
-    def __call__(self, payload):
-        while _alive(self.pid):
-            time.sleep(0.005)
-        return self.task(payload)
 
 
 #: Coordinates one keep-going queue run of ``_exit_on_two`` and prints
@@ -312,7 +284,7 @@ class TestQueueFailureModel:
             # queue before w0 makes the claim that crashes it.
             worker_id, w0 = runner._queue_fleet().members[0]
             assert worker_id == "w0"
-            task = _AfterExit(w0.pid, _InstrumentedTask(observe=ObserveConfig()))
+            task = AfterExit(w0.pid, _InstrumentedTask(observe=ObserveConfig()))
             results = runner.map(task, configs)
         assert [result["metrics"] for result in results] == expected
         assert runner.stats.requeues == 1
@@ -447,7 +419,7 @@ class TestWorkerFleet:
         ) as runner:
             fleet = runner._queue_fleet()
             (_, w0), (_, w1) = fleet.members
-            assert runner.map(_AfterExit(w0.pid, _square), [1, 2]) == [1, 4]
+            assert runner.map(AfterExit(w0.pid, _square), [1, 2]) == [1, 4]
             assert runner.map(_square, [3]) == [9]
             assert [worker_id for worker_id, _ in fleet.members] == ["w2", "w1"]
             assert fleet.members[1][1] is w1
@@ -500,7 +472,7 @@ class TestWorkerFleet:
         )
         try:
             pids = json.loads(coordinator.stdout.readline())
-            assert len(pids) == 2 and all(_alive(pid) for pid in pids)
+            assert len(pids) == 2 and all(process_alive(pid) for pid in pids)
         finally:
             coordinator.kill()
             coordinator.wait(timeout=30)
@@ -588,7 +560,7 @@ class TestWorkerFleet:
                 assert runner.map(_square, payloads) == [x * x for x in payloads]
                 ids = [worker_id for worker_id, _ in runner._queue_fleet().members]
             # The other fleet stayed up and idle beside this run.
-            assert all(_alive(pid) for pid in other_pids)
+            assert all(process_alive(pid) for pid in other_pids)
         finally:
             other.kill()
             other.wait(timeout=30)

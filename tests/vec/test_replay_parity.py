@@ -7,11 +7,13 @@ small deployments through both cores across the envelope axes the
 batch core covers (wormholes, false alarms, link loss, packet-loss and
 RTT faults, and their edge cases), for every registered detector, and
 compare the results with ``==``, together with the simulator state the
-result does not carry: event counts, loss and fault counters, the
-ordered ``drop.*`` and ``probe`` traces, the base station's alert log
-and the detector's diagnostics. An observed case per detector compares
-the RTT histograms. The routing tests pin which fault configurations
-reach the batch core at all.
+result does not carry: event counts, loss and fault counters, the base
+station's alert log, the detector's diagnostics and the replay filters'
+counters. Unobserved, neither core records a protocol event; observed,
+both record the same ordered ``drop.*`` and ``probe`` traces, which
+must not be empty where the run lost copies or judged replies. An
+observed case per detector compares the RTT histograms. The routing
+tests pin which fault configurations reach the batch core at all.
 """
 
 from dataclasses import replace
@@ -19,7 +21,9 @@ from dataclasses import replace
 import pytest
 
 from repro.core.pipeline import PipelineConfig, SecureLocalizationPipeline
+from repro.core.rtt import LocalReplayDetector
 from repro.detectors import available_detectors
+from repro.errors import CalibrationError
 from repro.faults.config import FaultConfig
 from repro.obs import ObserveConfig
 from repro.vec import vectorized_core_supported
@@ -108,6 +112,8 @@ def _sim_state(pipeline):
     network = pipeline.network
     loss = network.loss_model
     injector = pipeline.fault_injector
+    # One wormhole detector serves every cascade of the trial.
+    wormhole = pipeline.agents[0].filter_cascade.wormhole_detector
     return {
         "events": pipeline.engine.events_processed,
         "now": pipeline.engine.now(),
@@ -119,6 +125,13 @@ def _sim_state(pipeline):
             for b in pipeline.benign_beacons
         ],
         "rejected_replays": [a.rejected_replays for a in pipeline.agents],
+        "local_replay": [
+            (window.checks, window.flagged)
+            for window in (
+                a.filter_cascade.local_replay_detector for a in pipeline.agents
+            )
+        ],
+        "wormhole": (wormhole.checks, wormhole.flags),
         "alerts": pipeline.base_station.log,
         "diagnostics": (
             [b.detector.diagnostics() for b in pipeline.benign_beacons]
@@ -146,6 +159,26 @@ def _probes(pipeline):
     ]
 
 
+def _assert_streams_recorded(pipeline):
+    """A trace comparison must not pass on empty streams.
+
+    Checked against counters kept outside the trace: one ``probe``
+    event per probe outcome, and a ``drop.*`` event per copy lost to
+    the link or a fault. Every case sends probes, so at least one of
+    the two streams holds events.
+    """
+    outcomes = sum(len(b.probe_outcomes) for b in pipeline.benign_beacons)
+    loss = pipeline.network.loss_model
+    injector = pipeline.fault_injector
+    lost = (0 if loss is None else loss.losses) + (
+        0 if injector is None else injector.counters().get("fault_packet_loss", 0)
+    )
+    assert pipeline._probes_sent > 0
+    assert outcomes + lost > 0
+    assert len(_probes(pipeline)) == outcomes
+    assert len(_drops(pipeline)) >= lost
+
+
 @pytest.mark.parametrize("name,detector", PARITY)
 def test_vectorized_core_reproduces_scalar_trial(name, detector):
     config = replace(CASES[name], detector=detector)
@@ -162,10 +195,17 @@ def test_vectorized_core_reproduces_scalar_trial(name, detector):
         scalar_result.localization_errors_ft
     )
     assert _sim_state(vec_pipeline) == _sim_state(scalar_pipeline)
-    # A lost copy names the packet's src_id (on a probe, the detecting
-    # ID); an out-of-range packet names its sender.
-    assert _drops(vec_pipeline) == _drops(scalar_pipeline)
-    assert _probes(vec_pipeline) == _probes(scalar_pipeline)
+    assert len(vec_pipeline.trace) == len(scalar_pipeline.trace) == 0
+
+    # Observed, both cores record the same ordered streams. A lost copy
+    # names the packet's src_id (on a probe, the detecting ID); an
+    # out-of-range packet names its sender.
+    observed = replace(config, observe=ObserveConfig())
+    scalar_observed, _ = _run(observed, vectorized=False)
+    vec_observed, _ = _run(observed, vectorized=True)
+    _assert_streams_recorded(scalar_observed)
+    assert _drops(vec_observed) == _drops(scalar_observed)
+    assert _probes(vec_observed) == _probes(scalar_observed)
 
 
 @pytest.mark.parametrize("detector", available_detectors())
@@ -191,13 +231,27 @@ def test_observed_rtt_histograms_match(detector):
 
 def test_lossy_cases_drop_copies():
     """The loss cases must really lose copies, or parity is vacuous."""
-    pipeline, _ = _run(CASES["turbo-faults-loss"], vectorized=True)
+    pipeline, _ = _run(
+        replace(CASES["turbo-faults-loss"], observe=ObserveConfig()),
+        vectorized=True,
+    )
     kinds = {kind for _, kind, _ in _drops(pipeline)}
     assert {"drop.loss", "drop.fault"} <= kinds
     counters = pipeline.fault_injector.counters()
     assert counters["fault_packet_loss"] > 0
     assert counters["fault_rtt_spikes"] > 0
     assert counters["fault_clock_drift"] == counters["fault_rtt_jitter"] > 0
+
+
+@pytest.mark.parametrize("vectorized", [True, False], ids=["batch", "scalar"])
+def test_uncalibrated_local_replay_window_raises(vectorized):
+    pipeline = SecureLocalizationPipeline(
+        replace(BASE, use_vectorized_core=vectorized)
+    ).build()
+    for agent in pipeline.agents:
+        agent.filter_cascade.local_replay_detector = LocalReplayDetector(None)
+    with pytest.raises(CalibrationError):
+        pipeline.run()
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.pipeline import PipelineConfig, SecureLocalizationPipeline
 from repro.core.rtt import calibrate_rtt
+from repro.obs import ObserveConfig
 from repro.sim.timing import RttModel
 from repro.sim.trace import TraceRecorder
 from repro.verify import (
@@ -39,6 +40,7 @@ def pipeline():
         field_height_ft=500.0,
         p_prime=0.5,
         rtt_calibration_samples=500,
+        observe=ObserveConfig(),
         seed=42,
     )
     p = SecureLocalizationPipeline(config)
