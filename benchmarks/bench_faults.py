@@ -1,14 +1,15 @@
 """Sensitivity of the detection scheme to injected faults.
 
-The paper's evaluation (§4) assumes a clean network: no message loss
-beyond what ARQ absorbs (§3.2) and RTTs inside the calibrated Figure-4
-window (§2.2.2). These benches measure how the headline metrics —
+The paper's evaluation (§4) assumes a clean network: every alert
+delivered, as retransmission would ensure (§3.2), and RTTs inside the
+calibrated Figure-4 window (§2.2.2). These benches measure how the headline metrics —
 detection rate, false positive rate, and N' (affected non-beacon nodes
 per malicious beacon) — degrade as those assumptions are violated by the
 :mod:`repro.faults` injection layer:
 
 - **loss sweep**: Bernoulli packet loss applied to every delivery
-  (requests, replies, probes, alerts alike);
+  (requests, replies and probes alike; alerts reach the base station,
+  as §3.2 assumes);
 - **jitter sweep**: uniform RTT perturbation approaching the calibrated
   window's half-width, pushing genuine malicious-signal RTTs out of the
   §2.2.2 acceptance region so they are misread as local replays.

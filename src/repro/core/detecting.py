@@ -25,13 +25,11 @@ from repro.core.replay_filter import ReplayFilterCascade
 from repro.core.revocation import BaseStation
 from repro.detectors.base import Detector, Exchange
 from repro.detectors.paper import PaperDetector
-from repro.errors import DeliveryError
 from repro.core.signal_detector import MaliciousSignalDetector
 from repro.crypto.manager import KeyManager
 from repro.localization.beacon import BeaconService
 from repro.sim.messages import BeaconPacket, BeaconRequest
 from repro.sim.radio import Reception
-from repro.sim.reliable import ReliableChannel
 from repro.utils.geometry import Point
 
 
@@ -57,12 +55,6 @@ class DetectingBeacon(BeaconService):
         detecting_ids: this beacon's extra identities (allocate them via
             :meth:`KeyManager.allocate_detecting_ids` and register network
             aliases before probing).
-        alert_channel: optional ARQ channel alerts ride to the base
-            station (the §3.2 fault-tolerance assumption made concrete).
-        request_channel: optional ARQ channel wrapping the *probe
-            request* hop, retrying a request the lossy link swallowed; a
-            request whose retry budget is exhausted degrades to a lost
-            probe (counted in :attr:`probes_lost`), never an exception.
         detector: optional :class:`repro.detectors.base.Detector` that
             judges probe replies instead of the paper suite. ``None``
             (the default) wraps this beacon's own ``signal_detector`` +
@@ -81,8 +73,6 @@ class DetectingBeacon(BeaconService):
         filter_cascade: ReplayFilterCascade,
         base_station: Optional[BaseStation] = None,
         detecting_ids: Optional[List[int]] = None,
-        alert_channel: Optional[ReliableChannel] = None,
-        request_channel: Optional[ReliableChannel] = None,
         probe_power_randomization_ft: float = 0.0,
         detector: Optional[Detector] = None,
     ) -> None:
@@ -95,11 +85,7 @@ class DetectingBeacon(BeaconService):
             else PaperDetector(signal_detector, filter_cascade)
         )
         self.base_station = base_station
-        self.alert_channel = alert_channel
-        self.request_channel = request_channel
         self.detecting_ids = list(detecting_ids or [])
-        #: Probe requests whose ARQ retry budget was exhausted.
-        self.probes_lost = 0
         #: §2.1 countermeasure: "adjust the transmission power in RSSI
         #: technique" — each probe's ranging signature is biased by a
         #: uniform draw in ±this many feet, so an inferring attacker
@@ -107,8 +93,6 @@ class DetectingBeacon(BeaconService):
         self.probe_power_randomization_ft = probe_power_randomization_ft
         self.probe_outcomes: List[ProbeOutcome] = []
         self.alerted_targets: set[int] = set()
-        #: Alerts whose ARQ retry budget was exhausted (§3.2 violated).
-        self.alerts_lost = 0
         self._next_nonce = 1
         self.on(BeaconPacket, type(self)._handle_probe_reply)
 
@@ -131,16 +115,7 @@ class DetectingBeacon(BeaconService):
                 -self.probe_power_randomization_ft,
                 self.probe_power_randomization_ft,
             )
-        signed = self.key_manager.sign(request)
-        if self.request_channel is None:
-            self.send(signed, ranging_bias_ft=bias)
-            return
-        report = self.request_channel.send(
-            lambda: self.send(signed, ranging_bias_ft=bias),
-            raise_on_exhaustion=False,
-        )
-        if not report.delivered:
-            self.probes_lost += 1
+        self.send(self.key_manager.sign(request), ranging_bias_ft=bias)
 
     def probe_all_ids(self, target_id: int) -> None:
         """Probe ``target_id`` once per detecting ID (the paper's m probes)."""
@@ -192,13 +167,8 @@ class DetectingBeacon(BeaconService):
 
         A detecting node only reports a given target once (additional
         alerts from the same detector carry no extra information and would
-        just burn its report quota). When an ``alert_channel`` is
-        configured, the alert rides the lossy link with retransmission —
-        the paper's §3.2 fault-tolerance assumption made concrete. An
-        exhausted retry budget (:class:`repro.errors.DeliveryError`) is
-        absorbed here: the beacon has no recourse beyond the ARQ layer,
-        so the alert is counted lost and the protocol degrades instead
-        of crashing.
+        just burn its report quota). The alert reaches the base station,
+        as the paper's §3.2 assumes of retransmission over a lossy link.
         """
         if self.base_station is None:
             return False
@@ -207,20 +177,9 @@ class DetectingBeacon(BeaconService):
         self.alerted_targets.add(target_id)
         payload = BaseStation.alert_payload(self.node_id, target_id)
         tag = self.key_manager.sign_alert_payload(self.node_id, payload)
-        if self.alert_channel is None:
-            return self.base_station.submit_alert(
-                self.node_id, target_id, tag=tag, time=time
-            )
-        try:
-            report = self.alert_channel.send(
-                lambda: self.base_station.submit_alert(
-                    self.node_id, target_id, tag=tag, time=time
-                )
-            )
-        except DeliveryError:
-            self.alerts_lost += 1
-            return False
-        return report.delivered
+        return self.base_station.submit_alert(
+            self.node_id, target_id, tag=tag, time=time
+        )
 
     def _record(
         self,
@@ -235,7 +194,7 @@ class DetectingBeacon(BeaconService):
                 detecting_id=detecting_id, target_id=target_id, decision=decision
             )
         )
-        if self.network is not None:
+        if self.network is not None and self.network.trace.enabled:
             # The §2.1 verdict is recorded alongside the final decision so
             # post-hoc invariant checkers (repro.verify.invariants) can
             # assert "a consistent signal never indicts" from the trace

@@ -45,7 +45,7 @@ from repro.sim.engine import Engine
 from repro.sim.network import Network, WormholeLink
 from repro.sim.node import Node
 from repro.sim.radio import RadioModel, Reception
-from repro.sim.reliable import LossModel, ReliableChannel
+from repro.sim.reliable import LossModel
 from repro.sim.rng import RngRegistry, derive_seed
 from repro.sim.trace import TraceRecorder
 from repro.utils.geometry import Point, distance, random_point_in_rect
@@ -117,15 +117,6 @@ class PipelineConfig:
     )
     collusion: bool = True
     rtt_calibration_samples: int = 2_000
-    alert_loss_rate: float = 0.0
-    alert_max_retries: int = 8
-    #: ARQ for the detecting-protocol request hop: when > 0, every probe
-    #: request rides a retrying channel over a link with this loss rate.
-    request_loss_rate: float = 0.0
-    request_max_retries: int = 3
-    #: Timeout growth per ARQ retry for both channels (1.0 = fixed
-    #: timeout stop-and-wait, 2.0 = binary exponential backoff).
-    arq_backoff_factor: float = 1.0
     #: "oracle": revocations reach every node instantly (the paper's §3.2
     #: working assumption). "flood": revocation notices are disseminated
     #: as µTESLA-authenticated broadcasts relayed hop by hop — the
@@ -136,22 +127,23 @@ class PipelineConfig:
     network_loss_rate: float = 0.0
     #: Route the detection/localization phases and the metrics scans
     #: through the :mod:`repro.vec` batch kernels (the default fast
-    #: path). Falls back to the scalar path silently when the
-    #: configuration is outside the batch path's supported envelope
-    #: (ARQ loss, flooded revocation, event budgets,
-    #: duplication/delay/crash faults — see
-    #: :func:`repro.vec.vectorized_core_supported`). False selects
-    #: the scalar event-driven oracle; results are bit-identical either
-    #: way (parity rules in docs/PERFORMANCE.md).
+    #: path). Falls back to the scalar path silently for flooded
+    #: revocation and event budgets (see
+    #: :func:`repro.vec.vectorized_core_supported`); every fault runs
+    #: on both. False selects the scalar event-driven oracle; results
+    #: are bit-identical either way (parity rules in
+    #: docs/PERFORMANCE.md).
     use_vectorized_core: bool = True
     #: Declarative fault-injection scenario (see :mod:`repro.faults` and
-    #: docs/FAULTS.md). ``None`` — or an all-zero :class:`FaultConfig` —
-    #: leaves every code path bit-identical to the fault-free pipeline
-    #: (asserted by tests/core/test_pipeline_faults.py).
+    #: docs/FAULTS.md), run on either core. ``None`` — or an all-zero
+    #: :class:`FaultConfig` — leaves every code path bit-identical to
+    #: the fault-free pipeline (asserted by
+    #: tests/core/test_pipeline_faults.py).
     faults: Optional[FaultConfig] = None
     #: Hard cap on discrete events per trial; ``None`` = unbounded. A
-    #: pathological fault scenario then fails with a catchable
-    #: :class:`repro.errors.BudgetExceededError` instead of running away.
+    #: runaway flood of revocation notices then fails with a catchable
+    #: :class:`repro.errors.BudgetExceededError` instead of running on.
+    #: A budget runs on the scalar core, which counts every event.
     max_events: Optional[int] = None
     #: Observability switches (see :mod:`repro.obs`). ``None`` (default)
     #: keeps only the phase-timing spans, records no protocol events
@@ -165,14 +157,6 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_probability(self.alert_loss_rate, "alert_loss_rate")
-        check_int_in_range(self.alert_max_retries, "alert_max_retries", 0)
-        check_probability(self.request_loss_rate, "request_loss_rate")
-        check_int_in_range(self.request_max_retries, "request_max_retries", 0)
-        if self.arq_backoff_factor < 1.0:
-            raise ConfigurationError(
-                f"arq_backoff_factor must be >= 1.0, got {self.arq_backoff_factor}"
-            )
         if self.max_events is not None:
             check_int_in_range(self.max_events, "max_events", 1)
         if self.faults is not None and not isinstance(self.faults, FaultConfig):
@@ -451,29 +435,6 @@ class SecureLocalizationPipeline:
             trace=self.trace,
         )
 
-        alert_channel: Optional[ReliableChannel] = None
-        if cfg.alert_loss_rate > 0.0:
-            alert_channel = ReliableChannel(
-                self.engine,
-                LossModel(cfg.alert_loss_rate, self.rngs.stream("alert-loss")),
-                max_retries=cfg.alert_max_retries,
-                backoff_factor=cfg.arq_backoff_factor,
-                name="alert",
-            )
-        self.alert_channel = alert_channel
-        request_channel: Optional[ReliableChannel] = None
-        if cfg.request_loss_rate > 0.0:
-            request_channel = ReliableChannel(
-                self.engine,
-                LossModel(
-                    cfg.request_loss_rate, self.rngs.stream("request-loss")
-                ),
-                max_retries=cfg.request_max_retries,
-                backoff_factor=cfg.arq_backoff_factor,
-                name="request",
-            )
-        self.request_channel = request_channel
-
         deploy_rng = self.rngs.stream("deployment")
         field_point = lambda: random_point_in_rect(  # noqa: E731 - local shorthand
             deploy_rng, cfg.field_width_ft, cfg.field_height_ft
@@ -500,8 +461,6 @@ class SecureLocalizationPipeline:
                 detecting_ids=self.key_manager.allocate_detecting_ids(
                     next_id, cfg.m_detecting_ids
                 ),
-                alert_channel=alert_channel,
-                request_channel=request_channel,
                 detector=shared_detector,
             )
             self.network.add_node(beacon)
@@ -670,21 +629,14 @@ class SecureLocalizationPipeline:
                 accepted += 1
         return accepted
 
-    def _initiator_down(self, node: Node) -> bool:
-        """True when a crash fault stops ``node`` from starting exchanges."""
-        return self.fault_injector is not None and self.fault_injector.is_crashed(
-            node.node_id, self.engine.now()
-        )
-
     def _vectorized_active(self) -> bool:
         """Whether this run goes through the :mod:`repro.vec` batch path.
 
         Resolved once per pipeline: the config switch must be on (the
         default) *and* the configuration must be inside the batch path's
-        supported envelope (no ARQ channels, oracle revocation, no
-        event budget, no duplication, delay or crash faults).
-        Unsupported combinations fall back to the scalar path silently
-        — same results, scalar speed.
+        supported envelope (oracle revocation, no event budget). Flooded
+        revocation and event budgets fall back to the scalar path
+        silently — same results, scalar speed.
         """
         if self._vec_active is None:
             if not self.config.use_vectorized_core:
@@ -700,39 +652,26 @@ class SecureLocalizationPipeline:
         self._vec_counters[name] = self._vec_counters.get(name, 0) + amount
 
     def run_detection(self) -> None:
-        """Every benign beacon probes each reachable beacon per detecting ID.
-
-        Crashed beacons (node-crash fault) initiate nothing; their
-        detection coverage is simply lost, which is exactly the
-        degradation the fault benches measure.
-        """
+        """Every benign beacon probes each reachable beacon per detecting ID."""
         if self._vectorized_active():
             from repro.vec.turbo import run_detection_turbo
 
             run_detection_turbo(self)
             return
         for beacon in self.benign_beacons:
-            if self._initiator_down(beacon):
-                continue
             for target in self._reachable_beacons(beacon):
                 beacon.probe_all_ids(target.node_id)
                 self._probes_sent += len(beacon.detecting_ids)
         self.engine.run()
 
     def run_localization(self) -> None:
-        """Non-beacon nodes gather references and estimate positions.
-
-        Crashed agents (node-crash fault) request nothing and therefore
-        neither localize nor count as affected requesters.
-        """
+        """Non-beacon nodes gather references and estimate positions."""
         if self._vectorized_active():
             from repro.vec.turbo import run_localization_turbo
 
             run_localization_turbo(self)
             return
         for agent in self.agents:
-            if self._initiator_down(agent):
-                continue
             for beacon in self._reachable_beacons(agent):
                 agent.request_beacon(beacon.node_id)
         self.engine.run()
@@ -792,8 +731,8 @@ class SecureLocalizationPipeline:
         """Flush end-of-trial counters into the registry (idempotent).
 
         The hot paths accumulate into their existing plain-int structs
-        (:class:`~repro.sim.network.NetworkCounters`, ARQ channel
-        counters, fault-model counters, §3.1 base-station counters);
+        (:class:`~repro.sim.network.NetworkCounters`, fault-model
+        counters, §3.1 base-station counters);
         this one call folds them all into the mergeable registry, so
         observing adds no per-event registry work.
         """
@@ -810,12 +749,6 @@ class SecureLocalizationPipeline:
             self.base_station.record_metrics(registry)
         if self.fault_injector is not None:
             self.fault_injector.record_metrics(registry)
-        for channel in (
-            getattr(self, "alert_channel", None),
-            getattr(self, "request_channel", None),
-        ):
-            if channel is not None:
-                channel.record_metrics(registry)
         for name in sorted(self._vec_counters):
             registry.counter("vec_batch_total", kind=name).inc(
                 self._vec_counters[name]
@@ -846,9 +779,9 @@ class SecureLocalizationPipeline:
 
         Counters fold in the network-level operation counts (distance
         evaluations, grid cells visited, spatial queries, deliveries),
-        the probe total, fault-injection event counts (``fault_*``), and
-        per-ARQ-channel delivery accounting (``channel_<name>_*``), so
-        one snapshot fully describes where a trial spent its work.
+        the probe total, the batch core's work counts (``vec_*``) and
+        fault-injection event counts (``fault_*``), so one snapshot
+        fully describes where a trial spent its work.
         Shape: ``{"phases": {...}, "counters": {...}}``; ``phases`` is the
         per-name sum of the ``phase:<name>`` spans' ``dur_wall_s``.
         """
@@ -865,14 +798,6 @@ class SecureLocalizationPipeline:
             counters[f"vec_{name}"] = self._vec_counters[name]
         if self.fault_injector is not None:
             counters.update(self.fault_injector.counters())
-        for channel in (
-            getattr(self, "alert_channel", None),
-            getattr(self, "request_channel", None),
-        ):
-            if channel is not None:
-                prefix = f"channel_{channel.name}_"
-                for name, value in asdict(channel.counters).items():
-                    counters[prefix + name] = value
         return {"phases": phases, "counters": counters}
 
     # ------------------------------------------------------------------

@@ -44,8 +44,7 @@ class ScheduleError(SimulationError):
 
 
 class DeliveryError(SimulationError):
-    """A packet could not be delivered (unknown node, out of range, or an
-    ARQ retry budget was exhausted)."""
+    """A packet could not be delivered (unknown node, or out of range)."""
 
 
 class BudgetExceededError(SimulationError):
@@ -53,8 +52,8 @@ class BudgetExceededError(SimulationError):
 
     Raised by :class:`repro.sim.engine.Engine` when ``event_budget`` is
     set and a run attempts to execute more events — the backstop that
-    turns a fault-induced event storm (e.g. a duplication cascade) into
-    a structured, catchable failure instead of an unbounded run.
+    turns an event storm (e.g. a flood of relayed revocation notices)
+    into a structured, catchable failure instead of an unbounded run.
     """
 
 

@@ -20,7 +20,9 @@ from repro.faults.config import fault_config_from_dict
 from repro.obs import observe_config_from_dict
 
 #: Manifest schema version; bump on incompatible config changes.
-SCHEMA_VERSION = 1
+#: Schema 2 dropped the five ARQ fields that every schema-1 manifest
+#: carries.
+SCHEMA_VERSION = 2
 
 
 def config_to_dict(config: PipelineConfig) -> Dict[str, Any]:

@@ -10,10 +10,13 @@ instead of axioms:
   (nested in ``PipelineConfig.faults``; all-zero default = off =
   bit-identical to an un-faulted run);
 - :mod:`repro.faults.models` — one composable model per fault: packet
-  loss, duplication, delayed delivery, RTT jitter/outlier spikes, clock
-  drift, node crash/churn;
-- :class:`FaultInjector` — the runtime composition the network, RTT
-  path, and pipeline hook into.
+  loss, RTT jitter/outlier spikes, clock drift;
+- :class:`FaultInjector` — the runtime composition the network and the
+  RTT path hook into.
+
+Every fault a config can carry runs on both cores: the scalar event
+loop and the :mod:`repro.vec` batch core draw the same streams in the
+same order.
 
 See ``docs/FAULTS.md`` for the taxonomy, the mapping from each fault to
 a paper assumption, and the determinism/seeding rules.
@@ -25,10 +28,7 @@ from repro.faults.config import FaultConfig, fault_config_from_dict
 from repro.faults.injector import FaultInjector
 from repro.faults.models import (
     ClockDriftFault,
-    DelayFault,
     FaultModel,
-    NodeCrashFault,
-    PacketDuplicationFault,
     PacketLossFault,
     RttJitterFault,
 )
@@ -39,9 +39,6 @@ __all__ = [
     "FaultInjector",
     "FaultModel",
     "PacketLossFault",
-    "PacketDuplicationFault",
-    "DelayFault",
     "RttJitterFault",
     "ClockDriftFault",
-    "NodeCrashFault",
 ]

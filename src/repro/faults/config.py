@@ -33,12 +33,6 @@ class FaultConfig:
         packet_loss_rate: per-delivery Bernoulli drop probability applied
             to every scheduled packet copy (stresses the paper's §3.2
             "every alert ... can be successfully delivered" assumption).
-        packet_duplication_rate: probability a delivered packet is also
-            re-delivered once (stale-copy duplication, e.g. a late ARQ
-            retransmission arriving after its original).
-        duplicate_delay_cycles: extra delay carried by the duplicated copy.
-        delivery_delay_rate: probability a delivery is delayed.
-        delivery_delay_cycles: extra latency added to a delayed delivery.
         rtt_jitter_cycles: half-width of uniform noise added to every
             observed round-trip time — widens the true RTT distribution
             past the calibrated ``[x_min, x_max]`` window of §2.2.2.
@@ -50,12 +44,6 @@ class FaultConfig:
             per million; each node draws a fixed drift in ``±ppm`` and its
             RTT observations scale by ``1 + drift`` (a requester's skewed
             oscillator mis-measures the window it timestamps).
-        node_crash_rate: probability each node independently crashes
-            during the run (crash/churn). A crashed node stops receiving
-            and stops initiating protocol exchanges from its crash time.
-        crash_horizon_cycles: crash times are drawn uniformly in
-            ``[0, horizon]``; 0 means crashed nodes are down from the
-            start (the worst case for detection coverage).
         recalibrate_under_faults: when True, the pipeline's Figure-4 RTT
             calibration itself observes the faulted distribution, so
             ``x_max`` absorbs the jitter (the "adaptive margin" regime);
@@ -65,32 +53,16 @@ class FaultConfig:
     """
 
     packet_loss_rate: float = 0.0
-    packet_duplication_rate: float = 0.0
-    duplicate_delay_cycles: float = 0.0
-    delivery_delay_rate: float = 0.0
-    delivery_delay_cycles: float = 0.0
     rtt_jitter_cycles: float = 0.0
     rtt_spike_rate: float = 0.0
     rtt_spike_cycles: float = 0.0
     clock_drift_ppm: float = 0.0
-    node_crash_rate: float = 0.0
-    crash_horizon_cycles: float = 0.0
     recalibrate_under_faults: bool = False
 
     def __post_init__(self) -> None:
         check_probability(self.packet_loss_rate, "packet_loss_rate")
-        check_probability(self.packet_duplication_rate, "packet_duplication_rate")
-        check_probability(self.delivery_delay_rate, "delivery_delay_rate")
         check_probability(self.rtt_spike_rate, "rtt_spike_rate")
-        check_probability(self.node_crash_rate, "node_crash_rate")
-        for name in (
-            "duplicate_delay_cycles",
-            "delivery_delay_cycles",
-            "rtt_jitter_cycles",
-            "rtt_spike_cycles",
-            "clock_drift_ppm",
-            "crash_horizon_cycles",
-        ):
+        for name in ("rtt_jitter_cycles", "rtt_spike_cycles", "clock_drift_ppm"):
             value = getattr(self, name)
             if value < 0:
                 raise ConfigurationError(f"{name} must be >= 0, got {value}")

@@ -1,21 +1,20 @@
 """The fault injector: composes fault models behind stable hook points.
 
 :class:`FaultInjector` is what the simulation substrate actually talks
-to. The network asks it about every scheduled delivery (drop? duplicate?
-delay? is the receiver down?), the RTT measurement path routes observed
-round-trip times through it, and the pipeline asks it whether a node may
-initiate protocol exchanges. Each hook is a no-op returning the identity
-answer when the corresponding model is absent, so a hook call on a
-partially configured injector costs one attribute check.
+to. The network asks it whether each scheduled delivery is dropped,
+and the RTT measurement path routes observed round-trip times through
+it. Each hook is a no-op returning the identity answer when the
+corresponding model is absent, so a hook call on a partially configured
+injector costs one attribute check.
 
 Determinism/seeding rules (the contract ``docs/FAULTS.md`` documents):
 
 - every stochastic model draws from its own named stream derived from
-  the injector seed ("fault-loss", "fault-duplication", ...), so
+  the injector seed ("fault-loss", "fault-rtt", "fault-drift"), so
   enabling one fault never shifts the draws of another;
-- per-node faults (crash schedules, clock drifts) are derived from the
-  seed *and the node id*, never from a shared sequential stream, so the
-  answer for node ``k`` is independent of registration order;
+- per-node clock drifts are derived from the seed *and the node id*,
+  never from a shared sequential stream, so the answer for node ``k``
+  is independent of registration order;
 - the injector seed is derived from the pipeline seed, so one
   ``PipelineConfig`` still fully determines a faulted run.
 
@@ -30,10 +29,7 @@ from typing import Dict, List, Optional
 from repro.faults.config import FaultConfig
 from repro.faults.models import (
     ClockDriftFault,
-    DelayFault,
     FaultModel,
-    NodeCrashFault,
-    PacketDuplicationFault,
     PacketLossFault,
     RttJitterFault,
 )
@@ -53,18 +49,12 @@ class FaultInjector:
         self,
         *,
         loss: Optional[PacketLossFault] = None,
-        duplication: Optional[PacketDuplicationFault] = None,
-        delay: Optional[DelayFault] = None,
         rtt: Optional[RttJitterFault] = None,
         drift: Optional[ClockDriftFault] = None,
-        crash: Optional[NodeCrashFault] = None,
     ) -> None:
         self.loss = loss
-        self.duplication = duplication
-        self.delay = delay
         self.rtt = rtt
         self.drift = drift
-        self.crash = crash
 
     @classmethod
     def from_config(cls, config: FaultConfig, seed: int) -> "FaultInjector":
@@ -83,20 +73,6 @@ class FaultInjector:
         loss = None
         if config.packet_loss_rate > 0:
             loss = PacketLossFault(config.packet_loss_rate, stream("loss"))
-        duplication = None
-        if config.packet_duplication_rate > 0:
-            duplication = PacketDuplicationFault(
-                config.packet_duplication_rate,
-                config.duplicate_delay_cycles,
-                stream("duplication"),
-            )
-        delay = None
-        if config.delivery_delay_rate > 0:
-            delay = DelayFault(
-                config.delivery_delay_rate,
-                config.delivery_delay_cycles,
-                stream("delay"),
-            )
         rtt = None
         if config.rtt_jitter_cycles > 0 or config.rtt_spike_rate > 0:
             rtt = RttJitterFault(
@@ -110,49 +86,14 @@ class FaultInjector:
             drift = ClockDriftFault(
                 config.clock_drift_ppm, derive_seed(seed, "fault-drift")
             )
-        crash = None
-        if config.node_crash_rate > 0:
-            crash = NodeCrashFault(
-                config.node_crash_rate,
-                config.crash_horizon_cycles,
-                derive_seed(seed, "fault-crash"),
-            )
-        return cls(
-            loss=loss,
-            duplication=duplication,
-            delay=delay,
-            rtt=rtt,
-            drift=drift,
-            crash=crash,
-        )
+        return cls(loss=loss, rtt=rtt, drift=drift)
 
     # ------------------------------------------------------------------
-    # Delivery hooks (called by Network._schedule_delivery)
+    # Delivery hook (called by Network._schedule_delivery)
     # ------------------------------------------------------------------
     def drop_delivery(self) -> bool:
         """True when this scheduled packet copy should be lost."""
         return self.loss is not None and self.loss.should_drop()
-
-    def duplicate_delay(self) -> Optional[float]:
-        """Delay of a spurious duplicate copy, or None for no duplicate."""
-        if self.duplication is None:
-            return None
-        return self.duplication.duplicate_delay()
-
-    def delivery_delay(self) -> float:
-        """Extra latency injected into one delivery (0 = on time)."""
-        if self.delay is None:
-            return 0.0
-        return self.delay.extra_delay()
-
-    # ------------------------------------------------------------------
-    # Node-liveness hooks (network delivery + pipeline phase scheduling)
-    # ------------------------------------------------------------------
-    def is_crashed(self, node_id: int, now_cycles: float) -> bool:
-        """True when the node is down at ``now_cycles``."""
-        return self.crash is not None and self.crash.is_crashed(
-            node_id, now_cycles
-        )
 
     # ------------------------------------------------------------------
     # Measurement hooks (Network.measure_rtt / RTT calibration)
@@ -180,18 +121,7 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def models(self) -> List[FaultModel]:
         """The active models, in a stable order."""
-        return [
-            m
-            for m in (
-                self.loss,
-                self.duplication,
-                self.delay,
-                self.rtt,
-                self.drift,
-                self.crash,
-            )
-            if m is not None
-        ]
+        return [m for m in (self.loss, self.rtt, self.drift) if m is not None]
 
     def counters(self) -> Dict[str, int]:
         """Aggregated fault-event counters (JSON-ready, profile-mergeable)."""

@@ -10,13 +10,11 @@ touches the network directly.
 
 The taxonomy maps to the paper's idealized assumptions:
 
-- :class:`PacketLossFault`, :class:`PacketDuplicationFault`,
-  :class:`DelayFault` stress the §3.2 delivery assumption ("every alert
-  ... can be successfully delivered to the base station");
+- :class:`PacketLossFault` stresses the §3.2 delivery assumption ("every
+  alert ... can be successfully delivered to the base station") on every
+  protocol message;
 - :class:`RttJitterFault` and :class:`ClockDriftFault` stress the §2.2.2
-  assumption that the tight Figure-4 RTT window holds at run time;
-- :class:`NodeCrashFault` removes the implicit assumption that every
-  deployed node stays up for the whole experiment.
+  assumption that the tight Figure-4 RTT window holds at run time.
 
 Paper section: §2.2.2 (RTT window), §3.2 (alert delivery)
 """
@@ -24,7 +22,7 @@ Paper section: §2.2.2 (RTT window), §3.2 (alert delivery)
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.sim.rng import derive_seed
 
@@ -51,10 +49,10 @@ class FaultModel:
 class PacketLossFault(FaultModel):
     """Independent per-delivery packet drop (§3.2 stress).
 
-    Unlike :class:`repro.sim.reliable.LossModel` — which models the lossy
-    *link* an ARQ channel retries over — this fault drops scheduled
-    deliveries inside the network itself, so every protocol message
-    (probes, beacon replies, revocation notices) is exposed.
+    It draws on its own ``fault-loss`` stream, after the link loss of
+    :class:`repro.sim.reliable.LossModel` (``network_loss_rate``), over
+    every scheduled copy, so every protocol message (probes, beacon
+    replies, revocation notices) is exposed.
     """
 
     name = "packet_loss"
@@ -70,48 +68,6 @@ class PacketLossFault(FaultModel):
             self.events += 1
             return True
         return False
-
-
-class PacketDuplicationFault(FaultModel):
-    """Spurious re-delivery of a packet copy (stale-duplicate fault)."""
-
-    name = "packet_duplication"
-
-    def __init__(
-        self, rate: float, delay_cycles: float, rng: random.Random
-    ) -> None:
-        super().__init__()
-        self.rate = rate
-        self.delay_cycles = delay_cycles
-        self.rng = rng
-
-    def duplicate_delay(self) -> Optional[float]:
-        """Extra delay of a duplicated copy, or None for no duplication."""
-        if self.rng.random() < self.rate:
-            self.events += 1
-            return self.delay_cycles
-        return None
-
-
-class DelayFault(FaultModel):
-    """Randomly delayed delivery (queueing / interference stall)."""
-
-    name = "delivery_delay"
-
-    def __init__(
-        self, rate: float, delay_cycles: float, rng: random.Random
-    ) -> None:
-        super().__init__()
-        self.rate = rate
-        self.delay_cycles = delay_cycles
-        self.rng = rng
-
-    def extra_delay(self) -> float:
-        """Additional delivery latency for one packet copy (0 = on time)."""
-        if self.rate > 0 and self.rng.random() < self.rate:
-            self.events += 1
-            return self.delay_cycles
-        return 0.0
 
 
 class RttJitterFault(FaultModel):
@@ -190,44 +146,3 @@ class ClockDriftFault(FaultModel):
         """An interval as measured by the node's drifting clock."""
         self.events += 1
         return interval_cycles * (1.0 + self.drift_of(node_id))
-
-
-class NodeCrashFault(FaultModel):
-    """Per-node crash/churn schedule.
-
-    Each node independently crashes with probability ``rate``; its crash
-    time is drawn uniformly in ``[0, horizon]`` (horizon 0 = down from
-    the start). The schedule is derived per node id from the fault seed —
-    *not* drawn from a shared stream — so whether node 7 crashes never
-    depends on how many other nodes were registered first.
-    """
-
-    name = "node_crash"
-
-    def __init__(self, rate: float, horizon_cycles: float, seed: int) -> None:
-        super().__init__()
-        self.rate = rate
-        self.horizon_cycles = horizon_cycles
-        self.seed = seed
-        self._crash_times: Dict[int, Optional[float]] = {}
-
-    def crash_time(self, node_id: int) -> Optional[float]:
-        """The node's crash time in cycles, or None if it never crashes."""
-        if node_id in self._crash_times:
-            return self._crash_times[node_id]
-        rng = random.Random(derive_seed(self.seed, f"crash:{node_id}"))
-        time: Optional[float] = None
-        if rng.random() < self.rate:
-            time = (
-                rng.uniform(0.0, self.horizon_cycles)
-                if self.horizon_cycles > 0
-                else 0.0
-            )
-            self.events += 1
-        self._crash_times[node_id] = time
-        return time
-
-    def is_crashed(self, node_id: int, now_cycles: float) -> bool:
-        """True when the node is down at simulation time ``now_cycles``."""
-        crash = self.crash_time(node_id)
-        return crash is not None and now_cycles >= crash

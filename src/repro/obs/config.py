@@ -38,7 +38,7 @@ class ObserveConfig:
     stream and exports them in its telemetry.
 
     Attributes:
-        metrics: flush counters (network, ARQ channels, fault injector,
+        metrics: flush counters (network, fault injector, batch core,
             base-station §3.1 alert/report counters, engine totals) into
             the metrics registry at end of trial.
         rtt_histograms: record every calibration and exchange RTT into

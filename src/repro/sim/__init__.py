@@ -13,7 +13,7 @@ This package provides everything the paper's evaluation runs on top of:
 - :mod:`repro.sim.trace` — structured event tracing for tests.
 """
 
-from repro.sim.clock import CPU_HZ, Clock, cycles_to_seconds, seconds_to_cycles
+from repro.sim.clock import CPU_HZ, Clock
 from repro.sim.engine import Engine, Event
 from repro.sim.messages import (
     Alert,
@@ -25,7 +25,7 @@ from repro.sim.messages import (
 from repro.sim.network import Network, WormholeLink
 from repro.sim.node import Node
 from repro.sim.radio import RadioModel
-from repro.sim.reliable import DeliveryReport, LossModel, ReliableChannel
+from repro.sim.reliable import LossModel
 from repro.sim.rng import RngRegistry
 from repro.sim.timing import (
     BIT_TIME_CYCLES,
@@ -37,8 +37,6 @@ from repro.sim.trace import TraceRecorder
 __all__ = [
     "CPU_HZ",
     "Clock",
-    "cycles_to_seconds",
-    "seconds_to_cycles",
     "Engine",
     "Event",
     "Packet",
@@ -52,8 +50,6 @@ __all__ = [
     "RadioModel",
     "RngRegistry",
     "LossModel",
-    "ReliableChannel",
-    "DeliveryReport",
     "BIT_TIME_CYCLES",
     "RttModel",
     "RttSample",

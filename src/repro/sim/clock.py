@@ -3,8 +3,8 @@
 Time is counted in **CPU clock cycles** of the modelled mote, matching the
 paper's Figure 4 ("we use one CPU clock cycle as the basic unit to measure
 the time"). The MICA mote's ATmega128 runs at roughly 7.37 MHz; the exact
-constant only matters for converting to human-readable seconds, never for
-the detection logic itself.
+constant only sets the speed of light in feet per cycle (the radio's and
+the RTT model's flight term), never the detection logic itself.
 """
 
 from __future__ import annotations
@@ -13,16 +13,6 @@ from repro.errors import ScheduleError
 
 #: Modeled CPU frequency (Hz) of the mote; ATmega128L on a MICA mote.
 CPU_HZ: float = 7_372_800.0
-
-
-def cycles_to_seconds(cycles: float) -> float:
-    """Convert a duration in CPU cycles to seconds."""
-    return cycles / CPU_HZ
-
-
-def seconds_to_cycles(seconds: float) -> float:
-    """Convert a duration in seconds to CPU cycles."""
-    return seconds * CPU_HZ
 
 
 class Clock:

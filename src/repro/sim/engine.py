@@ -64,10 +64,11 @@ class Engine:
             )
         self.clock = clock if clock is not None else Clock()
         #: Lifetime cap on executed events; ``None`` means unbounded. A
-        #: fault-injection scenario (duplication storms, retry cascades)
-        #: can in principle schedule without bound — the budget converts
-        #: that into a :class:`repro.errors.BudgetExceededError` that the
-        #: experiment runner records as a structured trial failure.
+        #: scenario that keeps scheduling (a storm of relayed revocation
+        #: notices) can in principle run without bound — the budget
+        #: converts that into a :class:`repro.errors.BudgetExceededError`
+        #: that the experiment runner records as a structured trial
+        #: failure.
         self.event_budget = event_budget
         self._queue: List[Event] = []
         self._tickets = itertools.count()

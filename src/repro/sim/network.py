@@ -15,8 +15,7 @@ error model, and any wormhole tunnels. Delivery semantics:
   physical transmission origin, plus bounded ranging noise, plus any
   adversarial ranging bias carried by the transmission.
 - An optional :class:`repro.faults.FaultInjector` perturbs delivery and
-  measurement: packet copies can be dropped, duplicated, or delayed;
-  crashed nodes neither transmit nor receive; observed RTTs pick up
+  measurement: packet copies can be dropped, and observed RTTs pick up
   jitter, outlier spikes, and per-node clock drift. With no injector the
   code path is byte-for-byte the fault-free one.
 """
@@ -27,6 +26,7 @@ import bisect
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -341,8 +341,6 @@ class Network:
                 False.
         """
         dst = self.node(packet.dst_id)
-        if self._sender_crashed(sender):
-            return False
         origin = tx_origin if tx_origin is not None else sender.position
         transmission = Transmission(
             packet=packet,
@@ -397,8 +395,6 @@ class Network:
         Returns:
             Number of receivers the packet was scheduled for.
         """
-        if self._sender_crashed(sender):
-            return 0
         origin = tx_origin if tx_origin is not None else sender.position
         transmission = Transmission(
             packet=packet,
@@ -464,20 +460,6 @@ class Network:
             delivered = True
         return delivered
 
-    def _sender_crashed(self, sender: Node) -> bool:
-        """True (and traced) when a crash fault has taken the sender down."""
-        injector = self.fault_injector
-        if injector is None or not injector.is_crashed(
-            sender.node_id, self.engine.now()
-        ):
-            return False
-        self.trace.record(
-            self.engine.now(),
-            "drop.crashed_sender",
-            src=sender.node_id,
-        )
-        return True
-
     def _schedule_delivery(
         self, transmission: Transmission, dst: Node, physical_dist: float
     ) -> None:
@@ -491,33 +473,19 @@ class Network:
             )
             return
         injector = self.fault_injector
-        if injector is not None:
-            if injector.drop_delivery():
-                self.trace.record(
-                    self.engine.now(),
-                    "drop.fault",
-                    src=transmission.packet.src_id,
-                    dst=dst.node_id,
-                    packet_kind=transmission.packet.kind(),
-                )
-                return
-            dup_delay = injector.duplicate_delay()
-            if dup_delay is not None and not transmission.duplicated:
-                # Re-deliver a marked copy later; the copy itself is not
-                # re-duplicated (one spurious retransmission per packet).
-                duplicate = dataclasses.replace(
-                    transmission,
-                    duplicated=True,
-                    extra_delay_cycles=transmission.extra_delay_cycles
-                    + dup_delay,
-                )
-                self._schedule_delivery(duplicate, dst, physical_dist)
+        if injector is not None and injector.drop_delivery():
+            self.trace.record(
+                self.engine.now(),
+                "drop.fault",
+                src=transmission.packet.src_id,
+                dst=dst.node_id,
+                packet_kind=transmission.packet.kind(),
+            )
+            return
         delay = (
             self.radio.packet_time_cycles(transmission.packet, physical_dist)
             + transmission.extra_delay_cycles
         )
-        if injector is not None:
-            delay += injector.delivery_delay()
         if transmission.packet.carries_ranging_signal:
             noise = self.ranging_error(
                 physical_dist, self.rngs.stream("ranging")
@@ -529,24 +497,10 @@ class Network:
         measured = max(
             0.0, physical_dist + noise + transmission.ranging_bias_ft
         )
-
-        def deliver() -> None:
-            if injector is not None and injector.is_crashed(
-                dst.node_id, self.engine.now()
-            ):
-                # Receiver went down before the last bit arrived.
-                self.trace.record(
-                    self.engine.now(),
-                    "drop.crashed",
-                    src=transmission.packet.src_id,
-                    dst=dst.node_id,
-                    packet_kind=transmission.packet.kind(),
-                )
-                return
-            self._finish_delivery(transmission, dst, measured)
-
         self.engine.schedule_in(
-            delay, deliver, label=f"deliver:{transmission.packet.kind()}"
+            delay,
+            partial(self._finish_delivery, transmission, dst, measured),
+            label=f"deliver:{transmission.packet.kind()}",
         )
 
     def _finish_delivery(
@@ -559,15 +513,16 @@ class Network:
             measured_distance_ft=measured,
             transmission=transmission,
         )
-        self.trace.record(
-            self.engine.now(),
-            "deliver",
-            src=transmission.packet.src_id,
-            dst=dst.node_id,
-            packet_kind=transmission.packet.kind(),
-            wormhole=transmission.via_wormhole,
-            replayed=transmission.is_replayed(),
-        )
+        if self.trace.enabled:
+            self.trace.record(
+                self.engine.now(),
+                "deliver",
+                src=transmission.packet.src_id,
+                dst=dst.node_id,
+                packet_kind=transmission.packet.kind(),
+                wormhole=transmission.via_wormhole,
+                replayed=transmission.is_replayed(),
+            )
         dst.handle(reception)
 
     # ------------------------------------------------------------------

@@ -98,11 +98,6 @@ class Transmission:
             malicious target node can always manipulate its beacon signals
             to convince the detecting node that there is a wormhole
             attack"); wormhole detectors report these as wormholes.
-        duplicated: True on the spurious extra copy a duplication fault
-            re-delivers (see :mod:`repro.faults`); protocol code treats
-            the copy like any packet — which is the point: duplicate
-            suppression is the receiver's job — but traces and tests can
-            tell the copies apart.
     """
 
     packet: Packet
@@ -114,7 +109,6 @@ class Transmission:
     extra_delay_cycles: float = 0.0
     tx_node_id: Optional[int] = field(default=None)
     fake_wormhole_symptoms: bool = False
-    duplicated: bool = False
 
     def is_replayed(self) -> bool:
         """True when the signal is any kind of replay (local or wormhole)."""

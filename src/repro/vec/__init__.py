@@ -11,8 +11,8 @@ Gauss-Newton multilateration solver (:mod:`repro.vec.localization`).
 
 The batch core is the pipeline's default path, and
 :mod:`repro.vec.turbo` is its one implementation of the detection and
-localization phases, for every registered detector, packet loss and
-RTT faults included. Both phases run one request/reply exchange and
+localization phases, for every registered detector and every fault a
+config can carry. Both phases run one request/reply exchange and
 one pass of the §2.2 replay filters. The paper detector's §2.1+§2.2
 suite runs as array masks; a rival detector's own ``evaluate`` runs
 once per reply, in delivery order. The scalar event-driven pipeline
@@ -32,37 +32,18 @@ def vectorized_core_supported(config) -> bool:
     """True when the batch core reproduces ``config`` draw-for-draw.
 
     The batch core covers the paper's evaluation matrix — wormholes,
-    collusion, network loss — for every registered detector, plus the
-    faults that act per scheduled copy or per RTT observation: packet
-    loss, RTT jitter and spikes, clock drift. It does not cover
+    collusion, network loss — for every registered detector, and every
+    fault a :class:`~repro.faults.FaultConfig` can carry: packet loss,
+    RTT jitter and spikes, clock drift. It does not cover the two
     configurations whose control flow interleaves extra events with
-    deliveries or changes who takes part:
+    deliveries:
 
-    - ARQ channels (``alert_loss_rate``/``request_loss_rate`` > 0)
-      schedule timer events between deliveries;
     - flooded revocation dissemination relays notices during phases;
-    - an ``max_events`` budget needs per-event accounting to stop
-      mid-phase;
-    - packet duplication and delivery delay add copies or move
-      arrivals after scheduling, and node crashes silence initiators
-      and receivers mid-phase.
+    - a ``max_events`` budget needs per-event accounting to stop
+      mid-phase.
 
     Those run on the scalar oracle path unchanged. The predicate is
     duck-typed on the config attributes so it never imports the
     pipeline module.
     """
-    faults = getattr(config, "faults", None)
-    return (
-        config.alert_loss_rate == 0.0
-        and config.request_loss_rate == 0.0
-        and config.revocation_dissemination == "oracle"
-        and config.max_events is None
-        and (
-            faults is None
-            or (
-                faults.packet_duplication_rate == 0.0
-                and faults.delivery_delay_rate == 0.0
-                and faults.node_crash_rate == 0.0
-            )
-        )
-    )
+    return config.revocation_dissemination == "oracle" and config.max_events is None

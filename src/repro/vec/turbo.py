@@ -48,9 +48,10 @@ from the wave's arrays, and each RTT it asks for is drawn on demand
 through :meth:`~repro.sim.network.Network.observe_rtt`, the helper the
 scalar ``measure_rtt`` also calls.
 
-Duplication, delivery delay and node crashes are not modelled here;
-:func:`repro.vec.vectorized_core_supported` sends those configurations
-to the scalar oracle.
+Every fault a config can carry runs here: loss as the per-copy masks
+above, RTT jitter, spikes and clock drift inside the replay cascade.
+:func:`repro.vec.vectorized_core_supported` sends flooded revocation
+and event budgets to the scalar oracle.
 
 One deliberate fidelity cut, documented in ``docs/PERFORMANCE.md``:
 this path does not record per-delivery ``"deliver"`` trace events
@@ -857,10 +858,12 @@ def _paper_verdicts(
         field.xs[prober_rows], field.ys[prober_rows], claimed_x, claimed_y,
     )
     field.network.stats.distance_evals += int(calculated.shape[0])
+    # One §2.1 bound per distinct prober, fanned out to its replies.
+    probers, per_reply = np.unique(prober_rows, return_inverse=True)
     thresholds = np.array(
-        [field.nodes[row].signal_detector.max_error_ft for row in prober_rows],
+        [field.nodes[row].signal_detector.max_error_ft for row in probers.tolist()],
         dtype=np.float64,
-    )
+    )[per_reply]
     inconsistent = discrepancy_mask(calculated, replies.measured, thresholds)
     bad = np.flatnonzero(inconsistent)
     _, wormhole_flagged, local_flagged = _replay_cascade(

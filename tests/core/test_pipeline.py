@@ -146,26 +146,6 @@ class TestBehaviouralContrasts:
         assert result.revoked_malicious == 0
         assert result.false_positive_rate == 0.0
 
-    def test_alert_loss_with_retransmission_preserves_detection(self):
-        """The §3.2 assumption: retransmission makes alert delivery
-        reliable, so message loss does not degrade revocation."""
-        clean = SecureLocalizationPipeline(
-            small_config(p_prime=0.5)
-        ).run()
-        lossy = SecureLocalizationPipeline(
-            small_config(p_prime=0.5, alert_loss_rate=0.4, alert_max_retries=10)
-        ).run()
-        assert lossy.detection_rate >= clean.detection_rate - 0.25
-
-    def test_alert_loss_without_retries_hurts_detection(self):
-        reliable = SecureLocalizationPipeline(
-            small_config(p_prime=0.5, alert_loss_rate=0.6, alert_max_retries=10)
-        ).run()
-        unreliable = SecureLocalizationPipeline(
-            small_config(p_prime=0.5, alert_loss_rate=0.6, alert_max_retries=0)
-        ).run()
-        assert unreliable.detection_rate <= reliable.detection_rate
-
     def test_flooded_notices_match_oracle_when_lossless(self):
         """The §3.2 assumption, mechanized: flooding µTESLA-authenticated
         revocation notices over a lossless radio reproduces the oracle's

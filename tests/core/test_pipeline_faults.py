@@ -7,8 +7,8 @@ The contract under test:
   the seed baseline exactly;
 - **on = deterministic**: a faulted config is a pure function of its
   seed — same config, same seed, same result;
-- faults visibly move the metrics they target (crash stops probing,
-  loss suppresses detections) and surface in the profile counters.
+- faults visibly move the metrics they target (loss suppresses
+  detections) and surface in the profile counters.
 """
 
 import pytest
@@ -55,12 +55,8 @@ class TestFaultsOffBitIdentical:
 class TestFaultsOnDeterministic:
     FAULTS = FaultConfig(
         packet_loss_rate=0.1,
-        packet_duplication_rate=0.05,
-        duplicate_delay_cycles=50.0,
         rtt_jitter_cycles=200.0,
         clock_drift_ppm=50.0,
-        node_crash_rate=0.05,
-        crash_horizon_cycles=1e6,
     )
 
     def test_same_seed_same_result(self):
@@ -87,14 +83,6 @@ class TestFaultsOnDeterministic:
 
 
 class TestFaultEffects:
-    def test_total_crash_stops_detection(self):
-        faults = FaultConfig(node_crash_rate=1.0, crash_horizon_cycles=0.0)
-        result = SecureLocalizationPipeline(
-            small_config(faults=faults)
-        ).run()
-        assert result.detection_rate == 0.0
-        assert result.probes_sent == 0
-
     def test_total_loss_stops_detection(self):
         faults = FaultConfig(packet_loss_rate=1.0)
         result = SecureLocalizationPipeline(

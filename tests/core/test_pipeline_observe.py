@@ -12,7 +12,7 @@ The contract under test:
   error;
 - one timer: the ``phase:*`` spans time every trial, observed or not,
   and ``profile_snapshot()`` reads its phases from them; its counters
-  and the registry's ``net_*`` / ``arq_*`` series agree.
+  and the registry's ``net_*`` series agree.
 """
 
 import pytest
@@ -170,7 +170,6 @@ NETWORK_SERIES = {
     "grid_cells_visited": "net_grid_cells_visited_total",
     "spatial_queries": "net_spatial_queries_total",
 }
-ARQ_FIELDS = ("sends", "attempts", "retries", "delivered", "failed")
 #: Counters benchmarks/e2e/workload.py reads from every pipeline trial.
 BENCHMARK_COUNTERS = (
     "deliveries",
@@ -252,17 +251,12 @@ class TestOneTimer:
             assert counters[key] > 0, key
 
     def test_profile_counters_match_the_registry_series(self):
+        # The scalar network counts every delivery and spatial query.
         pipeline = SecureLocalizationPipeline(
-            small_config(alert_loss_rate=0.3, observe=ObserveConfig())
+            small_config(use_vectorized_core=False, observe=ObserveConfig())
         )
         pipeline.run()
         profile = pipeline.profile_snapshot()["counters"]
         registry = pipeline.telemetry()["registry"]["counters"]
         for key, series in NETWORK_SERIES.items():
             assert profile[key] == registry[series], key
-        for name in ARQ_FIELDS:
-            assert (
-                profile[f"channel_alert_{name}"]
-                == registry[f'arq_{name}_total{{channel="alert"}}']
-            ), name
-        assert profile["channel_alert_retries"] > 0

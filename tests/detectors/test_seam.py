@@ -146,7 +146,6 @@ class TestFaultsCompose:
         faults = FaultConfig(
             packet_loss_rate=0.05,
             rtt_jitter_cycles=200.0,
-            node_crash_rate=0.05,
         )
         kwargs = dict(TINY, detector=name, seed=47, faults=faults)
         first = run_metrics(**kwargs)

@@ -69,11 +69,12 @@ class TestManifestFiles:
         with pytest.raises(ConfigurationError):
             load_manifest(bad)
 
-    def test_wrong_schema(self, tmp_path):
+    @pytest.mark.parametrize("schema", [1, 999])
+    def test_wrong_schema(self, tmp_path, schema):
         cfg = PipelineConfig()
         path = save_manifest(cfg, tmp_path / "run.json")
         raw = json.loads(path.read_text())
-        raw["schema"] = 999
+        raw["schema"] = schema
         path.write_text(json.dumps(raw))
         with pytest.raises(ConfigurationError):
             load_manifest(path)

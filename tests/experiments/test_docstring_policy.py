@@ -14,9 +14,9 @@ the observability layer to measure them, the conformance harness to
 check them, the vectorized kernels to reproduce them bit-for-bit at
 speed, the revocation service to scale them, the detector arena to
 benchmark successors against them, and the citation is the
-map. The ARQ module
-``sim/reliable.py`` (the §3.2 retransmission machinery) is covered
-explicitly alongside the packages.
+map. The loss module
+``sim/reliable.py`` (message loss on the §3.2 delivery path) is
+covered explicitly alongside the packages.
 """
 
 import ast
@@ -71,8 +71,8 @@ def test_module_docstring_policy(package, path):
             )
 
     # Core, faults, obs, revocation, verify, and vec modules (and
-    # sim/reliable.py, which implements the §3.2 retransmission
-    # assumption) additionally cite the paper section they implement,
+    # sim/reliable.py, which models message loss on the §3.2 delivery
+    # path) additionally cite the paper section they implement,
     # stress, measure, scale, or check.
     if package in (
         "core",

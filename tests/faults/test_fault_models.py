@@ -7,11 +7,8 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.faults import (
     ClockDriftFault,
-    DelayFault,
     FaultConfig,
     FaultInjector,
-    NodeCrashFault,
-    PacketDuplicationFault,
     PacketLossFault,
     RttJitterFault,
     fault_config_from_dict,
@@ -25,7 +22,7 @@ class TestFaultConfig:
     def test_any_positive_field_enables(self):
         assert FaultConfig(packet_loss_rate=0.1).enabled
         assert FaultConfig(clock_drift_ppm=5.0).enabled
-        assert FaultConfig(node_crash_rate=0.01).enabled
+        assert FaultConfig(rtt_spike_rate=0.01).enabled
 
     def test_recalibrate_flag_alone_does_not_enable(self):
         assert not FaultConfig(recalibrate_under_faults=True).enabled
@@ -46,8 +43,9 @@ class TestFaultConfig:
         config = FaultConfig(
             packet_loss_rate=0.2,
             rtt_jitter_cycles=100.0,
-            node_crash_rate=0.05,
-            crash_horizon_cycles=1e6,
+            rtt_spike_rate=0.05,
+            rtt_spike_cycles=1e4,
+            clock_drift_ppm=40.0,
             recalibrate_under_faults=True,
         )
         assert fault_config_from_dict(config.to_dict()) == config
@@ -71,18 +69,6 @@ class TestPacketFaults:
         n = 5000
         drops = sum(1 for _ in range(n) if fault.should_drop())
         assert drops / n == pytest.approx(0.3, abs=0.03)
-
-    def test_duplication_returns_delay_or_none(self):
-        fault = PacketDuplicationFault(1.0, 25.0, random.Random(3))
-        assert fault.duplicate_delay() == 25.0
-        off = PacketDuplicationFault(0.0, 25.0, random.Random(3))
-        assert off.duplicate_delay() is None
-
-    def test_delay_fault(self):
-        fault = DelayFault(1.0, 40.0, random.Random(3))
-        assert fault.extra_delay() == 40.0
-        off = DelayFault(0.0, 40.0, random.Random(3))
-        assert off.extra_delay() == 0.0
 
 
 class TestRttJitter:
@@ -117,21 +103,6 @@ class TestPerNodeFaults:
         assert abs(drift) <= 100.0 / 1e6
         assert fault.skew(3, 1e6) == pytest.approx(1e6 * (1.0 + drift))
 
-    def test_crash_extremes(self):
-        everyone = NodeCrashFault(1.0, 1000.0, seed=9)
-        nobody = NodeCrashFault(0.0, 1000.0, seed=9)
-        for node_id in range(20):
-            assert 0.0 <= everyone.crash_time(node_id) <= 1000.0
-            assert everyone.is_crashed(node_id, 1000.0)
-            assert not nobody.is_crashed(node_id, 1e12)
-
-    def test_crash_time_deterministic_across_instances(self):
-        a = NodeCrashFault(0.5, 1000.0, seed=4)
-        b = NodeCrashFault(0.5, 1000.0, seed=4)
-        assert [a.crash_time(i) for i in range(30)] == [
-            b.crash_time(i) for i in range(30)
-        ]
-
 
 class TestFaultInjector:
     def test_from_config_builds_only_enabled_models(self):
@@ -139,16 +110,13 @@ class TestFaultInjector:
             FaultConfig(packet_loss_rate=0.5), seed=3
         )
         assert injector.loss is not None
-        assert injector.duplication is None
-        assert injector.crash is None
+        assert injector.rtt is None
+        assert injector.drift is None
         assert not injector.perturbs_rtt()
 
     def test_disabled_hooks_are_inert(self):
         injector = FaultInjector()
         assert not injector.drop_delivery()
-        assert injector.duplicate_delay() is None
-        assert injector.delivery_delay() == 0.0
-        assert not injector.is_crashed(1, 1e9)
         assert injector.perturb_rtt(123.0, observer_id=1) == 123.0
 
     def test_deterministic_per_seed(self):
@@ -163,11 +131,14 @@ class TestFaultInjector:
         ]
 
     def test_counters_merge_all_models(self):
-        config = FaultConfig(packet_loss_rate=1.0, node_crash_rate=1.0,
-                             crash_horizon_cycles=10.0)
+        config = FaultConfig(packet_loss_rate=1.0, rtt_spike_rate=1.0,
+                             rtt_spike_cycles=10.0, clock_drift_ppm=5.0)
         injector = FaultInjector.from_config(config, seed=1)
         injector.drop_delivery()
-        injector.is_crashed(3, 100.0)
-        counters = injector.counters()
-        assert counters["fault_packet_loss"] == 1
-        assert "fault_node_crash" in counters
+        injector.perturb_rtt(100.0, observer_id=3)
+        assert injector.counters() == {
+            "fault_packet_loss": 1,
+            "fault_rtt_jitter": 1,
+            "fault_rtt_spikes": 1,
+            "fault_clock_drift": 1,
+        }

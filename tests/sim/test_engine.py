@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ScheduleError
-from repro.sim.clock import CPU_HZ, Clock, cycles_to_seconds, seconds_to_cycles
+from repro.sim.clock import Clock
 
 
 class TestClock:
@@ -26,12 +26,6 @@ class TestClock:
         c = Clock(start=5.0)
         with pytest.raises(ScheduleError):
             c.advance_to(4.0)
-
-    def test_cycle_second_roundtrip(self):
-        assert seconds_to_cycles(cycles_to_seconds(12345.0)) == pytest.approx(12345.0)
-
-    def test_one_second_is_cpu_hz_cycles(self):
-        assert seconds_to_cycles(1.0) == CPU_HZ
 
 
 class TestEngineScheduling:

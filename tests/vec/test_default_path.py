@@ -1,10 +1,9 @@
 """The batch core is the default path; the scalar core is the oracle.
 
 ``PipelineConfig()`` runs through :mod:`repro.vec.turbo` for every
-registered detector, and configurations outside the batch envelope
-(ARQ channels, flooded revocation, event budgets,
-duplication/delay/crash faults) fall back to the scalar event loop
-with the switch still on. Only ``use_vectorized_core=False`` selects
+registered detector and every fault, and the two configurations
+outside the batch envelope (flooded revocation, event budgets) fall
+back to the scalar event loop with the switch still on. Only ``use_vectorized_core=False`` selects
 the scalar oracle on purpose.
 """
 
@@ -105,12 +104,10 @@ def test_every_detector_runs_the_turbo_tier(monkeypatch, detector):
 @pytest.mark.parametrize(
     "overrides",
     [
-        dict(alert_loss_rate=0.1),
-        dict(request_loss_rate=0.1),
         dict(revocation_dissemination="flood"),
         dict(max_events=10**9),
     ],
-    ids=["alert-arq", "request-arq", "flood", "max-events"],
+    ids=["flood", "max-events"],
 )
 def test_configs_outside_the_envelope_fall_back_to_scalar(overrides):
     config = PipelineConfig(**SMALL, **overrides)

@@ -95,8 +95,8 @@ Public classes and functions of the pluggable detector suite
 (`repro.faults`), the observability layer (`repro.obs`), the experiment
 runner (`repro.experiments.runner`), the detector arena
 (`repro.experiments.arena`), the distributed file-queue
-backend (`repro.experiments.distributed`), the ARQ reliable-delivery
-channel (`repro.sim.reliable`), the single-writer persistent
+backend (`repro.experiments.distributed`), the link loss
+model (`repro.sim.reliable`), the single-writer persistent
 revocation service (`repro.revocation`), the paper-fidelity conformance harness
 (`repro.verify`), and the vectorized batch simulation core
 (`repro.vec`).
