@@ -11,6 +11,7 @@ agents that learned at least one revocation, and N'.
 
 from repro.core.pipeline import PipelineConfig, SecureLocalizationPipeline
 from repro.experiments.series import FigureData
+from repro.faults import FaultConfig
 
 
 def sweep_loss(loss_rates=(0.0, 0.1, 0.3, 0.5), seed=91):
@@ -36,7 +37,7 @@ def sweep_loss(loss_rates=(0.0, 0.1, 0.3, 0.5), seed=91):
             wormhole_endpoints=None,
             revocation_dissemination="flood",
             notice_interval_cycles=500_000.0,
-            network_loss_rate=loss,
+            faults=FaultConfig(packet_loss_rate=loss),
             seed=seed,
         )
         pipeline = SecureLocalizationPipeline(cfg)

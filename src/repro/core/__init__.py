@@ -30,11 +30,7 @@ from repro.core.promoted import (
     PromotedAnchor,
     uncertainty_for_generation,
 )
-from repro.core.notices import (
-    NoticeAwareAgent,
-    NoticeDistributor,
-    NoticeRelay,
-)
+from repro.core.notices import NoticeDistributor
 from repro.core.replay_filter import FilterDecision, ReplayFilterCascade
 from repro.core.detecting import DetectingBeacon
 from repro.core.revocation import (
@@ -64,9 +60,7 @@ __all__ = [
     "GenerationAwareDetector",
     "PromotedAnchor",
     "uncertainty_for_generation",
-    "NoticeAwareAgent",
     "NoticeDistributor",
-    "NoticeRelay",
     "FilterDecision",
     "ReplayFilterCascade",
     "DetectingBeacon",

@@ -274,16 +274,6 @@ def report_counter_overflow(
     return max(0.0, 1.0 - prob_le)
 
 
-def expected_alerts_against(
-    p_prime: float,
-    m: int,
-    n_c: int,
-    population: Population = PAPER_POPULATION,
-) -> float:
-    """Mean accepted alerts the base station sees about one malicious beacon."""
-    return n_c * alert_probability(p_prime, m, population)
-
-
 def collusion_revocations(
     tau_report: int, tau_alert: int, population: Population = PAPER_POPULATION
 ) -> float:

@@ -3,7 +3,7 @@
 The paper assumes (§3.2) "the revocation message from the base station can
 reach most of sensor nodes" via standard fault-tolerance. This module
 implements the mechanism: the base station authenticates each
-:class:`RevocationNotice` with its **µTESLA chain** (every sensor holds
+:class:`AuthenticatedNotice` with its **µTESLA chain** (every sensor holds
 the commitment — the SPINS broadcast-authentication model) and the notice
 is **flooded**: every node rebroadcasts each new notice once.
 
@@ -206,22 +206,3 @@ def _apply_verified_revocation(node: Node, revoked_id: int) -> None:
         node.references = [
             r for r in node.references if r.beacon_id != revoked_id
         ]
-
-
-class NoticeReceiverMixin:
-    """Convenience mixin exposing :func:`install_notice_handling`."""
-
-    def install_notice_handling(self, commitment: bytes, **kwargs) -> None:
-        """See :func:`install_notice_handling`."""
-        install_notice_handling(self, commitment, **kwargs)
-
-
-class NoticeAwareAgent(NoticeReceiverMixin, NonBeaconAgent):
-    """A non-beacon agent that learns revocations only from the flood."""
-
-
-class NoticeRelay(NoticeReceiverMixin, Node):
-    """A plain relay node (e.g. beacon) participating in the flood."""
-
-    def __init__(self, node_id: int, position) -> None:
-        super().__init__(node_id, position)

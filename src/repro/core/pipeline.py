@@ -45,7 +45,6 @@ from repro.sim.engine import Engine
 from repro.sim.network import Network, WormholeLink
 from repro.sim.node import Node
 from repro.sim.radio import RadioModel, Reception
-from repro.sim.reliable import LossModel
 from repro.sim.rng import RngRegistry, derive_seed
 from repro.sim.trace import TraceRecorder
 from repro.utils.geometry import Point, distance, random_point_in_rect
@@ -66,9 +65,9 @@ RTT_BUCKETS_CYCLES = linear_buckets(14_000.0, 250.0, 17) + (
     1_000_000.0,
 )
 
-#: The collection switches of an unobserved trial (``observe=None``):
-#: its span tree still times every phase, but collects nothing else.
-_TIMING_ONLY = ObserveConfig(metrics=False, rtt_histograms=False)
+#: µTESLA key disclosures a flooded trial runs after detection: each
+#: round advances one notice interval, then discloses its key.
+NOTICE_ROUNDS = 4
 
 
 @dataclass(frozen=True)
@@ -93,12 +92,6 @@ class PipelineConfig:
     tau_report: int = 2
     tau_alert: int = 2
     wormhole_p_d: float = 0.9
-    #: Probability the wormhole detector flags a *clean* direct signal
-    #: (§2.2.1 robustness ablation; the paper's model uses 0). Each
-    #: clean evaluated reception draws one coin on the
-    #: ``wormhole-detector`` stream, so 0.0 keeps the stream untouched
-    #: and bit-identical to earlier seeds.
-    wormhole_false_alarm_rate: float = 0.0
     p_prime: float = 0.2
     location_lie_ft: float = 100.0
     #: Which registered :mod:`repro.detectors` implementation judges
@@ -123,8 +116,6 @@ class PipelineConfig:
     #: mechanism behind the assumption, measurable under radio loss.
     revocation_dissemination: str = "oracle"
     notice_interval_cycles: float = 2_000_000.0
-    notice_rounds: int = 4
-    network_loss_rate: float = 0.0
     #: Route the detection/localization phases and the metrics scans
     #: through the :mod:`repro.vec` batch kernels (the default fast
     #: path). Falls back to the scalar path silently for flooded
@@ -167,8 +158,6 @@ class PipelineConfig:
             raise ConfigurationError(
                 f"observe must be an ObserveConfig or None, got {self.observe!r}"
             )
-        check_probability(self.network_loss_rate, "network_loss_rate")
-        check_int_in_range(self.notice_rounds, "notice_rounds", 1)
         if self.revocation_dissemination not in ("oracle", "flood"):
             raise ConfigurationError(
                 "revocation_dissemination must be 'oracle' or 'flood', "
@@ -179,9 +168,6 @@ class PipelineConfig:
         check_int_in_range(self.n_malicious, "n_malicious", 0, self.n_beacons)
         check_int_in_range(self.m_detecting_ids, "m_detecting_ids", 0)
         check_probability(self.wormhole_p_d, "wormhole_p_d")
-        check_probability(
-            self.wormhole_false_alarm_rate, "wormhole_false_alarm_rate"
-        )
         check_probability(self.p_prime, "p_prime")
         from repro.detectors import available_detectors
 
@@ -307,10 +293,10 @@ class SecureLocalizationPipeline:
         #: phase timer (read back by :meth:`profile_snapshot`). With
         #: ``config.observe`` None it is timing-only: no span event
         #: reaches :attr:`trace` and nothing reaches its registry.
-        observed = self.config.observe is not None
+        self._observed = self.config.observe is not None
         self.obs = Observability(
-            self.config.observe if observed else _TIMING_ONLY,
-            trace=self.trace if observed else None,
+            self.config.observe,
+            trace=self.trace if self._observed else None,
             sim_clock=self.engine.now,
         )
         self._obs_finalized = False
@@ -324,11 +310,6 @@ class SecureLocalizationPipeline:
             return self
         cfg = self.config
         radio = RadioModel(comm_range_ft=cfg.comm_range_ft)
-        loss_model = None
-        if cfg.network_loss_rate > 0.0:
-            loss_model = LossModel(
-                cfg.network_loss_rate, self.rngs.stream("network-loss")
-            )
         if cfg.faults is not None and cfg.faults.enabled:
             # The injector seed derives from the pipeline seed, so one
             # (config, seed) pair still fully determines a faulted run;
@@ -343,27 +324,20 @@ class SecureLocalizationPipeline:
             rngs=self.rngs,
             max_ranging_error_ft=cfg.max_ranging_error_ft,
             trace=self.trace,
-            loss_model=loss_model,
             fault_injector=self.fault_injector,
         )
 
-        # RTT calibration (attack-free, as in Figure 4). A fault scenario
-        # may opt into calibrating under the faulted observation path
-        # (jitter/spikes; drift is per-observer and stays out), so the
-        # window absorbs field noise instead of the lab-clean support.
-        calibration_perturb = None
-        if (
-            self.fault_injector is not None
-            and cfg.faults.recalibrate_under_faults
-            and self.fault_injector.perturbs_rtt()
-        ):
-            calibration_perturb = self.fault_injector.perturb_rtt
-        obs = self.obs
-        rtt_histograms = obs.config.rtt_histograms
+        # RTT calibration: attack-free and fault-free, as in Figure 4.
+        # An observed trial records every calibration and exchange RTT
+        # in fixed-bucket ``rtt_cycles`` histograms.
         calibration_observe = None
-        if rtt_histograms:
-            calibration_observe = obs.registry.histogram(
+        if self._observed:
+            registry = self.obs.registry
+            calibration_observe = registry.histogram(
                 "rtt_cycles", buckets=RTT_BUCKETS_CYCLES, kind="calibration"
+            ).observe
+            self.network.rtt_observer = registry.histogram(
+                "rtt_cycles", buckets=RTT_BUCKETS_CYCLES, kind="exchange"
             ).observe
         # Calibrate at the radio range, not at zero separation: the RTT
         # includes a flight term that grows with distance, so a window
@@ -382,14 +356,11 @@ class SecureLocalizationPipeline:
             self.rngs.stream("rtt-calibration"),
             samples=cfg.rtt_calibration_samples,
             distance_ft=cfg.comm_range_ft,
-            perturb=calibration_perturb,
             observe=calibration_observe,
             sampler=calibration_sampler,
         )
         if calibration_sampler is not None:
             self._vec_bump("calibration_rtts", cfg.rtt_calibration_samples)
-        if rtt_histograms:
-            self.network.rtt_observer = self._make_rtt_observer(obs)
 
         key_manager = self.key_manager
 
@@ -401,7 +372,6 @@ class SecureLocalizationPipeline:
         wormhole_detector = ProbabilisticWormholeDetector(
             cfg.wormhole_p_d,
             self.rngs.stream("wormhole-detector"),
-            false_alarm_rate=cfg.wormhole_false_alarm_rate,
             identity_resolver=canonical_identity,
         )
         signal_detector = MaliciousSignalDetector(
@@ -528,39 +498,6 @@ class SecureLocalizationPipeline:
         self._built = True
         return self
 
-    def _make_rtt_observer(self, obs: Observability):
-        """The per-exchange RTT sink installed on the network.
-
-        Both variants cache their handles up front, so the hot path is a
-        single ``Histogram.observe`` (plus one dict lookup in per-node
-        mode). RNG-free by construction.
-        """
-        if obs.config.per_node_rtt:
-            registry = obs.registry
-            handles: Dict[int, object] = {}
-
-            def observer(rtt: float, node: Node) -> None:
-                hist = handles.get(node.node_id)
-                if hist is None:
-                    hist = registry.histogram(
-                        "rtt_cycles",
-                        buckets=RTT_BUCKETS_CYCLES,
-                        kind="exchange",
-                        node=node.node_id,
-                    )
-                    handles[node.node_id] = hist
-                hist.observe(rtt)
-
-            return observer
-        exchange = obs.registry.histogram(
-            "rtt_cycles", buckets=RTT_BUCKETS_CYCLES, kind="exchange"
-        )
-
-        def observer(rtt: float, node: Node) -> None:
-            exchange.observe(rtt)
-
-        return observer
-
     def _propagate_revocation(self, beacon_id: int) -> None:
         """Disseminate one revocation per the configured mechanism."""
         if self.network is not None and self.network.has_node(beacon_id):
@@ -680,7 +617,7 @@ class SecureLocalizationPipeline:
         """Advance µTESLA intervals so flooded notices verify and apply."""
         if self.notice_distributor is None:
             return
-        for _ in range(self.config.notice_rounds):
+        for _ in range(NOTICE_ROUNDS):
             deadline = self.engine.now() + self.config.notice_interval_cycles
             self.engine.run_until(deadline)
             self.notice_distributor.disclose_key()
@@ -736,11 +673,10 @@ class SecureLocalizationPipeline:
         this one call folds them all into the mergeable registry, so
         observing adds no per-event registry work.
         """
-        obs = self.obs
-        if self._obs_finalized or not obs.config.metrics:
+        if self._obs_finalized or not self._observed:
             return
         self._obs_finalized = True
-        registry = obs.registry
+        registry = self.obs.registry
         self.engine.record_metrics(registry)
         registry.counter("probes_sent_total").inc(self._probes_sent)
         if self.network is not None:
@@ -762,7 +698,7 @@ class SecureLocalizationPipeline:
         ``observe.trace_events``; otherwise just the ``span.*`` markers,
         which keeps worker->parent payloads small in the parallel runner.
         """
-        if self.config.observe is None:
+        if not self._observed:
             return {}
         self.finalize_observability()
         data = self.obs.telemetry()

@@ -64,7 +64,6 @@ def calibrate_rtt(
     *,
     samples: int = 10_000,
     distance_ft: float = 0.0,
-    perturb: Optional[Callable[[float], float]] = None,
     observe: Optional[Callable[[float], None]] = None,
     sampler: Optional[
         Callable[[RttModel, random.Random, int, float], Iterable[float]]
@@ -80,13 +79,8 @@ def calibrate_rtt(
         rng: randomness source for the hardware jitter draws.
         samples: how many attack-free measurements to take.
         distance_ft: requester/responder separation during calibration.
-        perturb: optional per-observation transform applied to each RTT
-            before the window is extracted — the hook
-            :mod:`repro.faults` uses when a scenario re-calibrates under
-            field conditions (``recalibrate_under_faults``), so ``x_max``
-            absorbs jitter/drift instead of the lab-clean support.
-        observe: optional RNG-free sink called with each (possibly
-            perturbed) calibration RTT — the observability layer feeds
+        observe: optional RNG-free sink called with each calibration
+            RTT — the observability layer feeds
             these into its ``rtt_cycles{kind="calibration"}`` histogram,
             reconstructing the Figure-4 distribution.
         sampler: optional replacement for the scalar draw loop, called
@@ -94,8 +88,8 @@ def calibrate_rtt(
             vectorized pipeline passes
             :func:`repro.vec.measurement.batched_calibration_rtts`,
             whose output (and resulting ``rng`` state) is bit-identical
-            to the scalar loop. The perturb/observe hooks apply after
-            all draws in both paths, so the swap is order-safe.
+            to the scalar loop. The observe hook applies after all
+            draws in both paths, so the swap is order-safe.
     """
     if samples <= 0:
         raise ConfigurationError(f"samples must be > 0, got {samples}")
@@ -103,8 +97,6 @@ def calibrate_rtt(
         rtts = list(sampler(model, rng, samples, distance_ft))
     else:
         rtts = model.sample_rtts(rng, samples, distance_ft=distance_ft)
-    if perturb is not None:
-        rtts = [perturb(rtt) for rtt in rtts]
     if observe is not None:
         for rtt in rtts:
             observe(rtt)

@@ -355,8 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "serve live /metrics, /healthz, and /spans on this port "
             "(0 = ephemeral) while the run is in flight; applies to the "
-            "coordinating runner, to --worker mode, and to the "
-            "revocation service (see docs/OBSERVABILITY.md)"
+            "coordinating runner of every target (for revocation: its "
+            "capture run) and to --worker mode; the revocation service's "
+            "own plane is served only through "
+            "RevocationService(telemetry_port=) (see docs/OBSERVABILITY.md)"
         ),
     )
     return parser

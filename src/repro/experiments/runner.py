@@ -58,7 +58,6 @@ import dataclasses
 
 from repro.core.pipeline import PipelineConfig, PipelineResult, SecureLocalizationPipeline
 from repro.errors import ConfigurationError, ExperimentError
-from repro.experiments.config_io import config_to_dict
 from repro.obs import ObserveConfig, active_span_of, merge_snapshots
 
 #: Scalar :class:`PipelineResult` attributes collected by pipeline tasks.
@@ -136,6 +135,22 @@ class _InstrumentedTask:
             if config.observe is not None:
                 out["telemetry"] = pipeline.telemetry()
             return out
+
+
+def config_to_dict(config: PipelineConfig) -> Dict[str, Any]:
+    """A plain-JSON-serializable dict of the config.
+
+    The nested :class:`repro.faults.FaultConfig` (when set) flattens to a
+    plain dict via ``dataclasses.asdict``, so fault scenarios are part of
+    the cache key; wormhole endpoint tuples become lists, as JSON has
+    them.
+    """
+    raw = dataclasses.asdict(config)
+    if raw.get("wormhole_endpoints") is not None:
+        raw["wormhole_endpoints"] = [
+            list(end) for end in raw["wormhole_endpoints"]
+        ]
+    return raw
 
 
 def cache_key(config: PipelineConfig, *, kind: str = "pipeline") -> str:

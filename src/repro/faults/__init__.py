@@ -9,14 +9,13 @@ instead of axioms:
 - :class:`FaultConfig` — the declarative, serializable scenario knob
   (nested in ``PipelineConfig.faults``; all-zero default = off =
   bit-identical to an un-faulted run);
-- :mod:`repro.faults.models` — one composable model per fault: packet
-  loss, RTT jitter/outlier spikes, clock drift;
+- :mod:`repro.faults.models` — one model per fault: packet loss and
+  RTT jitter;
 - :class:`FaultInjector` — the runtime composition the network and the
   RTT path hook into.
 
-Every fault a config can carry runs on both cores: the scalar event
-loop and the :mod:`repro.vec` batch core draw the same streams in the
-same order.
+Both faults run on both cores: the scalar event loop and the
+:mod:`repro.vec` batch core draw the same streams in the same order.
 
 See ``docs/FAULTS.md`` for the taxonomy, the mapping from each fault to
 a paper assumption, and the determinism/seeding rules.
@@ -24,21 +23,14 @@ a paper assumption, and the determinism/seeding rules.
 Paper section: §2.2.2, §3.2 (the stressed assumptions)
 """
 
-from repro.faults.config import FaultConfig, fault_config_from_dict
+from repro.faults.config import FaultConfig
 from repro.faults.injector import FaultInjector
-from repro.faults.models import (
-    ClockDriftFault,
-    FaultModel,
-    PacketLossFault,
-    RttJitterFault,
-)
+from repro.faults.models import FaultModel, PacketLossFault, RttJitterFault
 
 __all__ = [
     "FaultConfig",
-    "fault_config_from_dict",
     "FaultInjector",
     "FaultModel",
     "PacketLossFault",
     "RttJitterFault",
-    "ClockDriftFault",
 ]

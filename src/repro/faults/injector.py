@@ -10,11 +10,8 @@ injector costs one attribute check.
 Determinism/seeding rules (the contract ``docs/FAULTS.md`` documents):
 
 - every stochastic model draws from its own named stream derived from
-  the injector seed ("fault-loss", "fault-rtt", "fault-drift"), so
-  enabling one fault never shifts the draws of another;
-- per-node clock drifts are derived from the seed *and the node id*,
-  never from a shared sequential stream, so the answer for node ``k``
-  is independent of registration order;
+  the injector seed ("fault-loss", "fault-rtt"), so enabling one fault
+  never shifts the draws of another;
 - the injector seed is derived from the pipeline seed, so one
   ``PipelineConfig`` still fully determines a faulted run.
 
@@ -27,12 +24,7 @@ import random
 from typing import Dict, List, Optional
 
 from repro.faults.config import FaultConfig
-from repro.faults.models import (
-    ClockDriftFault,
-    FaultModel,
-    PacketLossFault,
-    RttJitterFault,
-)
+from repro.faults.models import FaultModel, PacketLossFault, RttJitterFault
 from repro.sim.rng import derive_seed
 
 
@@ -50,11 +42,9 @@ class FaultInjector:
         *,
         loss: Optional[PacketLossFault] = None,
         rtt: Optional[RttJitterFault] = None,
-        drift: Optional[ClockDriftFault] = None,
     ) -> None:
         self.loss = loss
         self.rtt = rtt
-        self.drift = drift
 
     @classmethod
     def from_config(cls, config: FaultConfig, seed: int) -> "FaultInjector":
@@ -74,19 +64,9 @@ class FaultInjector:
         if config.packet_loss_rate > 0:
             loss = PacketLossFault(config.packet_loss_rate, stream("loss"))
         rtt = None
-        if config.rtt_jitter_cycles > 0 or config.rtt_spike_rate > 0:
-            rtt = RttJitterFault(
-                config.rtt_jitter_cycles,
-                config.rtt_spike_rate,
-                config.rtt_spike_cycles,
-                stream("rtt"),
-            )
-        drift = None
-        if config.clock_drift_ppm > 0:
-            drift = ClockDriftFault(
-                config.clock_drift_ppm, derive_seed(seed, "fault-drift")
-            )
-        return cls(loss=loss, rtt=rtt, drift=drift)
+        if config.rtt_jitter_cycles > 0:
+            rtt = RttJitterFault(config.rtt_jitter_cycles, stream("rtt"))
+        return cls(loss=loss, rtt=rtt)
 
     # ------------------------------------------------------------------
     # Delivery hook (called by Network._schedule_delivery)
@@ -96,32 +76,20 @@ class FaultInjector:
         return self.loss is not None and self.loss.should_drop()
 
     # ------------------------------------------------------------------
-    # Measurement hooks (Network.measure_rtt / RTT calibration)
+    # Measurement hook (Network.observe_rtt)
     # ------------------------------------------------------------------
-    def perturb_rtt(self, rtt_cycles: float, *, observer_id: Optional[int] = None) -> float:
-        """One faulted RTT observation.
-
-        The observer's clock drift scales the interval first (it is the
-        requester's oscillator doing the timestamping), then channel-level
-        jitter/spikes are added.
-        """
-        observed = rtt_cycles
-        if self.drift is not None and observer_id is not None:
-            observed = self.drift.skew(observer_id, observed)
-        if self.rtt is not None:
-            observed = self.rtt.perturb(observed)
-        return observed
-
-    def perturbs_rtt(self) -> bool:
-        """True when RTT observations are modified at all."""
-        return self.rtt is not None or self.drift is not None
+    def perturb_rtt(self, rtt_cycles: float) -> float:
+        """One faulted RTT observation (the identity without jitter)."""
+        if self.rtt is None:
+            return rtt_cycles
+        return self.rtt.perturb(rtt_cycles)
 
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
     def models(self) -> List[FaultModel]:
         """The active models, in a stable order."""
-        return [m for m in (self.loss, self.rtt, self.drift) if m is not None]
+        return [m for m in (self.loss, self.rtt) if m is not None]
 
     def counters(self) -> Dict[str, int]:
         """Aggregated fault-event counters (JSON-ready, profile-mergeable)."""

@@ -3,7 +3,7 @@
 The paper's detection techniques sit *on top of* beacon-based localization;
 this package provides that base layer:
 
-- :mod:`repro.localization.measurement` — RSSI / ToA / TDoA ranging models
+- :mod:`repro.localization.measurement` — RSSI / TDoA ranging models
   with the bounded-error property the detector relies on;
 - :mod:`repro.localization.references` — the ``location reference``
   abstraction (beacon location + measurement);
@@ -17,12 +17,7 @@ this package provides that base layer:
   protocol roles over the simulator.
 """
 
-from repro.localization.measurement import (
-    RangingModel,
-    RssiModel,
-    TdoaModel,
-    ToaModel,
-)
+from repro.localization.measurement import RangingModel, RssiModel, TdoaModel
 from repro.localization.references import LocationReference
 from repro.localization.multilateration import mmse_multilaterate
 from repro.localization.robust import robust_multilaterate
@@ -32,7 +27,6 @@ from repro.localization.beacon import BeaconService, NonBeaconAgent
 __all__ = [
     "RangingModel",
     "RssiModel",
-    "ToaModel",
     "TdoaModel",
     "LocationReference",
     "mmse_multilaterate",

@@ -17,7 +17,7 @@ from repro.crypto.manager import KeyManager
 from repro.errors import InsufficientReferencesError
 from repro.localization.multilateration import MultilaterationResult, mmse_multilaterate
 from repro.localization.references import LocationReference
-from repro.sim.messages import BeaconPacket, BeaconRequest, RevocationNotice
+from repro.sim.messages import BeaconPacket, BeaconRequest
 from repro.sim.node import Node
 from repro.sim.radio import Reception
 from repro.utils.geometry import Point
@@ -81,10 +81,11 @@ class NonBeaconAgent(Node):
     """A regular sensor node discovering its own location.
 
     Collects authenticated beacon packets into location references and
-    solves with MMSE multilateration. Honors revocation notices: references
-    from revoked beacons are discarded (paper Section 3.2 assumes "a
+    solves with MMSE multilateration. Beacon packets from the ids in
+    ``revoked_beacons`` are discarded (paper Section 3.2 assumes "a
     malicious beacon signal will not be used ... if the corresponding beacon
-    node is revoked").
+    node is revoked"); the pipeline fills that set, by oracle or by the
+    flooded notices of :mod:`repro.core.notices`.
     """
 
     def __init__(self, node_id: int, position: Point, key_manager: KeyManager) -> None:
@@ -95,7 +96,6 @@ class NonBeaconAgent(Node):
         self._next_nonce = 1
         self.estimated_position: Optional[Point] = None
         self.on(BeaconPacket, type(self)._collect_reference)
-        self.on(RevocationNotice, type(self)._apply_revocation)
 
     # ------------------------------------------------------------------
     # Stage 1: gather references
@@ -130,13 +130,6 @@ class NonBeaconAgent(Node):
             measured_distance_ft=reception.measured_distance_ft,
             received_at=reception.arrival_time,
         )
-
-    def _apply_revocation(self, reception: Reception) -> None:
-        notice = reception.packet
-        self.revoked_beacons.add(notice.revoked_id)
-        self.references = [
-            r for r in self.references if r.beacon_id != notice.revoked_id
-        ]
 
     # ------------------------------------------------------------------
     # Stage 2: solve

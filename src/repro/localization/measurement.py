@@ -1,21 +1,18 @@
-"""Ranging measurement models: RSSI, ToA, TDoA.
+"""Ranging measurement models: RSSI and TDoA.
 
 Each model maps a *true* distance to a noisy measurement and exposes
 ``max_error`` — the bound the paper's detector uses as its decision
 threshold ("if the difference ... is larger than the maximum distance
 error, the ... beacon signal must be malicious").
 
-The RSSI model goes through an explicit log-distance path-loss channel
-(signal strength in dBm -> inverted distance estimate) so that adversarial
-transmit-power games have a physically meaningful hook; ToA adds timing
-noise; TDoA times the RF/ultrasound arrival gap. Every model keeps the
-honest distance error within ``max_error_ft``, preserving the paper's
+The RSSI model draws uniform noise within ``±max_error_ft`` in feet;
+TDoA times the RF/ultrasound arrival gap. Every model keeps the honest
+distance error within ``max_error_ft``, preserving the paper's
 bounded-error assumption.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -31,7 +28,7 @@ class RangingModel(ABC):
     max_error_ft: float
 
     #: Whether the ranging feature is as protected as the packet data.
-    #: True for RSSI/ToA (manipulating the feature requires transmitting,
+    #: True for RSSI (manipulating the feature requires transmitting,
     #: i.e. being the authenticated sender); False for ultrasound TDoA,
     #: where an external attacker can inject/advance the ultrasound pulse
     #: without holding any keys — the paper's §2.3 caveat.
@@ -54,65 +51,24 @@ class RangingModel(ABC):
 
 @dataclass
 class RssiModel(RangingModel):
-    """Received-signal-strength ranging via log-distance path loss.
+    """Received-signal-strength ranging with the paper's bounded error.
 
-    ``P_rx = P_tx - PL0 - 10 n log10(d / d0) + X`` where ``X`` is shadowing
-    noise. Distance is recovered by inverting the deterministic part. The
-    shadowing sigma is chosen from ``max_error_ft`` so honest errors stay
-    within the bound (noise is truncated at the equivalent dB bound).
+    A measurement is the true distance plus noise drawn uniformly from
+    ``±max_error_ft`` feet (the paper's "maximum distance error"), never
+    below zero; an adversarial ``bias_ft`` applies on top of it.
 
     Attributes:
         max_error_ft: bound on the honest distance error (paper: 10 ft).
-        path_loss_exponent: environment exponent ``n`` (2 = free space).
-        reference_loss_db: path loss at the reference distance ``d0``.
-        reference_distance_ft: ``d0``.
-        tx_power_dbm: nominal transmit power.
     """
 
     max_error_ft: float = 10.0
-    path_loss_exponent: float = 2.5
-    reference_loss_db: float = 40.0
-    reference_distance_ft: float = 3.0
-    tx_power_dbm: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_error_ft < 0:
             raise ConfigurationError(
                 f"max_error_ft must be >= 0, got {self.max_error_ft}"
             )
-        if self.path_loss_exponent <= 0:
-            raise ConfigurationError(
-                f"path_loss_exponent must be > 0, got {self.path_loss_exponent}"
-            )
 
-    # ------------------------------------------------------------------
-    # Channel
-    # ------------------------------------------------------------------
-    def rssi_at(self, true_distance_ft: float, *, tx_power_dbm: float | None = None) -> float:
-        """Deterministic received power (dBm) at ``true_distance_ft``."""
-        if true_distance_ft < 0:
-            raise ConfigurationError(
-                f"distance must be >= 0, got {true_distance_ft}"
-            )
-        d = max(true_distance_ft, self.reference_distance_ft)
-        power = self.tx_power_dbm if tx_power_dbm is None else tx_power_dbm
-        return (
-            power
-            - self.reference_loss_db
-            - 10.0 * self.path_loss_exponent * math.log10(d / self.reference_distance_ft)
-        )
-
-    def distance_from_rssi(self, rssi_dbm: float, *, assumed_tx_power_dbm: float | None = None) -> float:
-        """Invert :meth:`rssi_at` assuming the nominal transmit power."""
-        power = self.tx_power_dbm if assumed_tx_power_dbm is None else assumed_tx_power_dbm
-        exponent = (power - self.reference_loss_db - rssi_dbm) / (
-            10.0 * self.path_loss_exponent
-        )
-        return self.reference_distance_ft * (10.0**exponent)
-
-    # ------------------------------------------------------------------
-    # Measurement
-    # ------------------------------------------------------------------
     def measure_distance(
         self, true_distance_ft: float, rng: random.Random, *, bias_ft: float = 0.0
     ) -> float:
@@ -124,32 +80,6 @@ class RssiModel(RangingModel):
             max(0.0, true_distance_ft - self.max_error_ft),
             true_distance_ft + self.max_error_ft,
         )
-        return max(0.0, estimate + bias_ft)
-
-
-@dataclass
-class ToaModel(RangingModel):
-    """Time-of-arrival ranging: distance = (arrival - departure) * v.
-
-    Timing jitter of ``timing_jitter_cycles`` CPU cycles translates to a
-    distance error; the model exposes the resulting ``max_error_ft``.
-    """
-
-    timing_jitter_cycles: float = 0.055
-    signal_speed_ft_per_cycle: float = 133.4  # speed of light per CPU cycle
-
-    def __post_init__(self) -> None:
-        if self.timing_jitter_cycles < 0:
-            raise ConfigurationError(
-                f"timing_jitter_cycles must be >= 0, got {self.timing_jitter_cycles}"
-            )
-        self.max_error_ft = self.timing_jitter_cycles * self.signal_speed_ft_per_cycle
-
-    def measure_distance(
-        self, true_distance_ft: float, rng: random.Random, *, bias_ft: float = 0.0
-    ) -> float:
-        jitter = rng.uniform(-self.timing_jitter_cycles, self.timing_jitter_cycles)
-        estimate = true_distance_ft + jitter * self.signal_speed_ft_per_cycle
         return max(0.0, estimate + bias_ft)
 
 

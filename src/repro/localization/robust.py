@@ -25,7 +25,7 @@ exactly the ones this loop peels off.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.errors import InsufficientReferencesError
 from repro.localization.multilateration import MIN_REFERENCES, mmse_multilaterate
@@ -119,23 +119,3 @@ def _worst_residual_index(
             worst_value = value
             worst = index
     return worst
-
-
-def consistency_vote(
-    references: Sequence[LocationReference],
-    *,
-    max_error_ft: float = 10.0,
-    slack: float = 1.5,
-) -> List[Tuple[LocationReference, bool]]:
-    """Label each reference consistent/inconsistent with the robust fit.
-
-    Convenience for diagnostics and for feeding *local* suspicion into the
-    reporting pipeline (a non-beacon node cannot run the §2.1 detector —
-    it has no trusted position — but it can flag references its own robust
-    solve rejected).
-    """
-    result = robust_multilaterate(
-        references, max_error_ft=max_error_ft, slack=slack
-    )
-    rejected_ids = {id(r) for r in result.rejected}
-    return [(ref, id(ref) not in rejected_ids) for ref in references]

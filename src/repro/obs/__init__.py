@@ -16,7 +16,7 @@ JSON, and JSONL; see ``docs/OBSERVABILITY.md`` for schemas.
 Paper section: §3.1, §2.2.2, §4 (the quantities the evaluation counts)
 """
 
-from repro.obs.config import ObserveConfig, observe_config_from_dict
+from repro.obs.config import ObserveConfig
 from repro.obs.live import (
     SpanRing,
     TelemetryServer,
@@ -77,7 +77,6 @@ __all__ = [
     "linear_buckets",
     "merge_snapshots",
     "new_trace_id",
-    "observe_config_from_dict",
     "process_span_namespace",
     "process_trace_context",
     "prometheus_text",

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.revocation import (
     AlertRecord,
@@ -65,8 +65,6 @@ class RevocationService:
         snapshot_every: write a state snapshot after this many committed
             alerts (None = only on explicit :meth:`snapshot` calls).
         key_manager: verifies alert MACs for ``verify=True`` submissions.
-        on_revoke: callback invoked (in ledger order) with each newly
-            revoked beacon id, after the revoking batch has committed.
         observe: optional :class:`repro.obs.ObserveConfig` for service
             operational metrics and flush spans; None (default) builds
             no observability object at all.
@@ -96,7 +94,6 @@ class RevocationService:
         batch_size: int = 256,
         snapshot_every: Optional[int] = None,
         key_manager=None,
-        on_revoke: Optional[Callable[[int], None]] = None,
         observe: Optional[ObserveConfig] = None,
         telemetry_port: Optional[int] = None,
     ) -> None:
@@ -115,7 +112,6 @@ class RevocationService:
         self.batch_size = batch_size
         self.snapshot_every = snapshot_every
         self.key_manager = key_manager
-        self.on_revoke = on_revoke
         self._state = CounterState()
         #: Committed decision log in sequence order (rebuilt on recovery).
         self.decisions: List[AlertRecord] = []
@@ -274,7 +270,6 @@ class RevocationService:
         seq = self.last_seq
         ledger: List[Dict[str, Any]] = []
         records: List[AlertRecord] = []
-        revoked_now: List[int] = []
         auth_failures = 0
         for detector_id, target_id, when, tag, verify, _ in batch:
             seq += 1
@@ -293,8 +288,6 @@ class RevocationService:
                 accepted, reason, revokes = apply_alert(
                     state, config, detector_id, target_id
                 )
-                if revokes:
-                    revoked_now.append(target_id)
             ledger.append(
                 {
                     "schema": LEDGER_SCHEMA_VERSION,
@@ -327,15 +320,12 @@ class RevocationService:
         for (*_, future), record in zip(batch, records):
             if not future.done():
                 future.set_result(record)
-        if self.obs is not None and self.obs.config.metrics:
+        if self.obs is not None:
             registry = self.obs.registry
             registry.counter("svc_batches_total").inc()
             registry.counter("svc_alerts_ingested_total").inc(len(batch))
             if auth_failures:
                 registry.counter("svc_auth_failures_total").inc(auth_failures)
-        if self.on_revoke is not None:
-            for target_id in revoked_now:
-                self.on_revoke(target_id)
         if (
             self.snapshot_every is not None
             and self.last_seq - self._snapshot_seq >= self.snapshot_every
@@ -360,7 +350,7 @@ class RevocationService:
         }
         self.backend.write_snapshot(document)
         self._snapshot_seq = self.last_seq
-        if self.obs is not None and self.obs.config.metrics:
+        if self.obs is not None:
             self.obs.registry.counter("svc_snapshots_total").inc()
         return document
 
@@ -428,7 +418,7 @@ class RevocationService:
         self.decisions = decisions
         self.last_seq = last_seq
         self._snapshot_seq = after_seq
-        if self.obs is not None and self.obs.config.metrics and decisions:
+        if self.obs is not None and decisions:
             self.obs.registry.counter("svc_recovered_records_total").inc(
                 len(decisions)
             )

@@ -15,17 +15,10 @@ This package provides everything the paper's evaluation runs on top of:
 
 from repro.sim.clock import CPU_HZ, Clock
 from repro.sim.engine import Engine, Event
-from repro.sim.messages import (
-    Alert,
-    BeaconPacket,
-    BeaconRequest,
-    Packet,
-    RevocationNotice,
-)
+from repro.sim.messages import BeaconPacket, BeaconRequest, Packet
 from repro.sim.network import Network, WormholeLink
 from repro.sim.node import Node
 from repro.sim.radio import RadioModel
-from repro.sim.reliable import LossModel
 from repro.sim.rng import RngRegistry
 from repro.sim.timing import (
     BIT_TIME_CYCLES,
@@ -42,14 +35,11 @@ __all__ = [
     "Packet",
     "BeaconRequest",
     "BeaconPacket",
-    "Alert",
-    "RevocationNotice",
     "Network",
     "WormholeLink",
     "Node",
     "RadioModel",
     "RngRegistry",
-    "LossModel",
     "BIT_TIME_CYCLES",
     "RttModel",
     "RttSample",

@@ -4,10 +4,11 @@ Packets model only what the paper's protocols need:
 
 - :class:`BeaconRequest` — a (non-)beacon node asking a beacon node for a
   beacon signal (the paper's request/reply protocol, Figure 3);
-- :class:`BeaconPacket` — the beacon reply carrying the claimed location;
-- :class:`Alert` — a detecting node's report ``(detector, target)`` to the
-  base station (Section 3.1);
-- :class:`RevocationNotice` — the base station announcing a revoked beacon.
+- :class:`BeaconPacket` — the beacon reply carrying the claimed location.
+
+§3.1 alerts reach the base station by direct call, and flooded
+revocation notices travel as
+:class:`repro.core.notices.AuthenticatedNotice`.
 
 Every packet exposes :meth:`Packet.wire_repr`, the canonical byte string the
 crypto layer authenticates. Authentication tags travel in ``auth_tag`` and
@@ -95,25 +96,3 @@ class BeaconPacket(Packet):
     def claimed_point(self) -> Point:
         """The declared location as a :class:`Point`."""
         return Point(*self.claimed_location)
-
-
-@dataclass
-class Alert(Packet):
-    """Detecting node -> base station: "target looks malicious"."""
-
-    detector_id: int = 0
-    target_id: int = 0
-
-
-@dataclass
-class RevocationNotice(Packet):
-    """Base station -> network: the named beacon node is revoked."""
-
-    revoked_id: int = 0
-
-
-@dataclass
-class DataPacket(Packet):
-    """Opaque application payload (used by tests and routing examples)."""
-
-    payload: bytes = b""

@@ -16,8 +16,8 @@ error model, and any wormhole tunnels. Delivery semantics:
   adversarial ranging bias carried by the transmission.
 - An optional :class:`repro.faults.FaultInjector` perturbs delivery and
   measurement: packet copies can be dropped, and observed RTTs pick up
-  jitter, outlier spikes, and per-node clock drift. With no injector the
-  code path is byte-for-byte the fault-free one.
+  jitter. With no injector the code path is byte-for-byte the
+  fault-free one.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from repro.sim.engine import Engine
 from repro.sim.messages import Packet
 from repro.sim.node import Node
 from repro.sim.radio import RadioModel, Reception, Transmission
-from repro.sim.reliable import LossModel
 from repro.sim.rng import RngRegistry
 from repro.sim.timing import RttModel
 from repro.sim.trace import TraceRecorder
@@ -143,7 +142,6 @@ class Network:
         rtt_model: Optional[RttModel] = None,
         trace: Optional[TraceRecorder] = None,
         drop_out_of_range: bool = True,
-        loss_model: Optional[LossModel] = None,
         fault_injector: Optional["FaultInjector"] = None,
     ) -> None:
         self.engine = engine
@@ -158,7 +156,6 @@ class Network:
         self.rtt_model = rtt_model if rtt_model is not None else RttModel()
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.drop_out_of_range = drop_out_of_range
-        self.loss_model = loss_model
         #: Optional fault-injection layer (see :mod:`repro.faults`).
         #: ``None`` keeps every delivery/measurement path fault-free.
         self.fault_injector = fault_injector
@@ -177,11 +174,11 @@ class Network:
         #: Hot-path operation counters (distance evals, cells visited,
         #: queries, deliveries) — cheap enough to always stay on.
         self.stats = NetworkCounters()
-        #: Optional observability hook: called as ``rtt_observer(rtt,
-        #: requester)`` with every RTT the network hands out (after any
-        #: fault perturbation — observers see what the node sees). The
+        #: Optional observability hook: called as ``rtt_observer(rtt)``
+        #: with every RTT the network hands out (after any fault
+        #: perturbation — observers see what the node sees). The
         #: pipeline wires this to its ``rtt_cycles`` histogram; RNG-free.
-        self.rtt_observer: Optional[Callable[[float, Node], None]] = None
+        self.rtt_observer: Optional[Callable[[float], None]] = None
 
     # ------------------------------------------------------------------
     # Topology
@@ -463,15 +460,6 @@ class Network:
     def _schedule_delivery(
         self, transmission: Transmission, dst: Node, physical_dist: float
     ) -> None:
-        if self.loss_model is not None and not self.loss_model.attempt_succeeds():
-            self.trace.record(
-                self.engine.now(),
-                "drop.loss",
-                src=transmission.packet.src_id,
-                dst=dst.node_id,
-                packet_kind=transmission.packet.kind(),
-            )
-            return
         injector = self.fault_injector
         if injector is not None and injector.drop_delivery():
             self.trace.record(
@@ -536,32 +524,25 @@ class Network:
         Used by the local-replay detector: honest exchanges draw from the
         narrow hardware distribution; replayed ones carry ``extra_delay``.
         With a fault injector configured, the observation additionally
-        picks up channel jitter/outlier spikes and the requester's clock
-        drift — the §2.2.2 stress case where the true distribution no
-        longer matches the calibrated Figure-4 window.
+        picks up channel jitter — the §2.2.2 stress case where the true
+        distribution no longer matches the calibrated Figure-4 window.
         """
         return self.observe_rtt(
-            requester,
             distance(requester.position, responder_position),
             extra_delay_cycles,
             self.engine.now(),
         )
 
     def observe_rtt(
-        self,
-        requester: Node,
-        distance_ft: float,
-        extra_delay_cycles: float,
-        start_time: float,
+        self, distance_ft: float, extra_delay_cycles: float, start_time: float
     ) -> float:
         """One exchange's observed RTT, from its distance and start time.
 
         Samples the model on the ``rtt`` stream, applies the fault
-        injector's drift, jitter and spikes, then feeds the
-        ``rtt_observer``. The scalar core reaches it through
-        :meth:`measure_rtt`; the batch core calls it for each RTT a
-        rival detector asks for, with the reply wave's distances and
-        arrival times.
+        injector's jitter, then feeds the ``rtt_observer``. The scalar
+        core reaches it through :meth:`measure_rtt`; the batch core
+        calls it for each RTT a rival detector asks for, with the reply
+        wave's distances and arrival times.
         """
         sample = self.rtt_model.sample(
             self.rngs.stream("rtt"),
@@ -571,10 +552,10 @@ class Network:
         )
         injector = self.fault_injector
         rtt = sample.rtt
-        if injector is not None and injector.perturbs_rtt():
-            rtt = injector.perturb_rtt(rtt, observer_id=requester.node_id)
+        if injector is not None:
+            rtt = injector.perturb_rtt(rtt)
         if self.rtt_observer is not None:
-            self.rtt_observer(rtt, requester)
+            self.rtt_observer(rtt)
         return rtt
 
     def record_metrics(self, registry) -> None:

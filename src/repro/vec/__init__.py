@@ -11,7 +11,7 @@ Gauss-Newton multilateration solver (:mod:`repro.vec.localization`).
 
 The batch core is the pipeline's default path, and
 :mod:`repro.vec.turbo` is its one implementation of the detection and
-localization phases, for every registered detector and every fault a
+localization phases, for every registered detector and both faults a
 config can carry. Both phases run one request/reply exchange and
 one pass of the §2.2 replay filters. The paper detector's §2.1+§2.2
 suite runs as array masks; a rival detector's own ``evaluate`` runs
@@ -32,9 +32,9 @@ def vectorized_core_supported(config) -> bool:
     """True when the batch core reproduces ``config`` draw-for-draw.
 
     The batch core covers the paper's evaluation matrix — wormholes,
-    collusion, network loss — for every registered detector, and every
-    fault a :class:`~repro.faults.FaultConfig` can carry: packet loss,
-    RTT jitter and spikes, clock drift. It does not cover the two
+    collusion — for every registered detector, and both faults a
+    :class:`~repro.faults.FaultConfig` can carry: packet loss and RTT
+    jitter. It does not cover the two
     configurations whose control flow interleaves extra events with
     deliveries:
 

@@ -5,16 +5,16 @@ same exchange, and so do both phases here. :func:`_exchange` sends a
 request wave at the phase start, serves the delivered requests and
 sends the reply wave back; :func:`_replay_cascade` passes the replies
 the phase picks through the §2.2 replay filters: one RTT batch on the
-``rtt`` stream, perturbed in observation order as
-``FaultInjector.perturb_rtt`` perturbs each sample (clock drift, RTT
-jitter, spikes), the RTT observer, the wormhole verdicts and each
-observer's local-replay window. Detection picks its §2.1-inconsistent
-replies, with the §2.2.1 range check as extra wormhole flags;
-localization picks every reply from an unrevoked beacon.
+``rtt`` stream, jittered in observation order as
+``FaultInjector.perturb_rtt`` jitters each sample, the RTT observer,
+the wormhole verdicts and each observer's local-replay window.
+Detection picks its §2.1-inconsistent replies, with the §2.2.1 range
+check as extra wormhole flags; localization picks every reply from an
+unrevoked beacon.
 
 Each wave collapses into array arithmetic: exact pairwise geometry
 picks the copies (direct plus tunnelled, in the scalar ``unicast``
-order), the link- and fault-loss draws mask them in that same order,
+order), the fault-loss draws mask them in that same order,
 one elementwise expression computes every arrival time, the
 ranging-noise batch consumes its stream exactly as the scalar loop
 would, and one stable argsort puts the copies in the engine's
@@ -23,9 +23,9 @@ would, and one stable argsort puts the copies in the engine's
 Building the request wave in full before the reply wave is exact even
 where, in global event order, a late request arrives after an early
 reply: reply handlers never transmit, and the streams drawn while
-scheduling and serving (``network-loss``, fault loss, ``ranging``,
-the adversary strategies) are disjoint from those drawn while handling
-replies (``rtt``, fault RTT, ``wormhole-detector``), so each stream
+scheduling and serving (fault loss, ``ranging``, the adversary
+strategies) are disjoint from those drawn while handling replies
+(``rtt``, fault RTT, ``wormhole-detector``), so each stream
 is consumed in the scalar order.
 
 Python survives only where the scalar path is genuinely stateful per
@@ -48,8 +48,8 @@ from the wave's arrays, and each RTT it asks for is drawn on demand
 through :meth:`~repro.sim.network.Network.observe_rtt`, the helper the
 scalar ``measure_rtt`` also calls.
 
-Every fault a config can carry runs here: loss as the per-copy masks
-above, RTT jitter, spikes and clock drift inside the replay cascade.
+Both faults a config can carry run here: packet loss as the per-copy
+mask above, RTT jitter inside the replay cascade.
 :func:`repro.vec.vectorized_core_supported` sends flooded revocation
 and event budgets to the scalar oracle.
 
@@ -119,10 +119,10 @@ class _Field:
     so every endpoint-range predicate — ``far_end``'s first-match
     selection and ``wormhole_between``'s pairing — matches the scalar
     :class:`~repro.sim.network.Network` bit for bit), the reachability
-    mask, built on first use, and the network's loss and RTT fault
-    models. The arrays are a snapshot: :func:`trial_field` builds one
-    field per trial, and nothing in the pipeline moves a node or
-    installs a tunnel after ``build``.
+    mask, built on first use, and the network's packet-loss and
+    RTT-jitter fault models. The arrays are a snapshot:
+    :func:`trial_field` builds one field per trial, and nothing in the
+    pipeline moves a node or installs a tunnel after ``build``.
     """
 
     def __init__(self, network) -> None:
@@ -132,10 +132,8 @@ class _Field:
         self.radio = network.radio
         self.comm_range_ft = network.radio.comm_range_ft
         injector = network.fault_injector
-        self.link_loss = network.loss_model
         self.fault_loss = injector.loss if injector is not None else None
         self.rtt_fault = injector.rtt if injector is not None else None
-        self.drift = injector.drift if injector is not None else None
         self.nodes = nodes = network.nodes()
         self.node_ids = np.array([n.node_id for n in nodes], dtype=np.int64)
         self.xs = np.array([n.position.x for n in nodes], dtype=np.float64)
@@ -221,69 +219,35 @@ class _Field:
         )
         return np.count_nonzero(in_range, axis=1).tolist()
 
-    def transmit(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Loss draws for ``n`` scheduled copies, in scheduling order.
+    def transmit(self, n: int) -> np.ndarray:
+        """Fault-loss draws for ``n`` scheduled copies, in scheduling order.
 
-        ``_schedule_delivery`` draws the link loss (``network-loss``)
-        for every copy, then the fault loss for the copies that
-        survived it; each model's counters advance by count.
+        ``_schedule_delivery`` draws one ``fault-loss`` coin per copy;
+        the model's counter advances by count.
 
         Returns:
-            ``(kept, by_fault)`` per copy: survived both draws, and
-            lost to the fault (rather than the link).
+            Per copy: whether it survived the draw.
         """
-        kept = np.ones(n, dtype=bool)
-        by_fault = np.zeros(n, dtype=bool)
-        link = self.link_loss
-        if link is not None:
-            kept = raw_uniforms(link.rng, n) >= link.loss_rate
-            link.attempts += n
-            link.losses += n - int(np.count_nonzero(kept))
         fault = self.fault_loss
-        if fault is not None:
-            drawn = np.flatnonzero(kept)
-            lost = drawn[raw_uniforms(fault.rng, drawn.shape[0]) < fault.rate]
-            kept[lost] = False
-            by_fault[lost] = True
-            fault.events += int(lost.shape[0])
-        return kept, by_fault
+        if fault is None:
+            return np.ones(n, dtype=bool)
+        kept = raw_uniforms(fault.rng, n) >= fault.rate
+        fault.events += n - int(np.count_nonzero(kept))
+        return kept
 
-    def perturb_rtts(
-        self, rtts: np.ndarray, observer_ids: np.ndarray
-    ) -> np.ndarray:
+    def perturb_rtts(self, rtts: np.ndarray) -> np.ndarray:
         """``FaultInjector.perturb_rtt`` over one RTT batch.
 
-        In the scalar order: the observer's clock drift scales each
-        RTT first (derived per node, no shared stream); then each
-        observation draws one jitter uniform and one spike coin (each
-        only when enabled) from the fault-RTT stream, interleaved per
-        observation; then the result is clamped at zero. Counters
-        advance by count.
+        In the scalar order: each observation draws one jitter uniform
+        from the fault-RTT stream, then the result is clamped at zero.
+        The counter advances by count.
         """
-        n = rtts.shape[0]
-        drift = self.drift
-        if drift is not None:
-            ids, inverse = np.unique(observer_ids, return_inverse=True)
-            factors = np.array(
-                [1.0 + drift.drift_of(node_id) for node_id in ids.tolist()],
-                dtype=np.float64,
-            )
-            rtts = rtts * factors[inverse]
-            drift.events += n
         fault = self.rtt_fault
         if fault is None:
             return rtts
-        jitter = fault.jitter_cycles > 0
-        spikes = fault.spike_rate > 0
-        width = int(jitter) + int(spikes)
-        raws = raw_uniforms(fault.rng, width * n).reshape(n, width)
-        if jitter:
-            low, high = -fault.jitter_cycles, fault.jitter_cycles
-            rtts = rtts + (low + (high - low) * raws[:, 0])
-        if spikes:
-            spiked = raws[:, -1] < fault.spike_rate
-            rtts = np.where(spiked, rtts + fault.spike_cycles, rtts)
-            fault.spikes += int(np.count_nonzero(spiked))
+        n = rtts.shape[0]
+        low, high = -fault.jitter_cycles, fault.jitter_cycles
+        rtts = rtts + (low + (high - low) * raw_uniforms(fault.rng, n))
         fault.events += n
         # Python's max(0.0, x): x only when x > 0.0.
         return np.where(rtts > 0.0, rtts, 0.0)
@@ -295,9 +259,9 @@ class _Wave:
     The constructor performs what ``unicast`` + ``_schedule_delivery``
     do for every packet of a wave: copy expansion in scheduling order
     (direct first, then one tunnelled copy per wormhole, packet-major),
-    the loss draws over those copies, exact delays, the ranging-noise
-    batch over the survivors, and the stable ``(time, seq)`` delivery
-    sort.
+    the fault-loss draws over those copies, exact delays, the
+    ranging-noise batch over the survivors, and the stable
+    ``(time, seq)`` delivery sort.
 
     Attributes (per surviving *copy*, in delivery order):
         packet: index into the wave's logical-packet arrays.
@@ -311,10 +275,8 @@ class _Wave:
         measured: receiver ranging estimate (noise batch applied).
 
     Drops (in scheduling order):
-        lost_packet: packet index of each copy lost to link or fault
-            loss.
-        lost_by_fault: per lost copy, lost to the fault (``drop.fault``)
-            rather than the link (``drop.loss``).
+        lost_packet: packet index of each copy lost to the fault
+            (``drop.fault``).
         undelivered: packet indices that had no copy in range at all
             (the scalar ``drop.out_of_range`` case; loss does not
             change it).
@@ -370,9 +332,8 @@ class _Wave:
         # Copies in scheduling order index the (count, slots) grid
         # row-major; the loss draws keep a subset of them.
         copies = np.flatnonzero(valid.ravel())
-        kept, by_fault = field.transmit(copies.shape[0])
+        kept = field.transmit(copies.shape[0])
         self.lost_packet = copies[~kept] // slots
-        self.lost_by_fault = by_fault[~kept]
         self.undelivered = np.flatnonzero(~valid.any(axis=1))
         copies = copies[kept]
         dist = dists.ravel()[copies]
@@ -437,19 +398,18 @@ class _TurboPhase:
 
         When the trial records its trace, the drops mirror the scalar
         ``drop.*`` traces in scheduling order. Per packet, at its
-        schedule time: one ``drop.loss`` or ``drop.fault`` per lost
-        copy, naming the packet's ``src_id`` (on a probe, the detecting
-        ID), or one ``drop.out_of_range`` naming the sending node when
-        no copy was in range. The wave's deliveries also count into the
+        schedule time: one ``drop.fault`` per lost copy, naming the
+        packet's ``src_id`` (on a probe, the detecting ID), or one
+        ``drop.out_of_range`` naming the sending node when no copy was
+        in range. The wave's deliveries also count into the
         pipeline's ``vec_*`` counters.
         """
         trace = self.field.trace
         if trace.enabled:
             packets = np.concatenate([wave.lost_packet, wave.undelivered])
-            kinds = [
-                "drop.fault" if by_fault else "drop.loss"
-                for by_fault in wave.lost_by_fault.tolist()
-            ] + ["drop.out_of_range"] * wave.undelivered.shape[0]
+            kinds = ["drop.fault"] * wave.lost_packet.shape[0] + [
+                "drop.out_of_range"
+            ] * wave.undelivered.shape[0]
             node_ids = self.field.node_ids
             for index in np.argsort(packets, kind="stable").tolist():
                 packet = packets[index]
@@ -556,17 +516,16 @@ def _exchange(
     src: np.ndarray,
     dst_rows: np.ndarray,
     origin_rows: np.ndarray,
-    biases: np.ndarray,
 ) -> Tuple[_Wave, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One request/reply exchange, as two delivery waves.
 
     The request wave leaves each ``origin_rows`` node at the phase
     start for its ``dst_rows`` beacon, naming ``src`` as the requester
-    (a detecting ID on a probe) and carrying ``biases`` as its ranging
-    bias. Its drops are traced and its deliveries accounted
-    (:meth:`_TurboPhase.account`); the delivered requests are served
-    (:func:`_serve_wave`), and the reply wave goes back to the
-    requesting nodes the same way.
+    (a detecting ID on a probe), with no ranging bias: pipeline
+    requesters send at full power. Its drops are traced and its
+    deliveries accounted (:meth:`_TurboPhase.account`); the delivered
+    requests are served (:func:`_serve_wave`), and the reply wave goes
+    back to the requesting nodes the same way.
 
     Returns:
         The reply wave, then per reply in its delivery order: the
@@ -581,9 +540,9 @@ def _exchange(
     )
     field.network.stats.distance_evals += count
     now = np.full(count, field.engine.now(), dtype=np.float64)
+    zeros = np.zeros(count)
     requests = _Wave(
-        field, BeaconRequest, now, origin_rows, dst_rows, dists,
-        np.zeros(count), biases,
+        field, BeaconRequest, now, origin_rows, dst_rows, dists, zeros, zeros
     )
     phase.account(
         requests, now, field.node_ids[origin_rows], src, dst_rows,
@@ -630,44 +589,23 @@ def _wormhole_verdicts(
     scalar branch structure: faked symptoms flag without a draw; a
     genuinely tunnelled copy flips one ``p_d`` coin per first-seen
     (requester, target) pair against the live sticky verdict table; a
-    clean copy draws a false-alarm coin only when ``false_alarm_rate``
-    is positive. With a zero false-alarm rate (the paper's model) clean
-    copies draw nothing, so the tunnel coins are the only draws and the
-    sparse loop below visits just those; with a positive rate every
-    evaluated copy may draw, so one ordered loop walks the whole batch
-    — either way each coin lands exactly where the scalar loop flips
-    it, because both loops run in delivery order.
+    clean copy draws nothing. The tunnel coins are the only draws, so
+    the sparse loop below visits just those, in delivery order: each
+    coin lands exactly where the scalar loop flips it.
     """
     flagged = np.zeros(evaluated.shape[0], dtype=bool)
     verdicts = detector._verdicts
     rng = detector._rng
     requester_list = requester_ids.tolist()
     src_list = src_ids.tolist()
-    if detector.false_alarm_rate > 0.0:
-        fakes_list = fakes.tolist()
-        via_list = via_wormhole.tolist()
-        rate = detector.false_alarm_rate
-        for index in np.flatnonzero(evaluated).tolist():
-            if fakes_list[index]:
-                flagged[index] = True
-            elif via_list[index]:
-                key = (requester_list[index], src_list[index])
-                verdict = verdicts.get(key)
-                if verdict is None:
-                    verdict = rng.random() < detector.p_d
-                    verdicts[key] = verdict
-                flagged[index] = verdict
-            else:
-                flagged[index] = rng.random() < rate
-    else:
-        flagged[evaluated & fakes] = True
-        for index in np.flatnonzero(evaluated & via_wormhole & ~fakes).tolist():
-            key = (requester_list[index], src_list[index])
-            verdict = verdicts.get(key)
-            if verdict is None:
-                verdict = rng.random() < detector.p_d
-                verdicts[key] = verdict
-            flagged[index] = verdict
+    flagged[evaluated & fakes] = True
+    for index in np.flatnonzero(evaluated & via_wormhole & ~fakes).tolist():
+        key = (requester_list[index], src_list[index])
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = rng.random() < detector.p_d
+            verdicts[key] = verdict
+        flagged[index] = verdict
     detector.checks += int(np.count_nonzero(evaluated))
     detector.flags += int(np.count_nonzero(flagged))
     return flagged
@@ -687,8 +625,8 @@ def _replay_cascade(
     ``subset`` indexes the reply wave in delivery order; ``src_ids``
     and ``fakes`` are per reply in that order, ``range_flagged`` per
     subset reply (the §2.2.1 check, decisive on its own). In the scalar
-    order: one RTT batch on the ``rtt`` stream, the fault perturbation,
-    the RTT observer, the wormhole verdicts over the replies the range
+    order: one RTT batch on the ``rtt`` stream, the fault jitter, the
+    RTT observer, the wormhole verdicts over the replies the range
     check leaves open, then each observer's local-replay window over
     the replies no wormhole check flagged.
 
@@ -707,19 +645,17 @@ def _replay_cascade(
         replies.time[subset],
     )
     phase.pipeline._vec_bump("rtt_batched", int(subset.shape[0]))
-    observer_ids = field.node_ids[rows]
-    rtts = field.perturb_rtts(rtts, observer_ids)
+    rtts = field.perturb_rtts(rtts)
     observe = field.network.rtt_observer
     if observe is not None:
-        nodes = field.nodes
-        for rtt, row in zip(rtts.tolist(), rows.tolist()):
-            observe(rtt, nodes[row])
+        for rtt in rtts.tolist():
+            observe(rtt)
     wormhole_flagged = range_flagged | _wormhole_verdicts(
         wormhole_detector,
         ~range_flagged,
         fakes[subset],
         replies.via_wormhole[subset],
-        observer_ids,
+        field.node_ids[rows],
         src_ids[subset],
     )
     local_flagged = np.zeros(subset.shape[0], dtype=bool)
@@ -756,7 +692,6 @@ def run_detection_turbo(pipeline) -> None:
     src_chunks: List[np.ndarray] = []
     dst_chunks: List[np.ndarray] = []
     prober_chunks: List[np.ndarray] = []
-    bias_chunks: List[np.ndarray] = []
     for beacon in pipeline.benign_beacons:
         row = field.row(beacon.node_id)
         targets = field.reachable_beacon_rows(row)
@@ -773,17 +708,6 @@ def run_detection_turbo(pipeline) -> None:
         dst_chunks.append(np.repeat(targets, m))
         prober_chunks.append(np.full(probes, row, dtype=np.int64))
         beacon._next_nonce += probes
-        if beacon.probe_power_randomization_ft > 0.0:
-            bias_chunks.append(
-                batched_uniform(
-                    pipeline.network.rngs.stream("probe-power"),
-                    probes,
-                    -beacon.probe_power_randomization_ft,
-                    beacon.probe_power_randomization_ft,
-                )
-            )
-        else:
-            bias_chunks.append(np.zeros(probes, dtype=np.float64))
         pipeline._probes_sent += probes
 
     if not src_chunks:
@@ -794,7 +718,6 @@ def run_detection_turbo(pipeline) -> None:
         np.concatenate(src_chunks),
         np.concatenate(dst_chunks),
         np.concatenate(prober_chunks),
-        np.concatenate(bias_chunks),
     )
 
     # ------------------------------------------------------------------
@@ -896,8 +819,8 @@ def _rival_verdicts(
     scalar reply handler builds, minus the ``reception`` the batch
     core does not have. Its ``rtt_provider`` draws that exchange's RTT
     through :meth:`~repro.sim.network.Network.observe_rtt` only when
-    the rival asks, so the ``rtt`` and fault-RTT streams, the drift
-    counters and the observer advance exactly as on the scalar core.
+    the rival asks, so the ``rtt`` and fault-RTT streams and the
+    observer advance exactly as on the scalar core.
 
     Returns per reply, in delivery order: the verdict's decision label,
     §2.1 consistency flag and indictment.
@@ -923,7 +846,7 @@ def _rival_verdicts(
                 declared_position=Point(x, y),
                 measured_distance_ft=measured,
                 reception=None,
-                rtt_provider=partial(observe_rtt, prober, dist, extra, time),
+                rtt_provider=partial(observe_rtt, dist, extra, time),
             )
         )
         decisions.append(verdict.decision)
@@ -954,7 +877,7 @@ def run_localization_turbo(pipeline) -> None:
         agent._next_nonce += k
     origin = agent_rows[requesters]
     replies, src_ids, _, claimed_x, claimed_y, fakes = _exchange(
-        phase, field.node_ids[origin], dst, origin, np.zeros(dst.shape[0]),
+        phase, field.node_ids[origin], dst, origin
     )
 
     # ------------------------------------------------------------------

@@ -14,7 +14,7 @@ holds three independent instruments:
   cases (boundary-heavy), plus two whole-pipeline bit-identity checks:
   the semantics-neutral axes (``observe``, all-zero ``faults``) and
   the scalar-vs-vectorized batch core
-  (``use_vectorized_core``, across wormhole/fault/loss envelopes, for
+  (``use_vectorized_core``, across wormhole and fault envelopes, for
   every registered detector);
 - :mod:`repro.verify.invariants` — executable paper invariants replayed
   over any :class:`repro.sim.trace.TraceRecorder` stream post-hoc;

@@ -422,9 +422,9 @@ def differential_vectorized_core(
     Each scenario builds one small randomized deployment and runs it
     twice per registered detector — ``use_vectorized_core`` off and on,
     on the same deployment and seed — cycling the wormhole axis every
-    scenario and the delivery envelope every other one (clean; packet
-    loss with RTT jitter, spikes and drift; link loss; probabilistic
-    false alarms). Each divergence names its detector. A config the
+    scenario and the fault envelope every other one (clean; packet
+    loss with RTT jitter; packet loss alone). Each divergence names its
+    detector. A config the
     batch core refuses (:func:`repro.vec.vectorized_core_supported`)
     is a divergence in itself: its "batch" run would be the scalar
     oracle compared with itself.
@@ -445,8 +445,8 @@ def differential_vectorized_core(
     report = DifferentialReport("vectorized_core", scenarios)
     for i in range(scenarios):
         rng = _rng(seed, "veccore", i)
-        # 0: clean, 1: faulted, 2: lossy, 3: probabilistic false alarms
-        envelope = (i // 2) % 4
+        # 0: clean, 1: loss plus jitter, 2: loss alone
+        envelope = (i // 2) % 3
         kwargs = dict(
             n_total=rng.randint(40, 70),
             n_beacons=rng.randint(8, 14),
@@ -463,16 +463,10 @@ def differential_vectorized_core(
         )
         if envelope == 1:
             kwargs["faults"] = FaultConfig(
-                packet_loss_rate=0.05,
-                rtt_jitter_cycles=40.0,
-                rtt_spike_rate=0.02,
-                rtt_spike_cycles=20000.0,
-                clock_drift_ppm=40.0,
+                packet_loss_rate=0.05, rtt_jitter_cycles=750.0
             )
         elif envelope == 2:
-            kwargs["network_loss_rate"] = 0.1
-        elif envelope == 3:
-            kwargs["wormhole_false_alarm_rate"] = rng.choice([0.05, 0.2])
+            kwargs["faults"] = FaultConfig(packet_loss_rate=0.1)
         for detector in available_detectors():
             config = PipelineConfig(detector=detector, **kwargs)
             if not vectorized_core_supported(config):

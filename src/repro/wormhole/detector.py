@@ -42,12 +42,11 @@ class ProbabilisticWormholeDetector(WormholeDetector):
     exactly the paper's analysis model, where a benign beacon reports a
     false alert across a wormhole with probability ``1 - p_d`` *per pair*
     (not per probe). Detecting IDs are canonicalized to their owner via
-    ``identity_resolver`` so m probes share one verdict.
+    ``identity_resolver`` so m probes share one verdict. A clean direct
+    signal is never flagged and draws no coin.
 
     Args:
         p_d: detection rate on genuine tunnels (paper evaluation: 0.9).
-        false_alarm_rate: probability of flagging a clean direct signal
-            (0 in the paper's model; exposed for the robustness ablation).
         rng: source for the detection coin flips.
         identity_resolver: maps a requester identity to its canonical node
             (detecting ID -> owning beacon); defaults to the identity map.
@@ -58,13 +57,9 @@ class ProbabilisticWormholeDetector(WormholeDetector):
         p_d: float,
         rng: random.Random,
         *,
-        false_alarm_rate: float = 0.0,
         identity_resolver: Optional[Callable[[int], int]] = None,
     ) -> None:
         self.p_d = check_probability(p_d, "p_d")
-        self.false_alarm_rate = check_probability(
-            false_alarm_rate, "false_alarm_rate"
-        )
         self._rng = rng
         self._resolve = identity_resolver if identity_resolver else lambda i: i
         self._verdicts: Dict[Tuple[int, int], bool] = {}
@@ -76,13 +71,8 @@ class ProbabilisticWormholeDetector(WormholeDetector):
         tx = reception.transmission
         if tx.fake_wormhole_symptoms:
             flagged = True
-        elif tx.via_wormhole:
-            flagged = self._pair_verdict(reception)
         else:
-            flagged = (
-                self.false_alarm_rate > 0.0
-                and self._rng.random() < self.false_alarm_rate
-            )
+            flagged = tx.via_wormhole and self._pair_verdict(reception)
         if flagged:
             self.flags += 1
         return flagged

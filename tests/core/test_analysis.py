@@ -201,8 +201,3 @@ class TestCollusionFormula:
     def test_expected_revocations(self):
         pop = Population(n_total=1_000, n_beacons=110, n_malicious=10)
         assert analysis.collusion_revocations(2, 2, pop) == pytest.approx(10.0)
-
-    def test_expected_alerts(self):
-        val = analysis.expected_alerts_against(0.2, 8, 100)
-        p_r = analysis.detection_rate_pr(0.2, 8)
-        assert val == pytest.approx(100 * 0.1 * p_r)

@@ -2,11 +2,11 @@
 
 from repro.core.notices import (
     AuthenticatedNotice,
-    NoticeAwareAgent,
     NoticeDistributor,
-    NoticeRelay,
+    install_notice_handling,
 )
 from repro.crypto.manager import KeyManager
+from repro.localization.beacon import NonBeaconAgent
 from repro.localization.references import LocationReference
 from repro.sim.engine import Engine
 from repro.sim.network import Network
@@ -28,19 +28,17 @@ def build_world(n_relays=6, spacing=120.0, seed=5):
     )
     relays = []
     for i in range(n_relays):
-        relay = NoticeRelay(10 + i, Point((i + 1) * spacing, 0.0))
+        relay = Node(10 + i, Point((i + 1) * spacing, 0.0))
         net.add_node(relay)
-        relay.install_notice_handling(
-            distributor.commitment, interval_cycles=INTERVAL
+        install_notice_handling(
+            relay, distributor.commitment, interval_cycles=INTERVAL
         )
         relays.append(relay)
     km.enroll(99)
-    agent = NoticeAwareAgent(
-        99, Point((n_relays + 1) * spacing, 0.0), km
-    )
+    agent = NonBeaconAgent(99, Point((n_relays + 1) * spacing, 0.0), km)
     net.add_node(agent)
-    agent.install_notice_handling(
-        distributor.commitment, interval_cycles=INTERVAL
+    install_notice_handling(
+        agent, distributor.commitment, interval_cycles=INTERVAL
     )
     return engine, net, distributor, relays, agent
 

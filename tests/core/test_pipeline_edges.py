@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.pipeline import PipelineConfig, SecureLocalizationPipeline
 from repro.errors import ConfigurationError
+from repro.faults import FaultConfig
 
 
 def tiny(**overrides):
@@ -99,7 +100,7 @@ class TestExtremeParameters:
 
     def test_total_network_loss_disables_everything(self):
         result = SecureLocalizationPipeline(
-            tiny(network_loss_rate=1.0, collusion=False)
+            tiny(faults=FaultConfig(packet_loss_rate=1.0), collusion=False)
         ).run()
         assert result.detection_rate == 0.0
         assert result.localization_errors_ft == []

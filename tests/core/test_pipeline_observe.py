@@ -139,20 +139,11 @@ class TestObservedTelemetry:
 
 class TestObserveKnobs:
     def test_rtt_histograms_off(self):
-        pipeline = SecureLocalizationPipeline(
-            small_config(observe=ObserveConfig(rtt_histograms=False))
-        )
+        # RTT histograms are collected exactly when the trial is observed.
+        pipeline = SecureLocalizationPipeline(small_config())
         pipeline.run()
-        histograms = pipeline.telemetry()["registry"]["histograms"]
-        assert histograms == {}
-
-    def test_per_node_rtt_labels(self):
-        pipeline = SecureLocalizationPipeline(
-            small_config(observe=ObserveConfig(per_node_rtt=True))
-        )
-        pipeline.run()
-        histograms = pipeline.telemetry()["registry"]["histograms"]
-        assert any("node=" in key for key in histograms)
+        assert pipeline.network.rtt_observer is None
+        assert pipeline.obs.registry.snapshot()["histograms"] == {}
 
     def test_observe_rejects_non_config(self):
         from repro.errors import ConfigurationError

@@ -14,9 +14,7 @@ the observability layer to measure them, the conformance harness to
 check them, the vectorized kernels to reproduce them bit-for-bit at
 speed, the revocation service to scale them, the detector arena to
 benchmark successors against them, and the citation is the
-map. The loss module
-``sim/reliable.py`` (message loss on the §3.2 delivery path) is
-covered explicitly alongside the packages.
+map.
 """
 
 import ast
@@ -37,16 +35,12 @@ SCOPED_PACKAGES = (
     "verify",
     "vec",
 )
-#: Individually covered modules outside the scoped packages: package-level
-#: rules applied, keyed by the package whose extra rules apply.
-EXTRA_MODULES = (("core", SRC / "sim" / "reliable.py"),)
 
 
 def _scoped_modules():
     for package in SCOPED_PACKAGES:
         for path in sorted((SRC / package).glob("*.py")):
             yield package, path
-    yield from EXTRA_MODULES
 
 
 MODULES = list(_scoped_modules())
@@ -70,10 +64,9 @@ def test_module_docstring_policy(package, path):
                 f"{path}: public {node.name!r} has no docstring"
             )
 
-    # Core, faults, obs, revocation, verify, and vec modules (and
-    # sim/reliable.py, which models message loss on the §3.2 delivery
-    # path) additionally cite the paper section they implement,
-    # stress, measure, scale, or check.
+    # Core, faults, obs, revocation, verify, and vec modules
+    # additionally cite the paper section they implement, stress,
+    # measure, scale, or check.
     if package in (
         "core",
         "detectors",

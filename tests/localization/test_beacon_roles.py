@@ -7,7 +7,7 @@ from repro.errors import InsufficientReferencesError
 from repro.localization.beacon import BeaconService, NonBeaconAgent
 from repro.localization.references import LocationReference
 from repro.sim.engine import Engine
-from repro.sim.messages import BeaconRequest, RevocationNotice
+from repro.sim.messages import BeaconRequest
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
 from repro.utils.geometry import Point
@@ -98,19 +98,6 @@ class TestNonBeaconAgent:
         with pytest.raises(InsufficientReferencesError):
             # Only two *distinct* beacons.
             agent.estimate_position()
-
-    def test_revocation_notice_discards_references(self, deployed):
-        engine, net, km, beacons, agent = deployed
-        for b in beacons:
-            agent.request_beacon(b.node_id)
-        engine.run()
-        km.enroll(99, is_beacon=True)  # base-station proxy identity
-        notice = km.sign(RevocationNotice(src_id=99, dst_id=50, revoked_id=1))
-        net.add_node(BeaconService(99, Point(50, 50), km))
-        net.unicast(net.node(99), notice)
-        engine.run()
-        assert 1 in agent.revoked_beacons
-        assert all(r.beacon_id != 1 for r in agent.references)
 
     def test_ignores_revoked_beacons_future_signals(self, deployed):
         engine, net, km, beacons, agent = deployed

@@ -9,7 +9,6 @@ from repro.errors import InsufficientReferencesError
 from repro.localization.multilateration import mmse_multilaterate
 from repro.localization.references import LocationReference
 from repro.localization.robust import (
-    consistency_vote,
     residual_tolerance_ft,
     robust_multilaterate,
 )
@@ -142,16 +141,3 @@ class TestRobustSolve:
         assert distance(result.position, fake) < distance(
             result.position, TRUTH
         )
-
-
-class TestConsistencyVote:
-    def test_labels(self):
-        rng = random.Random(5)
-        refs = honest_refs(TRUTH, RING, rng, noise=10.0)
-        liar = lying_ref(TRUTH, RING[0], Point(500, 500))
-        votes = dict(
-            (ref.beacon_id, ok)
-            for ref, ok in consistency_vote(refs + [liar], max_error_ft=10.0)
-        )
-        assert votes[99] is False
-        assert all(votes[r.beacon_id] for r in refs)

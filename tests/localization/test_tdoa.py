@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.localization.measurement import RssiModel, TdoaModel, ToaModel
+from repro.localization.measurement import RssiModel, TdoaModel
 
 
 class TestTdoaModel:
@@ -33,7 +33,6 @@ class TestTdoaModel:
     def test_unprotected_flag(self):
         assert TdoaModel().protects_ranging_feature is False
         assert RssiModel().protects_ranging_feature is True
-        assert ToaModel().protects_ranging_feature is True
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ConfigurationError):

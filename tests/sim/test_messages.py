@@ -2,14 +2,7 @@
 
 import dataclasses
 
-from repro.sim.messages import (
-    Alert,
-    BeaconPacket,
-    BeaconRequest,
-    DataPacket,
-    Packet,
-    RevocationNotice,
-)
+from repro.sim.messages import BeaconPacket, BeaconRequest, Packet
 from repro.utils.geometry import Point
 
 
@@ -29,9 +22,9 @@ class TestWireRepr:
         assert a.wire_repr() != b.wire_repr()
 
     def test_distinct_types_distinct_reprs(self):
-        a = Alert(src_id=1, dst_id=2, detector_id=1, target_id=3)
-        r = RevocationNotice(src_id=1, dst_id=2, revoked_id=3)
-        assert a.wire_repr() != r.wire_repr()
+        request = BeaconRequest(src_id=1, dst_id=2)
+        reply = BeaconPacket(src_id=1, dst_id=2)
+        assert request.wire_repr() != reply.wire_repr()
 
 
 class TestWithAuth:
@@ -63,12 +56,12 @@ class TestBeaconPacket:
 
 class TestEqualitySemantics:
     def test_auth_tag_not_compared(self):
-        a = DataPacket(src_id=1, dst_id=2, payload=b"x")
+        a = BeaconRequest(src_id=1, dst_id=2, nonce=1)
         b = dataclasses.replace(a)
         b.auth_tag = b"zzz"
         assert a == b
 
     def test_payload_compared(self):
-        a = DataPacket(src_id=1, dst_id=2, payload=b"x")
-        b = DataPacket(src_id=1, dst_id=2, payload=b"y")
+        a = BeaconRequest(src_id=1, dst_id=2, nonce=1)
+        b = BeaconRequest(src_id=1, dst_id=2, nonce=2)
         assert a != b

@@ -1,39 +1,20 @@
-"""Tests for the per-attempt loss model and the lossy network link."""
+"""Tests for per-copy packet loss on the network link.
+
+The loss model is the fault injector's :class:`PacketLossFault`, the
+network's one loss model.
+"""
 
 import random
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.faults import FaultInjector, PacketLossFault
 from repro.sim.engine import Engine
 from repro.sim.messages import BeaconRequest
 from repro.sim.network import Network
 from repro.sim.node import Node
-from repro.sim.reliable import LossModel
 from repro.sim.rng import RngRegistry
 from repro.utils.geometry import Point
-
-
-class TestLossModel:
-    def test_zero_loss_always_succeeds(self, rng):
-        model = LossModel(0.0, rng)
-        assert all(model.attempt_succeeds() for _ in range(100))
-        assert model.losses == 0
-
-    def test_total_loss_never_succeeds(self, rng):
-        model = LossModel(1.0, rng)
-        assert not any(model.attempt_succeeds() for _ in range(100))
-        assert model.losses == 100
-
-    def test_statistics(self):
-        model = LossModel(0.3, random.Random(2))
-        n = 5000
-        successes = sum(1 for _ in range(n) if model.attempt_succeeds())
-        assert successes / n == pytest.approx(0.7, abs=0.03)
-
-    def test_invalid_rate_rejected(self, rng):
-        with pytest.raises(ConfigurationError):
-            LossModel(1.5, rng)
 
 
 class TestNetworkLoss:
@@ -42,7 +23,9 @@ class TestNetworkLoss:
         net = Network(
             engine,
             rngs=RngRegistry(4),
-            loss_model=LossModel(1.0, random.Random(0)),
+            fault_injector=FaultInjector(
+                loss=PacketLossFault(1.0, random.Random(0))
+            ),
         )
         a = net.add_node(Node(1, Point(0, 0)))
         b = net.add_node(Node(2, Point(50, 0)))
@@ -57,7 +40,9 @@ class TestNetworkLoss:
         net = Network(
             engine,
             rngs=RngRegistry(4),
-            loss_model=LossModel(0.25, random.Random(1)),
+            fault_injector=FaultInjector(
+                loss=PacketLossFault(0.25, random.Random(1))
+            ),
         )
         a = net.add_node(Node(1, Point(0, 0)))
         b = net.add_node(Node(2, Point(50, 0)))

@@ -4,10 +4,10 @@
 statistically similar ones — the RNG stream-parity rules in
 ``docs/PERFORMANCE.md`` are what make that possible. These tests run
 small deployments through both cores across the envelope axes the
-batch core covers (wormholes, false alarms, link loss, packet-loss and
-RTT faults, and their edge cases), for every registered detector, and
-compare the results with ``==``, together with the simulator state the
-result does not carry: event counts, loss and fault counters, the base
+batch core covers (wormholes, packet loss and RTT jitter, and their
+edge cases), for every registered detector, and compare the results
+with ``==``, together with the simulator state the result does not
+carry: event counts, fault counters, the base
 station's alert log, the detector's diagnostics and the replay filters'
 counters. Unobserved, neither core records a protocol event; observed,
 both record the same ordered ``drop.*`` and ``probe`` traces, which
@@ -39,52 +39,28 @@ BASE = PipelineConfig(
     seed=13,
 )
 
-#: Every fault the batch core models: per-copy loss, per-observation
-#: jitter and spikes, per-observer drift.
-FAULTS = FaultConfig(
-    packet_loss_rate=0.05,
-    rtt_jitter_cycles=50.0,
-    rtt_spike_rate=0.02,
-    rtt_spike_cycles=30000.0,
-    clock_drift_ppm=40.0,
-)
+#: Both faults the batch core models: per-copy loss and per-observation
+#: jitter, wide enough to push honest RTTs past the calibrated window.
+FAULTS = FaultConfig(packet_loss_rate=0.05, rtt_jitter_cycles=750.0)
 
 CASES = {
     "turbo-wormhole": BASE,
     "turbo-no-wormhole": replace(BASE, wormhole_endpoints=None),
     "turbo-no-malicious": replace(BASE, n_malicious=0),
     "turbo-other-seed": replace(BASE, seed=101),
-    # Positive false-alarm rates: the ordered verdict walk keeps the
-    # wormhole stream in scalar lockstep.
-    "turbo-false-alarm": replace(BASE, wormhole_false_alarm_rate=0.1),
-    "turbo-false-alarm-no-wormhole": replace(
-        BASE, wormhole_endpoints=None, wormhole_false_alarm_rate=0.3
-    ),
-    # Link loss: one network-loss draw per geometric copy.
-    "turbo-loss": replace(BASE, network_loss_rate=0.12),
-    "turbo-loss-false-alarm": replace(
-        BASE, network_loss_rate=0.12, wormhole_false_alarm_rate=0.2
-    ),
-    # Faults: fault loss over the link's survivors, RTT perturbation.
+    # Packet loss alone: one fault-loss draw per geometric copy.
+    "turbo-loss": replace(BASE, faults=FaultConfig(packet_loss_rate=0.12)),
+    # Both faults, with and without the tunnel.
     "turbo-faults": replace(BASE, faults=FAULTS),
-    "turbo-faults-loss": replace(
-        BASE, faults=FAULTS, network_loss_rate=0.08, wormhole_endpoints=None
-    ),
-    "turbo-faults-recalibrated": replace(
-        BASE, faults=replace(FAULTS, recalibrate_under_faults=True)
-    ),
+    "turbo-faults-loss": replace(BASE, faults=FAULTS, wormhole_endpoints=None),
     "turbo-faults-all-zero": replace(BASE, faults=FaultConfig()),
-    # Edge cases: every copy lost (empty reply waves), RTTs clamped at
-    # zero, and drift large enough to matter.
+    # Edge cases: every copy lost (empty reply waves), and RTT jitter
+    # alone, wide enough to clamp RTTs at zero.
     "turbo-fault-loss-total": replace(
         BASE, faults=FaultConfig(packet_loss_rate=1.0)
     ),
-    "turbo-link-loss-total": replace(BASE, network_loss_rate=1.0),
     "turbo-rtt-clamped": replace(
         BASE, faults=FaultConfig(rtt_jitter_cycles=1e6)
-    ),
-    "turbo-extreme-drift": replace(
-        BASE, faults=FaultConfig(clock_drift_ppm=5e5)
     ),
 }
 
@@ -110,7 +86,6 @@ def _run(config, *, vectorized):
 def _sim_state(pipeline):
     """What the result does not carry, in comparable form."""
     network = pipeline.network
-    loss = network.loss_model
     injector = pipeline.fault_injector
     # One wormhole detector serves every cascade of the trial.
     wormhole = pipeline.agents[0].filter_cascade.wormhole_detector
@@ -118,7 +93,6 @@ def _sim_state(pipeline):
         "events": pipeline.engine.events_processed,
         "now": pipeline.engine.now(),
         "deliveries": network.stats.deliveries,
-        "link_loss": None if loss is None else (loss.attempts, loss.losses),
         "faults": None if injector is None else injector.counters(),
         "outcomes": [
             [(o.detecting_id, o.target_id, o.decision) for o in b.probe_outcomes]
@@ -164,15 +138,13 @@ def _assert_streams_recorded(pipeline):
 
     Checked against counters kept outside the trace: one ``probe``
     event per probe outcome, and a ``drop.*`` event per copy lost to
-    the link or a fault. Every case sends probes, so at least one of
-    the two streams holds events.
+    packet loss. Every case sends probes, so at least one of the two
+    streams holds events.
     """
     outcomes = sum(len(b.probe_outcomes) for b in pipeline.benign_beacons)
-    loss = pipeline.network.loss_model
     injector = pipeline.fault_injector
-    lost = (0 if loss is None else loss.losses) + (
-        0 if injector is None else injector.counters().get("fault_packet_loss", 0)
-    )
+    counters = {} if injector is None else injector.counters()
+    lost = counters.get("fault_packet_loss", 0)
     assert pipeline._probes_sent > 0
     assert outcomes + lost > 0
     assert len(_probes(pipeline)) == outcomes
@@ -236,11 +208,12 @@ def test_lossy_cases_drop_copies():
         vectorized=True,
     )
     kinds = {kind for _, kind, _ in _drops(pipeline)}
-    assert {"drop.loss", "drop.fault"} <= kinds
+    assert "drop.fault" in kinds
     counters = pipeline.fault_injector.counters()
     assert counters["fault_packet_loss"] > 0
-    assert counters["fault_rtt_spikes"] > 0
-    assert counters["fault_clock_drift"] == counters["fault_rtt_jitter"] > 0
+    assert counters["fault_rtt_jitter"] > 0
+    # The jitter pushes some honest RTTs past the calibrated window.
+    assert any(a.rejected_replays for a in pipeline.agents)
 
 
 @pytest.mark.parametrize("vectorized", [True, False], ids=["batch", "scalar"])
@@ -254,13 +227,8 @@ def test_uncalibrated_local_replay_window_raises(vectorized):
         pipeline.run()
 
 
-#: Short case ids of some fault fields; the others run under their name.
-SHORT_IDS = {
-    "packet_loss_rate": "loss",
-    "rtt_jitter_cycles": "jitter",
-    "rtt_spike_rate": "spikes",
-    "clock_drift_ppm": "drift",
-}
+#: Short case ids of the fault fields; a new field runs under its name.
+SHORT_IDS = {"packet_loss_rate": "loss", "rtt_jitter_cycles": "jitter"}
 
 
 @pytest.mark.parametrize(
@@ -270,14 +238,11 @@ SHORT_IDS = {
         # batch core does not take fails here.
         *(
             pytest.param(
-                dict(faults=FaultConfig(
-                    **{f.name: True if isinstance(f.default, bool) else 0.1}
-                )),
+                dict(faults=FaultConfig(**{f.name: 0.1})),
                 id=SHORT_IDS.get(f.name, f.name),
             )
             for f in fields(FaultConfig)
         ),
-        pytest.param(dict(network_loss_rate=0.1), id="network-loss"),
         pytest.param(dict(faults=FaultConfig()), id="all-zero"),
     ],
 )

@@ -8,7 +8,6 @@ imported), so it runs anywhere CI does. Covers the public surface of:
 - ``repro.faults`` (config, models, injector)
 - ``repro.obs`` (config, metrics, spans, export, live)
 - ``repro.experiments`` (runner, arena, distributed)
-- ``repro.sim.reliable``
 - ``repro.revocation`` (service, persistence, replay)
 - ``repro.verify`` (oracles, differential, invariants, detectors,
   statgate, cli)
@@ -65,7 +64,6 @@ MODULES = [
         "repro.experiments.distributed",
         SRC / "repro" / "experiments" / "distributed.py",
     ),
-    ("repro.sim.reliable", SRC / "repro" / "sim" / "reliable.py"),
     (
         "repro.revocation.service",
         SRC / "repro" / "revocation" / "service.py",
@@ -95,8 +93,7 @@ Public classes and functions of the pluggable detector suite
 (`repro.faults`), the observability layer (`repro.obs`), the experiment
 runner (`repro.experiments.runner`), the detector arena
 (`repro.experiments.arena`), the distributed file-queue
-backend (`repro.experiments.distributed`), the link loss
-model (`repro.sim.reliable`), the single-writer persistent
+backend (`repro.experiments.distributed`), the single-writer persistent
 revocation service (`repro.revocation`), the paper-fidelity conformance harness
 (`repro.verify`), and the vectorized batch simulation core
 (`repro.vec`).
