@@ -18,8 +18,7 @@ Paper section: §2.1-§2.2 (detecting beacon nodes)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.core.replay_filter import ReplayFilterCascade
 from repro.core.revocation import BaseStation
@@ -33,8 +32,7 @@ from repro.sim.radio import Reception
 from repro.utils.geometry import Point
 
 
-@dataclass(frozen=True)
-class ProbeOutcome:
+class ProbeOutcome(NamedTuple):
     """Result of one detecting probe (kept for metrics/tests)."""
 
     detecting_id: int

@@ -24,7 +24,8 @@ Paper section: §4 (end-to-end simulation evaluation)
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.attacks.collusion import ColludingReporters
@@ -48,7 +49,12 @@ from repro.sim.radio import RadioModel, Reception
 from repro.sim.rng import RngRegistry, derive_seed
 from repro.sim.trace import TraceRecorder
 from repro.utils.geometry import Point, distance, random_point_in_rect
-from repro.utils.validation import check_int_in_range, check_probability
+from repro.utils.validation import (
+    check_int_in_range,
+    check_non_negative,
+    check_positive,
+    check_probability,
+)
 from repro.wormhole.detector import ProbabilisticWormholeDetector
 
 #: Fixed bucket bounds (cycles) for the ``rtt_cycles`` histograms. The
@@ -176,10 +182,25 @@ class PipelineConfig:
                 f"detector must be one of {available_detectors()}, "
                 f"got {self.detector!r}"
             )
-        if self.comm_range_ft <= 0:
-            raise ConfigurationError(
-                f"comm_range_ft must be > 0, got {self.comm_range_ft}"
-            )
+        # A non-finite length or interval would fail, or run unchecked,
+        # deep inside a trial (and differently on the two cores).
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if spec.type in ("float", float) and not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{spec.name} must be finite, got {value!r}"
+                )
+        for end in self.wormhole_endpoints or ():
+            if not all(map(math.isfinite, end)):
+                raise ConfigurationError(
+                    "wormhole_endpoints must be finite, "
+                    f"got {self.wormhole_endpoints!r}"
+                )
+        check_positive(self.field_width_ft, "field_width_ft")
+        check_positive(self.field_height_ft, "field_height_ft")
+        check_positive(self.comm_range_ft, "comm_range_ft")
+        check_non_negative(self.max_ranging_error_ft, "max_ranging_error_ft")
+        check_non_negative(self.location_lie_ft, "location_lie_ft")
 
 
 @dataclass
@@ -522,9 +543,8 @@ class SecureLocalizationPipeline:
         """Beacons a node can exchange packets with (direct or tunnel).
 
         The scalar oracle's full O(N_b) scan with pairwise wormhole
-        checks, in ``node_id`` order; the batch core's
-        ``_Field.reachable_beacon_rows`` must return the same beacons in
-        the same order.
+        checks, in ``node_id`` order; the batch core's ``_Field.fan_out``
+        must return the same beacons in the same order.
         """
         assert self.network is not None
         reachable: List[Node] = []

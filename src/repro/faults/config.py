@@ -17,6 +17,7 @@ Paper section: §2.2.2 (RTT margin), §3.2 (alert delivery assumption)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -43,9 +44,12 @@ class FaultConfig:
 
     def __post_init__(self) -> None:
         check_probability(self.packet_loss_rate, "packet_loss_rate")
-        if self.rtt_jitter_cycles < 0:
+        # NaN would read as "no fault", and inf would make every
+        # observed RTT NaN, so the §2.2.2 window never fires.
+        if not 0 <= self.rtt_jitter_cycles < math.inf:
             raise ConfigurationError(
-                f"rtt_jitter_cycles must be >= 0, got {self.rtt_jitter_cycles}"
+                "rtt_jitter_cycles must be finite and >= 0, "
+                f"got {self.rtt_jitter_cycles!r}"
             )
 
     @property

@@ -7,13 +7,12 @@ reference."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.utils.geometry import Point
 
 
-@dataclass(frozen=True)
-class LocationReference:
+class LocationReference(NamedTuple):
     """One beacon's contribution to a node's position estimate.
 
     Attributes:

@@ -31,14 +31,18 @@ is consumed in the scalar order.
 Python survives only where the scalar path is genuinely stateful per
 item, and each of those loops runs in delivery order: malicious
 responders (sticky strategy draws), first-seen wormhole pair verdicts
-(sticky detector coin flips), probe-outcome and alert recording,
-dropped-copy and probe traces (observed trials only), and accepted
-reference construction. The request fan-out, the revoked-source
-filter and the local-replay window are array operations whose
-per-node counters advance by count. All distances that feed protocol
-decisions or measurements are computed with the correctly rounded
-scalar ``math.hypot``, so every float matches the scalar run bit for
-bit.
+(sticky detector coin flips), indicted replies (alerts to the base
+station), and dropped-copy and probe traces (observed trials only).
+The request fan-out of both phases, the revoked-source filter and the
+local-replay window are array operations whose per-node counters
+advance by count. The per-reply records, a
+:class:`~repro.core.detecting.ProbeOutcome` per judged probe reply and
+a :class:`~repro.localization.references.LocationReference` per
+accepted localization reply, are immutable named tuples built by one
+``map`` over the wave's columns; :func:`_deal` hands each node its
+slice, in delivery order. All distances that feed protocol decisions
+or measurements are computed with the correctly rounded scalar
+``math.hypot``, so every float matches the scalar run bit for bit.
 
 The paper detector's §2.1 check and §2.2 cascade run as array masks
 over the reply wave. A rival detector (``pipeline.detector``) is one
@@ -69,7 +73,8 @@ Paper section: §4 (simulation substrate for the batched pipeline)
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import cached_property, partial
+from itertools import compress
 from typing import List, Tuple
 
 import numpy as np
@@ -119,10 +124,11 @@ class _Field:
     so every endpoint-range predicate — ``far_end``'s first-match
     selection and ``wormhole_between``'s pairing — matches the scalar
     :class:`~repro.sim.network.Network` bit for bit), the reachability
-    mask, built on first use, and the network's packet-loss and
-    RTT-jitter fault models. The arrays are a snapshot:
-    :func:`trial_field` builds one field per trial, and nothing in the
-    pipeline moves a node or installs a tunnel after ``build``.
+    mask and the served claims, each built on first use, and the
+    network's packet-loss and RTT-jitter fault models. The arrays are
+    a snapshot: :func:`trial_field` builds one field per trial, and
+    nothing in the pipeline moves a node or installs a tunnel after
+    ``build``.
     """
 
     def __init__(self, network) -> None:
@@ -177,18 +183,31 @@ class _Field:
             self._reach = mask
         return self._reach
 
-    def reachable_beacon_rows(self, row: int) -> np.ndarray:
-        """Rows of beacons reachable from node ``row``, sorted by id."""
-        self.network.stats.spatial_queries += 1
-        return self.beacon_rows[self._reach_mask()[row]]
+    @cached_property
+    def claims(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """What a served request claims by default, built on first use.
+
+        Per row: the declared x and y (a beacon's advertised location,
+        else the node's position), and whether the row is a malicious
+        beacon, whose strategy may claim otherwise.
+        """
+        rows = self.beacon_rows
+        beacons = [self.nodes[row] for row in rows.tolist()]
+        decl_x = self.xs.copy()
+        decl_y = self.ys.copy()
+        decl_x[rows] = [beacon.declared_location.x for beacon in beacons]
+        decl_y[rows] = [beacon.declared_location.y for beacon in beacons]
+        malicious = np.zeros(len(self.nodes), dtype=bool)
+        malicious[rows] = [isinstance(b, MaliciousBeacon) for b in beacons]
+        return decl_x, decl_y, malicious
 
     def fan_out(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Every (requester, reachable beacon) pair of the ``rows`` nodes.
 
         Row-major over their mask rows, so the pairs come in requester
-        order, then beacon-id order: what one
-        :meth:`reachable_beacon_rows` call per row returns, concatenated
-        (and counted as that many spatial queries).
+        order, then beacon-id order: each requester's reachable beacons,
+        sorted by id, concatenated (and counted as one spatial query per
+        requester).
 
         Returns:
             Per pair: the requester's index into ``rows``, and the
@@ -301,33 +320,29 @@ class _Wave:
         valid[:, 0] = direct_dist <= field.comm_range_ft
         dists[:, 0] = direct_dist
         extra_m[:, 0] = extras
-        for index, (near_a, near_b, latency) in enumerate(
-            field.links, start=1
+        for index, ((near_a, near_b, latency), link) in enumerate(
+            zip(field.links, field.network.wormholes), start=1
         ):
             # far_end checks end_a first: a sender near end_a exits at
             # end_b even when it is near both endpoints. The exit
-            # distance is the *destination's* distance to that exit.
+            # distance is the *destination's* distance to that exit,
+            # computed only for the copies this tunnel carries.
             sender_near_a = near_a[origin_rows]
             dst_near_exit = np.where(
                 sender_near_a, near_b[dst_rows], near_a[dst_rows]
             )
-            valid[:, index] = (
-                (sender_near_a | near_b[origin_rows]) & dst_near_exit
-            )
-            exit_x = np.where(
-                sender_near_a,
-                field.network.wormholes[index - 1].end_b.x,
-                field.network.wormholes[index - 1].end_a.x,
-            )
-            exit_y = np.where(
-                sender_near_a,
-                field.network.wormholes[index - 1].end_b.y,
-                field.network.wormholes[index - 1].end_a.y,
-            )
-            dists[:, index] = _exact_distances(
-                field.xs[dst_rows], field.ys[dst_rows], exit_x, exit_y
+            carried = (sender_near_a | near_b[origin_rows]) & dst_near_exit
+            valid[:, index] = carried
+            exits_b = sender_near_a[carried]
+            receivers = dst_rows[carried]
+            dists[carried, index] = _exact_distances(
+                field.xs[receivers], field.ys[receivers],
+                np.where(exits_b, link.end_b.x, link.end_a.x),
+                np.where(exits_b, link.end_b.y, link.end_a.y),
             )
             extra_m[:, index] = extras + latency
+        # Credited per packet and tunnel: every packet takes the exit
+        # check, only the carried copies the exit distance.
         field.network.stats.distance_evals += count * len(field.links)
         # Copies in scheduling order index the (count, slots) grid
         # row-major; the loss draws keep a subset of them.
@@ -378,6 +393,28 @@ def trial_field(pipeline) -> _Field:
     if pipeline._field is None:
         pipeline._field = _Field(pipeline.network)
     return pipeline._field
+
+
+def _deal(nodes, rows: np.ndarray, records: list, attribute: str) -> None:
+    """Give each node its slice of ``records``, in delivery order.
+
+    ``records[i]`` belongs to ``nodes[rows[i]]``. A stable sort on the
+    rows groups the records by node and keeps each group in the order
+    of ``records``; each node's ``attribute`` list is extended with its
+    group, as the scalar handlers append them one by one.
+    """
+    if not records:
+        return
+    order = np.argsort(rows, kind="stable")
+    grouped = rows[order]
+    starts = np.flatnonzero(np.diff(grouped, prepend=-1))
+    ordered = list(map(records.__getitem__, order.tolist()))
+    for row, start, end in zip(
+        grouped[starts].tolist(),
+        starts.tolist(),
+        starts[1:].tolist() + [len(ordered)],
+    ):
+        getattr(nodes[row], attribute).extend(ordered[start:end])
 
 
 class _TurboPhase:
@@ -463,18 +500,10 @@ def _serve_wave(
     extras = np.zeros(count, dtype=np.float64)
     fakes = np.zeros(count, dtype=bool)
 
-    decl_x = field.xs.copy()
-    decl_y = field.ys.copy()
-    malicious_mask = np.zeros(len(nodes), dtype=bool)
-    for row in field.beacon_rows:
-        node = nodes[row]
-        decl_x[row] = node.declared_location.x
-        decl_y[row] = node.declared_location.y
-        if isinstance(node, MaliciousBeacon):
-            malicious_mask[row] = True
+    decl_x, decl_y, malicious = field.claims
     claimed_x = decl_x[responder_rows]
     claimed_y = decl_y[responder_rows]
-    is_malicious = malicious_mask[responder_rows]
+    is_malicious = malicious[responder_rows]
 
     # Real sticky adversary decisions, at their delivery-order slots.
     responder_list = responder_rows.tolist()
@@ -688,36 +717,31 @@ def run_detection_turbo(pipeline) -> None:
 
     # ------------------------------------------------------------------
     # Probe fan-out (scalar build order: prober, target, detecting id).
+    # Every benign beacon holds m detecting ids.
     # ------------------------------------------------------------------
-    src_chunks: List[np.ndarray] = []
-    dst_chunks: List[np.ndarray] = []
-    prober_chunks: List[np.ndarray] = []
-    for beacon in pipeline.benign_beacons:
-        row = field.row(beacon.node_id)
-        targets = field.reachable_beacon_rows(row)
-        m = len(beacon.detecting_ids)
-        probes = targets.shape[0] * m
-        if probes == 0:
-            continue
-        src_chunks.append(
-            np.tile(
-                np.array(beacon.detecting_ids, dtype=np.int64),
-                targets.shape[0],
-            )
-        )
-        dst_chunks.append(np.repeat(targets, m))
-        prober_chunks.append(np.full(probes, row, dtype=np.int64))
-        beacon._next_nonce += probes
-        pipeline._probes_sent += probes
-
-    if not src_chunks:
+    beacons = pipeline.benign_beacons
+    m = pipeline.config.m_detecting_ids
+    prober_rows = np.array(
+        [field.row(beacon.node_id) for beacon in beacons], dtype=np.int64
+    )
+    probers, targets = field.fan_out(prober_rows)
+    for beacon, pairs in zip(
+        beacons, np.bincount(probers, minlength=len(beacons)).tolist()
+    ):
+        beacon._next_nonce += pairs * m
+    probes = probers.shape[0] * m
+    pipeline._probes_sent += probes
+    if probes == 0:
         phase.finish()
         return
+    detecting_ids = np.array(
+        [beacon.detecting_ids for beacon in beacons], dtype=np.int64
+    )
     replies, src_ids, dst_ids, claimed_x, claimed_y, fakes = _exchange(
         phase,
-        np.concatenate(src_chunks),
-        np.concatenate(dst_chunks),
-        np.concatenate(prober_chunks),
+        detecting_ids[probers].ravel(),
+        np.repeat(targets, m),
+        np.repeat(prober_rows[probers], m),
     )
 
     # ------------------------------------------------------------------
@@ -733,30 +757,32 @@ def run_detection_turbo(pipeline) -> None:
             phase, replies, src_ids, dst_ids, claimed_x, claimed_y
         )
 
-    record = field.trace.record if field.trace.enabled else None
     nodes = field.nodes
-    for row, detecting_id, target, time, decision, signal_consistent, alert in zip(
-        replies.dst_row.tolist(), dst_ids.tolist(), src_ids.tolist(),
-        replies.time.tolist(), decisions, consistent, indict,
-    ):
-        prober = nodes[row]
-        prober.probe_outcomes.append(
-            ProbeOutcome(
-                detecting_id=detecting_id, target_id=target, decision=decision
-            )
-        )
+    outcomes = list(
+        map(ProbeOutcome, dst_ids.tolist(), src_ids.tolist(), decisions)
+    )
+    _deal(nodes, replies.dst_row, outcomes, "probe_outcomes")
+    # Alerts go out in delivery order. An observed trial also traces
+    # every probe, each ahead of the alert and revocation it causes.
+    record = field.trace.record if field.trace.enabled else None
+    every = range(len(outcomes))
+    rows = replies.dst_row.tolist()
+    times = replies.time.tolist()
+    for index in every if record is not None else compress(every, indict):
+        prober = nodes[rows[index]]
+        outcome = outcomes[index]
         if record is not None:
             record(
-                time,
+                times[index],
                 "probe",
                 detector=prober.node_id,
-                detecting_id=detecting_id,
-                target=target,
-                decision=decision,
-                signal_consistent=signal_consistent,
+                detecting_id=outcome.detecting_id,
+                target=outcome.target_id,
+                decision=outcome.decision,
+                signal_consistent=consistent[index],
             )
-        if alert:
-            prober.report_alert(target, time=time)
+        if indict[index]:
+            prober.report_alert(outcome.target_id, time=times[index])
 
     phase.finish()
 
@@ -903,23 +929,22 @@ def run_localization_turbo(pipeline) -> None:
         agents[0].filter_cascade.wormhole_detector,
     )
     nodes = field.nodes
-    for row, rejected, src_id, x, y, measured, time in zip(
-        rows.tolist(), (wormhole_flagged | local_flagged).tolist(),
-        src_ids[kept].tolist(), claimed_x[kept].tolist(),
-        claimed_y[kept].tolist(), replies.measured[kept].tolist(),
-        replies.time[kept].tolist(),
-    ):
-        agent = nodes[row]
-        if rejected:
-            agent.rejected_replays += 1
-        else:
-            agent.references.append(
-                LocationReference(
-                    beacon_id=src_id,
-                    beacon_location=Point(x, y),
-                    measured_distance_ft=measured,
-                    received_at=time,
-                )
-            )
+    rejected = wormhole_flagged | local_flagged
+    counts = np.bincount(rows[rejected], minlength=len(nodes))
+    for row in np.flatnonzero(counts).tolist():
+        nodes[row].rejected_replays += int(counts[row])
+    accepted = kept[~rejected]
+    references = list(
+        map(
+            LocationReference,
+            src_ids[accepted].tolist(),
+            map(
+                Point, claimed_x[accepted].tolist(), claimed_y[accepted].tolist()
+            ),
+            replies.measured[accepted].tolist(),
+            replies.time[accepted].tolist(),
+        )
+    )
+    _deal(nodes, rows[~rejected], references, "references")
 
     phase.finish()

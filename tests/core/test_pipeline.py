@@ -1,5 +1,7 @@
 """Tests for the end-to-end secure-localization pipeline."""
 
+import math
+
 import pytest
 
 from repro.core.pipeline import (
@@ -34,6 +36,46 @@ class TestConfig:
             PipelineConfig(p_prime=1.5)
         with pytest.raises(ConfigurationError):
             PipelineConfig(comm_range_ft=0.0)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "field_width_ft",
+            "field_height_ft",
+            "comm_range_ft",
+            "max_ranging_error_ft",
+            "wormhole_p_d",
+            "p_prime",
+            "location_lie_ft",
+            "notice_interval_cycles",
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            PipelineConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("field_width_ft", -100.0),
+            ("field_width_ft", 0.0),
+            ("field_height_ft", -100.0),
+            ("field_height_ft", 0.0),
+            ("max_ranging_error_ft", -1.0),
+            ("location_lie_ft", -1.0),
+        ],
+    )
+    def test_out_of_range_geometry_rejected(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            PipelineConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_wormhole_endpoint_rejected(self, value):
+        # Accepted, a NaN end ran on the batch core and raised a
+        # ScheduleError on the scalar core.
+        with pytest.raises(ConfigurationError, match="wormhole_endpoints"):
+            PipelineConfig(wormhole_endpoints=((value, 100.0), (800.0, 700.0)))
 
     def test_paper_defaults(self):
         cfg = PipelineConfig()

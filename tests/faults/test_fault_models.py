@@ -1,5 +1,6 @@
 """Tests for the fault-model primitives and their configuration."""
 
+import math
 import random
 
 import pytest
@@ -30,6 +31,13 @@ class TestFaultConfig:
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ConfigurationError):
             FaultConfig(rtt_jitter_cycles=-1.0)
+
+    @pytest.mark.parametrize("jitter", [math.nan, math.inf])
+    def test_non_finite_jitter_rejected(self, jitter):
+        # Accepted, NaN would read as "no fault" (``enabled`` is False)
+        # and inf would make every observed RTT NaN.
+        with pytest.raises(ConfigurationError, match="rtt_jitter_cycles"):
+            FaultConfig(rtt_jitter_cycles=jitter)
 
 
 class TestPacketFaults:

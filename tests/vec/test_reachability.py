@@ -4,12 +4,13 @@ Which beacons a node can exchange packets with — directly in range, or
 through a wormhole — decides every probe and every beacon request
 (§2.1, §4). The scalar oracle answers with a full scan
 (``pipeline._reachable_beacons``), the batch core with one exact range
-mask per trial (``_Field.reachable_beacon_rows``). The two must return
+mask per trial (``_Field.fan_out``). The two must return
 the same beacons in the same ``node_id`` order, or the cores schedule
 different packets and draw their RNG streams in different orders. The
 N' count (``_requester_counts``) has the same two sides.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.pipeline import PipelineConfig, SecureLocalizationPipeline
@@ -40,9 +41,8 @@ def _oracle_ids(pipeline, node):
 
 
 def _field_ids(field, node):
-    return field.node_ids[
-        field.reachable_beacon_rows(field.row(node.node_id))
-    ].tolist()
+    _, beacon_rows = field.fan_out(np.array([field.row(node.node_id)]))
+    return field.node_ids[beacon_rows].tolist()
 
 
 class TestDeployment:

@@ -8,9 +8,12 @@ batch core covers (wormholes, packet loss and RTT jitter, and their
 edge cases), for every registered detector, and compare the results
 with ``==``, together with the simulator state the result does not
 carry: event counts, fault counters, the base
-station's alert log, the detector's diagnostics and the replay filters'
-counters. Unobserved, neither core records a protocol event; observed,
-both record the same ordered ``drop.*`` and ``probe`` traces, which
+station's alert log, the detector's diagnostics, the replay filters'
+counters and the per-node records (every beacon's probe outcomes and
+alerted targets, every agent's references and position estimate, and
+every node's next nonce). Unobserved, neither core records a protocol
+event; observed, both record the same ordered ``drop.*`` traces and
+the same ordered ``probe``, ``alert`` and ``revoke`` stream, which
 must not be empty where the run lost copies or judged replies. An
 observed case per detector compares the RTT histograms. The routing
 test pins that every fault field reaches the batch core.
@@ -98,6 +101,22 @@ def _sim_state(pipeline):
             [(o.detecting_id, o.target_id, o.decision) for o in b.probe_outcomes]
             for b in pipeline.benign_beacons
         ],
+        "alerted_targets": [
+            sorted(b.alerted_targets) for b in pipeline.benign_beacons
+        ],
+        "references": [
+            [
+                (r.beacon_id, r.beacon_location, r.measured_distance_ft,
+                 r.received_at)
+                for r in a.references
+            ]
+            for a in pipeline.agents
+        ],
+        "estimates": [a.estimated_position for a in pipeline.agents],
+        "nonces": [
+            node._next_nonce
+            for node in (*pipeline.benign_beacons, *pipeline.agents)
+        ],
         "rejected_replays": [a.rejected_replays for a in pipeline.agents],
         "local_replay": [
             (window.checks, window.flagged)
@@ -130,6 +149,19 @@ def _probes(pipeline):
         (event.time, event.fields)
         for event in pipeline.trace
         if event.kind == "probe"
+    ]
+
+
+def _verdicts(pipeline):
+    """The ordered ``probe``, ``alert`` and ``revoke`` stream, interleaved.
+
+    Each alert follows the probe that raised it, and each revocation
+    the alert that crossed the threshold.
+    """
+    return [
+        (event.time, event.kind, event.fields)
+        for event in pipeline.trace
+        if event.kind in ("probe", "alert", "revoke")
     ]
 
 
@@ -178,6 +210,7 @@ def test_vectorized_core_reproduces_scalar_trial(name, detector):
     _assert_streams_recorded(scalar_observed)
     assert _drops(vec_observed) == _drops(scalar_observed)
     assert _probes(vec_observed) == _probes(scalar_observed)
+    assert _verdicts(vec_observed) == _verdicts(scalar_observed)
 
 
 @pytest.mark.parametrize("detector", available_detectors())
