@@ -89,10 +89,27 @@ class DetectingBeacon(BeaconService):
         #: uniform draw in ±this many feet, so an inferring attacker
         #: cannot match the probe's measured distance to a beacon ring.
         self.probe_power_randomization_ft = probe_power_randomization_ft
-        self.probe_outcomes: List[ProbeOutcome] = []
+        self._probe_outcomes: List[ProbeOutcome] = []
+        #: The batch core's records not built yet: ``(build, indices)``
+        #: over one detection wave's columns, or None.
+        self._pending_probe_outcomes: Optional[tuple] = None
         self.alerted_targets: set[int] = set()
         self._next_nonce = 1
         self.on(BeaconPacket, type(self)._handle_probe_reply)
+
+    @property
+    def probe_outcomes(self) -> List[ProbeOutcome]:
+        """Every judged probe reply, in delivery order.
+
+        The scalar handler appends each outcome as it judges the reply.
+        The batch core leaves a pending slice of its wave's columns
+        instead; the first read builds those records and appends them.
+        """
+        if self._pending_probe_outcomes is not None:
+            build, indices = self._pending_probe_outcomes
+            self._pending_probe_outcomes = None
+            self._probe_outcomes.extend(build(indices))
+        return self._probe_outcomes
 
     # ------------------------------------------------------------------
     # Probing
@@ -187,7 +204,7 @@ class DetectingBeacon(BeaconService):
         *,
         signal_consistent: bool,
     ) -> None:
-        self.probe_outcomes.append(
+        self._probe_outcomes.append(
             ProbeOutcome(
                 detecting_id=detecting_id, target_id=target_id, decision=decision
             )

@@ -25,7 +25,7 @@ from repro.crypto.mutesla import (
     MuTeslaTag,
     MuTeslaVerifier,
 )
-from repro.localization.beacon import NonBeaconAgent
+from repro.localization.beacon import NonBeaconAgent, purge_references
 from repro.sim.messages import Packet
 from repro.sim.network import Network
 from repro.sim.node import Node
@@ -203,6 +203,4 @@ def _apply_verified_revocation(node: Node, revoked_id: int) -> None:
     node.applied_revocations.add(revoked_id)
     if isinstance(node, NonBeaconAgent):
         node.revoked_beacons.add(revoked_id)
-        node.references = [
-            r for r in node.references if r.beacon_id != revoked_id
-        ]
+        purge_references([node], revoked_id)

@@ -40,7 +40,7 @@ from repro.crypto.manager import KeyManager
 from repro.errors import ConfigurationError, InsufficientReferencesError
 from repro.faults.config import FaultConfig
 from repro.faults.injector import FaultInjector
-from repro.localization.beacon import NonBeaconAgent
+from repro.localization.beacon import NonBeaconAgent, purge_references
 from repro.obs import Observability, ObserveConfig, linear_buckets
 from repro.sim.engine import Engine
 from repro.sim.network import Network, WormholeLink
@@ -173,6 +173,11 @@ class PipelineConfig:
         check_int_in_range(self.n_beacons, "n_beacons", 0, self.n_total)
         check_int_in_range(self.n_malicious, "n_malicious", 0, self.n_beacons)
         check_int_in_range(self.m_detecting_ids, "m_detecting_ids", 0)
+        check_int_in_range(self.tau_report, "tau_report", 0)
+        check_int_in_range(self.tau_alert, "tau_alert", 0)
+        check_int_in_range(
+            self.rtt_calibration_samples, "rtt_calibration_samples", 1
+        )
         check_probability(self.wormhole_p_d, "wormhole_p_d")
         check_probability(self.p_prime, "p_prime")
         from repro.detectors import available_detectors
@@ -201,6 +206,9 @@ class PipelineConfig:
         check_positive(self.comm_range_ft, "comm_range_ft")
         check_non_negative(self.max_ranging_error_ft, "max_ranging_error_ft")
         check_non_negative(self.location_lie_ft, "location_lie_ft")
+        # An oracle trial never reads the interval; reject it anyway, so
+        # a config does not turn invalid when it switches to flooding.
+        check_positive(self.notice_interval_cycles, "notice_interval_cycles")
 
 
 @dataclass
@@ -310,6 +318,10 @@ class SecureLocalizationPipeline:
         #: The batch core's geometry of this trial, built on first use
         #: (see :func:`repro.vec.turbo.trial_field`).
         self._field = None
+        #: The batch core's accepted localization replies, as columns
+        #: (:class:`repro.vec.turbo.ReferenceColumns`); None until its
+        #: localization phase runs. The metrics phase reads them.
+        self._accepted_references = None
         #: The trial's span tree: its ``phase:*`` spans are the only
         #: phase timer (read back by :meth:`profile_snapshot`). With
         #: ``config.observe`` None it is timing-only: no span event
@@ -530,11 +542,7 @@ class SecureLocalizationPipeline:
         # Oracle mode: the paper's working assumption — every node learns
         # at once, through the revoked set all agents share.
         self._oracle_revoked.add(beacon_id)
-        for agent in self.agents:
-            if agent.references:
-                agent.references = [
-                    r for r in agent.references if r.beacon_id != beacon_id
-                ]
+        purge_references(self.agents, beacon_id)
 
     # ------------------------------------------------------------------
     # Reachability
@@ -802,23 +810,31 @@ class SecureLocalizationPipeline:
         # oracle mode every revoked beacon's references were purged, so
         # this reduces to the paper's definition; in flooded mode an agent
         # the notice never reached still counts as affected.
-        affected: Set[int] = set()
-        victim_pairs = 0
-        for agent in self.agents:
-            for ref in agent.references:
-                if ref.beacon_id not in malicious_ids:
-                    continue
-                if ref.beacon_id in agent.revoked_beacons:
-                    continue
-                if abs(ref.residual_at(agent.position)) > cfg.max_ranging_error_ft:
-                    affected.add(agent.node_id)
-                    victim_pairs += 1
-
         if self._vectorized_active():
-            from repro.vec.localization import batched_estimate_errors
+            from repro.vec.localization import (
+                batched_estimate_errors,
+                misled_pairs,
+            )
+            from repro.vec.turbo import accepted_references
 
-            errors = batched_estimate_errors(self.agents)
+            references = accepted_references(self)
+            victim_pairs, affected = misled_pairs(
+                self.agents, references, malicious_ids,
+                cfg.max_ranging_error_ft,
+            )
+            errors = batched_estimate_errors(self.agents, references)
         else:
+            affected: Set[int] = set()
+            victim_pairs = 0
+            for agent in self.agents:
+                for ref in agent.references:
+                    if ref.beacon_id not in malicious_ids:
+                        continue
+                    if ref.beacon_id in agent.revoked_beacons:
+                        continue
+                    if abs(ref.residual_at(agent.position)) > cfg.max_ranging_error_ft:
+                        affected.add(agent.node_id)
+                        victim_pairs += 1
             errors = []
             for agent in self.agents:
                 try:

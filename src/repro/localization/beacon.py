@@ -91,11 +91,35 @@ class NonBeaconAgent(Node):
     def __init__(self, node_id: int, position: Point, key_manager: KeyManager) -> None:
         super().__init__(node_id, position, is_beacon=False)
         self.key_manager = key_manager
-        self.references: List[LocationReference] = []
+        self._references: List[LocationReference] = []
+        #: The batch core's records not built yet: ``(build, indices)``
+        #: over one localization wave's columns, or None.
+        self._pending_references: Optional[tuple] = None
         self.revoked_beacons: set[int] = set()
         self._next_nonce = 1
         self.estimated_position: Optional[Point] = None
         self.on(BeaconPacket, type(self)._collect_reference)
+
+    @property
+    def references(self) -> List[LocationReference]:
+        """Every accepted location reference, in delivery order.
+
+        The scalar handler appends each reference as it accepts the
+        packet. The batch core leaves a pending slice of its wave's
+        columns instead; the first read builds those records and
+        appends them.
+        """
+        if self._pending_references is not None:
+            build, indices = self._pending_references
+            self._pending_references = None
+            self._references.extend(build(indices))
+        return self._references
+
+    @references.setter
+    def references(self, references: List[LocationReference]) -> None:
+        # Replaces every reference, the pending ones too.
+        self._pending_references = None
+        self._references = references
 
     # ------------------------------------------------------------------
     # Stage 1: gather references
@@ -115,7 +139,7 @@ class NonBeaconAgent(Node):
         if packet.src_id in self.revoked_beacons:
             return
         if self.accepts(reception):
-            self.references.append(self.reference_from(reception))
+            self._references.append(self.reference_from(reception))
 
     def accepts(self, reception: Reception) -> bool:
         """Hook for replay filters; base agent accepts everything valid."""
@@ -159,3 +183,16 @@ class NonBeaconAgent(Node):
                 f"node {self.node_id} has no position estimate yet"
             )
         return self.estimated_position.distance_to(self.position)
+
+
+def purge_references(agents: List[NonBeaconAgent], beacon_id: int) -> None:
+    """Drop every reference from ``beacon_id`` that ``agents`` hold.
+
+    Skips, without a property call, each agent that holds no reference
+    and none pending, so a revocation costs little before localization.
+    """
+    for agent in agents:
+        if agent._references or agent._pending_references is not None:
+            agent.references = [
+                r for r in agent.references if r.beacon_id != beacon_id
+            ]

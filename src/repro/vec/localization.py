@@ -24,15 +24,22 @@ sequentially).
 
 Only a row that diverges to a non-finite position leaves the batch: it
 is re-run through the scalar solver so the identical ``SolverError``
-surfaces. The references themselves are gathered by
-:func:`repro.vec.turbo.run_localization_turbo`.
+surfaces.
+
+The solver and the N′ count read the localization phase's columns
+(:class:`repro.vec.turbo.ReferenceColumns`), not the agents' record
+lists. One stable lexsort keeps the latest copy per (agent, beacon)
+pair, with beacon ids in order within each agent, as
+``NonBeaconAgent.estimate_position`` does; the rows are then
+stable-sorted by count and scattered into the padded grids.
 
 Paper section: §4 (stage-2 localization over the batch substrate)
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from itertools import compress
+from typing import Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -43,6 +50,7 @@ from repro.localization.multilateration import (
     mmse_multilaterate,
 )
 from repro.utils.geometry import Point
+from repro.vec.turbo import ReferenceColumns, _exact_distances
 
 #: Gauss-Newton iteration cap (matches the scalar solver's default).
 _MAX_ITERATIONS = 50
@@ -50,9 +58,13 @@ _MAX_ITERATIONS = 50
 _TOLERANCE_FT = 1e-6
 
 
-def batched_estimate_errors(agents) -> List[float]:
+def batched_estimate_errors(
+    agents, references: ReferenceColumns
+) -> List[float]:
     """Solve every solvable agent's position; return errors in agent order.
 
+    ``references`` holds every agent's references, as
+    ``NonBeaconAgent.estimate_position`` reads them from its list.
     Mirrors the metrics-phase loop: agents with fewer than three
     distinct references (or a rank-deficient linear seed) are skipped
     exactly as the scalar ``InsufficientReferencesError`` path skips
@@ -64,26 +76,45 @@ def batched_estimate_errors(agents) -> List[float]:
     """
     # Reference dedup (latest per beacon id, sorted by id) and the
     # minimum-count check reproduce ``NonBeaconAgent.estimate_position``.
-    rows: List[Tuple[int, list]] = []
-    for index, agent in enumerate(agents):
-        distinct: Dict[int, object] = {}
-        for ref in agent.references:
-            distinct[ref.beacon_id] = ref
-        if len(distinct) >= MIN_REFERENCES:
-            rows.append((index, [distinct[k] for k in sorted(distinct)]))
+    # The lexsort is stable, so each (agent, beacon) run ends with the
+    # latest copy.
+    order = np.lexsort((references.beacon_id, references.agent))
+    agent = references.agent[order]
+    beacon = references.beacon_id[order]
+    latest = np.ones(order.shape[0], dtype=bool)
+    latest[:-1] = (agent[1:] != agent[:-1]) | (beacon[1:] != beacon[:-1])
+    order = order[latest]
+    counts = np.bincount(references.agent[order], minlength=len(agents))
     # Stable: agents keep their order within one count block.
-    rows.sort(key=lambda row: len(row[1]))
+    solvable = np.flatnonzero(counts >= MIN_REFERENCES)
+    rows = solvable[np.argsort(counts[solvable], kind="stable")]
     positions: List[Optional[Point]] = [None] * len(agents)
-    if rows:
-        xs, ys, solved, broken = _solve([refs for _, refs in rows])
-        for (index, refs), x, y, ok, lost in zip(
-            rows, xs.tolist(), ys.tolist(), solved, broken
+    if rows.shape[0]:
+        # Each row's references, row after row, in beacon-id order: a
+        # stable sort of the kept copies by their agent's row, with the
+        # unsolvable agents' copies last and cut off.
+        row_counts = counts[rows]
+        rank = np.full(counts.shape[0], rows.shape[0])
+        rank[rows] = np.arange(rows.shape[0])
+        flat = order[
+            np.argsort(rank[references.agent[order]], kind="stable")
+        ][: int(row_counts.sum())]
+        xs, ys, solved, broken = _solve(
+            row_counts, references.x[flat], references.y[flat],
+            references.measured[flat],
+        )
+        ends = np.cumsum(row_counts).tolist()
+        for index, end, count, x, y, ok, lost in zip(
+            rows.tolist(), ends, row_counts.tolist(), xs.tolist(), ys.tolist(),
+            solved, broken,
         ):
             if lost:
                 # Divergence to a non-finite iterate: reproduce the
                 # scalar outcome — its SolverError — with the reference
                 # solver on the identical reference set.
-                positions[index] = mmse_multilaterate(refs).position
+                positions[index] = mmse_multilaterate(
+                    references.records(flat[end - count:end])
+                ).position
             elif ok:
                 positions[index] = Point(x, y)
     errors: List[float] = []
@@ -94,11 +125,46 @@ def batched_estimate_errors(agents) -> List[float]:
     return errors
 
 
+def misled_pairs(
+    agents,
+    references: ReferenceColumns,
+    malicious_ids: Iterable[int],
+    bound_ft: float,
+) -> Tuple[int, Set[int]]:
+    """N′'s victim pairs and affected agent ids, over the columns.
+
+    A reference counts when its source is malicious and it misleads: its
+    residual at the agent's true position
+    (``LocationReference.residual_at``, each distance by the scalar
+    ``math.hypot``) exceeds ``bound_ft`` in magnitude.
+
+    Returns:
+        The number of misleading references, and the ids of the agents
+        that hold one.
+    """
+    malicious = np.fromiter(malicious_ids, dtype=np.int64)
+    picked = np.flatnonzero(np.isin(references.beacon_id, malicious))
+    owners = references.agent[picked].tolist()
+    positions = [agents[index].position for index in owners]
+    distances = _exact_distances(
+        [position.x for position in positions],
+        [position.y for position in positions],
+        references.x[picked],
+        references.y[picked],
+    )
+    misled = np.abs(references.measured[picked] - distances) > bound_ft
+    return int(np.count_nonzero(misled)), {
+        agents[index].node_id for index in compress(owners, misled.tolist())
+    }
+
+
 def _solve(
-    references: List[list],
+    counts: np.ndarray, x: np.ndarray, y: np.ndarray, ranges: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Seed and iterate every row at once; rows sorted by reference count.
 
+    ``x``, ``y`` and ``ranges`` hold each row's references, row after
+    row, ``counts[i]`` of them for row ``i``.
     Rows leave the active set exactly when the scalar loop would leave
     its iteration: on convergence (update norm below tolerance, after
     applying the update), on a stalled normal matrix (non-positive or
@@ -112,15 +178,6 @@ def _solve(
         ``SolverError`` path); the caller re-runs those through the
         scalar solver.
     """
-    counts = np.array([len(refs) for refs in references])
-    flat = np.array(
-        [
-            (r.beacon_location.x, r.beacon_location.y, r.measured_distance_ft)
-            for refs in references
-            for r in refs
-        ],
-        dtype=float,
-    )
     last = np.cumsum(counts) - 1
     filled = np.arange(counts[-1]) < counts[:, None]
 
@@ -129,7 +186,7 @@ def _solve(
         grid[filled] = column
         return grid
 
-    axs, ays, ranges = (scatter(flat[:, k]) for k in range(3))
+    axs, ays, ranges = scatter(x), scatter(y), scatter(ranges)
 
     xs = np.empty(counts.size)
     ys = np.empty(counts.size)

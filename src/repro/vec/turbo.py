@@ -35,13 +35,18 @@ responders (sticky strategy draws), first-seen wormhole pair verdicts
 station), and dropped-copy and probe traces (observed trials only).
 The request fan-out of both phases, the revoked-source filter and the
 local-replay window are array operations whose per-node counters
-advance by count. The per-reply records, a
-:class:`~repro.core.detecting.ProbeOutcome` per judged probe reply and
-a :class:`~repro.localization.references.LocationReference` per
-accepted localization reply, are immutable named tuples built by one
-``map`` over the wave's columns; :func:`_deal` hands each node its
-slice, in delivery order. All distances that feed protocol decisions
-or measurements are computed with the correctly rounded scalar
+advance by count. What a reply wave decides stays in columns, in
+delivery order: a :class:`ProbeColumns` entry per judged probe reply
+and a :class:`ReferenceColumns` entry per accepted localization reply.
+:func:`_defer` leaves each node a pending slice of them, and a node
+builds its records, a :class:`~repro.core.detecting.ProbeOutcome` per
+probe reply or a
+:class:`~repro.localization.references.LocationReference` per
+accepted reply, only when something reads its ``probe_outcomes`` or
+``references``. The metrics phase reads the localization columns
+(:func:`accepted_references`), not the records, so an unobserved trial
+builds none. All distances that feed protocol decisions or
+measurements are computed with the correctly rounded scalar
 ``math.hypot``, so every float matches the scalar run bit for bit.
 
 The paper detector's §2.1 check and §2.2 cascade run as array masks
@@ -74,8 +79,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, partial
-from itertools import compress
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -395,26 +399,109 @@ def trial_field(pipeline) -> _Field:
     return pipeline._field
 
 
-def _deal(nodes, rows: np.ndarray, records: list, attribute: str) -> None:
-    """Give each node its slice of ``records``, in delivery order.
+class ProbeColumns(NamedTuple):
+    """Judged probe replies as columns, one entry per reply.
 
-    ``records[i]`` belongs to ``nodes[rows[i]]``. A stable sort on the
-    rows groups the records by node and keeps each group in the order
-    of ``records``; each node's ``attribute`` list is extended with its
-    group, as the scalar handlers append them one by one.
+    Attributes (per reply, in delivery order):
+        prober: the detecting beacon's row.
+        detecting_id: the detecting ID the probe went out under.
+        target_id: the probed beacon.
+        decision: the decision label.
     """
-    if not records:
+
+    prober: np.ndarray
+    detecting_id: np.ndarray
+    target_id: np.ndarray
+    decision: List[str]
+
+    def records(self, indices: np.ndarray) -> List[ProbeOutcome]:
+        """The replies at ``indices``, as records, in that order."""
+        return list(
+            map(
+                ProbeOutcome,
+                self.detecting_id[indices].tolist(),
+                self.target_id[indices].tolist(),
+                map(self.decision.__getitem__, indices.tolist()),
+            )
+        )
+
+
+class ReferenceColumns(NamedTuple):
+    """Accepted location references as columns, one entry per reference.
+
+    Attributes (per reference, in the order the agents received them):
+        agent: index of the receiving agent in the trial's agent list.
+        beacon_id: the claimed source beacon.
+        x, y: the claimed beacon location.
+        measured: the measured distance.
+        time: the arrival time.
+    """
+
+    agent: np.ndarray
+    beacon_id: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    measured: np.ndarray
+    time: np.ndarray
+
+    def records(self, indices: np.ndarray) -> List[LocationReference]:
+        """The references at ``indices``, as records, in that order."""
+        return list(
+            map(
+                LocationReference,
+                self.beacon_id[indices].tolist(),
+                map(Point, self.x[indices].tolist(), self.y[indices].tolist()),
+                self.measured[indices].tolist(),
+                self.time[indices].tolist(),
+            )
+        )
+
+
+def accepted_references(pipeline) -> ReferenceColumns:
+    """What the agents' ``references`` hold, as columns.
+
+    Every reply the localization waves accepted, in delivery order, less
+    those whose source the oracle revoked since: oracle revocation
+    purges them from every agent.
+    """
+    columns = pipeline._accepted_references
+    if columns is None:
+        ids = np.empty(0, dtype=np.int64)
+        values = np.empty(0, dtype=np.float64)
+        return ReferenceColumns(ids, ids, values, values, values, values)
+    revoked = pipeline._oracle_revoked
+    live = ~np.isin(
+        columns.beacon_id,
+        np.fromiter(revoked, dtype=np.int64, count=len(revoked)),
+    )
+    return ReferenceColumns(*(column[live] for column in columns))
+
+
+def _defer(nodes, rows: np.ndarray, build, attribute: str) -> None:
+    """Leave each node its pending slice of one wave's records.
+
+    Column entry ``i`` belongs to ``nodes[rows[i]]``. A stable sort on
+    the rows groups the entries by node and keeps each group in
+    delivery order. Each node's pending slice is ``(build, indices)``:
+    its first read of ``attribute`` builds the records and appends
+    them, as the scalar handlers append them one by one. A slice that
+    an earlier call of the phase left pending is appended first.
+    """
+    if not rows.shape[0]:
         return
     order = np.argsort(rows, kind="stable")
     grouped = rows[order]
     starts = np.flatnonzero(np.diff(grouped, prepend=-1))
-    ordered = list(map(records.__getitem__, order.tolist()))
+    pending = f"_pending_{attribute}"
     for row, start, end in zip(
         grouped[starts].tolist(),
         starts.tolist(),
-        starts[1:].tolist() + [len(ordered)],
+        starts[1:].tolist() + [order.shape[0]],
     ):
-        getattr(nodes[row], attribute).extend(ordered[start:end])
+        node = nodes[row]
+        if getattr(node, pending) is not None:
+            getattr(node, attribute)  # builds the earlier slice
+        setattr(node, pending, (build, order[start:end]))
 
 
 class _TurboPhase:
@@ -758,31 +845,35 @@ def run_detection_turbo(pipeline) -> None:
         )
 
     nodes = field.nodes
-    outcomes = list(
-        map(ProbeOutcome, dst_ids.tolist(), src_ids.tolist(), decisions)
-    )
-    _deal(nodes, replies.dst_row, outcomes, "probe_outcomes")
+    judged = ProbeColumns(replies.dst_row, dst_ids, src_ids, decisions)
+    _defer(nodes, judged.prober, judged.records, "probe_outcomes")
     # Alerts go out in delivery order. An observed trial also traces
     # every probe, each ahead of the alert and revocation it causes.
     record = field.trace.record if field.trace.enabled else None
-    every = range(len(outcomes))
-    rows = replies.dst_row.tolist()
-    times = replies.time.tolist()
-    for index in every if record is not None else compress(every, indict):
-        prober = nodes[rows[index]]
-        outcome = outcomes[index]
+    visit = (
+        np.arange(len(decisions)) if record is not None
+        else np.flatnonzero(indict)
+    )
+    for index, row, detecting_id, target, time in zip(
+        visit.tolist(),
+        judged.prober[visit].tolist(),
+        judged.detecting_id[visit].tolist(),
+        judged.target_id[visit].tolist(),
+        replies.time[visit].tolist(),
+    ):
+        prober = nodes[row]
         if record is not None:
             record(
-                times[index],
+                time,
                 "probe",
                 detector=prober.node_id,
-                detecting_id=outcome.detecting_id,
-                target=outcome.target_id,
-                decision=outcome.decision,
+                detecting_id=detecting_id,
+                target=target,
+                decision=decisions[index],
                 signal_consistent=consistent[index],
             )
         if indict[index]:
-            prober.report_alert(outcome.target_id, time=times[index])
+            prober.report_alert(target, time=time)
 
     phase.finish()
 
@@ -790,7 +881,7 @@ def run_detection_turbo(pipeline) -> None:
 def _paper_verdicts(
     phase: _TurboPhase, replies: _Wave, src_ids: np.ndarray,
     claimed_x: np.ndarray, claimed_y: np.ndarray, fakes: np.ndarray,
-) -> Tuple[List[str], List[bool], List[bool]]:
+) -> Tuple[List[str], List[bool], np.ndarray]:
     """The paper's §2.1 check and §2.2 cascade over one reply wave.
 
     Array masks throughout: the discrepancy check over every reply,
@@ -832,7 +923,7 @@ def _paper_verdicts(
         decisions[index] = label
     indict = np.zeros(prober_rows.shape[0], dtype=bool)
     indict[bad] = ~(wormhole_flagged | local_flagged)
-    return decisions, (~inconsistent).tolist(), indict.tolist()
+    return decisions, (~inconsistent).tolist(), indict
 
 
 def _rival_verdicts(
@@ -934,17 +1025,21 @@ def run_localization_turbo(pipeline) -> None:
     for row in np.flatnonzero(counts).tolist():
         nodes[row].rejected_replays += int(counts[row])
     accepted = kept[~rejected]
-    references = list(
-        map(
-            LocationReference,
-            src_ids[accepted].tolist(),
-            map(
-                Point, claimed_x[accepted].tolist(), claimed_y[accepted].tolist()
-            ),
-            replies.measured[accepted].tolist(),
-            replies.time[accepted].tolist(),
-        )
+    agent_of_row = np.empty(len(nodes), dtype=np.int64)
+    agent_of_row[agent_rows] = np.arange(len(agents))
+    references = ReferenceColumns(
+        agent_of_row[rows[~rejected]],
+        src_ids[accepted],
+        claimed_x[accepted],
+        claimed_y[accepted],
+        replies.measured[accepted],
+        replies.time[accepted],
     )
-    _deal(nodes, rows[~rejected], references, "references")
+    _defer(agents, references.agent, references.records, "references")
+    earlier = pipeline._accepted_references
+    pipeline._accepted_references = (
+        references if earlier is None
+        else ReferenceColumns(*map(np.concatenate, zip(earlier, references)))
+    )
 
     phase.finish()

@@ -70,6 +70,25 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=name):
             PipelineConfig(**{name: value})
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            # Accepted, these ran: an oracle trial ignores the interval.
+            ("notice_interval_cycles", -5.0),
+            ("notice_interval_cycles", 0.0),
+            # Accepted, these raised only inside run().
+            ("tau_report", -1),
+            ("tau_report", 1.5),
+            ("tau_alert", -1),
+            ("tau_alert", 1.5),
+            ("rtt_calibration_samples", 0),
+            ("rtt_calibration_samples", -5),
+        ],
+    )
+    def test_protocol_setting_rejected_at_construction(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            PipelineConfig(**{name: value})
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_wormhole_endpoint_rejected(self, value):
         # Accepted, a NaN end ran on the batch core and raised a

@@ -27,6 +27,7 @@ from repro.sim.node import Node
 from repro.sim.timing import RttModel
 from repro.utils.geometry import Point
 from repro.vec.geometry import within_range_matrix
+import repro.vec.localization as vec_localization
 from repro.vec.localization import _batched_seed, batched_estimate_errors
 from repro.vec.measurement import (
     batched_calibration_rtts,
@@ -35,7 +36,7 @@ from repro.vec.measurement import (
     discrepancy_mask,
     raw_uniforms,
 )
-from repro.vec.turbo import _Field
+from repro.vec.turbo import ReferenceColumns, _Field
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -334,6 +335,26 @@ def _agent(node_id, truth, references):
     return agent
 
 
+def _columns(agents):
+    """The agents' references as the batch core's columns, in list order."""
+    entries = [
+        (index, ref) for index, agent in enumerate(agents) for ref in agent.references
+    ]
+    return ReferenceColumns(
+        np.array([index for index, _ in entries], dtype=np.int64),
+        np.array([ref.beacon_id for _, ref in entries], dtype=np.int64),
+        np.array([ref.beacon_location.x for _, ref in entries], dtype=np.float64),
+        np.array([ref.beacon_location.y for _, ref in entries], dtype=np.float64),
+        np.array([ref.measured_distance_ft for _, ref in entries], dtype=np.float64),
+        np.array([ref.received_at for _, ref in entries], dtype=np.float64),
+    )
+
+
+def _batched_errors(agents):
+    """``batched_estimate_errors`` over the agents' own references."""
+    return batched_estimate_errors(agents, _columns(agents))
+
+
 def _scalar_errors(agents):
     """The scalar metrics-phase loop: ``mmse_multilaterate`` per agent."""
     errors = []
@@ -384,12 +405,52 @@ def test_batched_estimate_errors_bit_identical_to_mmse_multilaterate(population)
         expected = _scalar_errors(scalar_agents)
     except SolverError:
         with pytest.raises(SolverError):
-            batched_estimate_errors(agents())
+            _batched_errors(agents())
         return
     batched_agents = agents()
-    assert batched_estimate_errors(batched_agents) == expected
+    assert _batched_errors(batched_agents) == expected
     assert [a.estimated_position for a in batched_agents] == [
         a.estimated_position for a in scalar_agents
+    ]
+
+
+def test_divergent_row_reruns_the_scalar_solver_on_its_references(monkeypatch):
+    # No known population of finite references diverges, so the batched
+    # iterate is made to report every row non-finite. Each row must then
+    # reach the scalar solver with the references ``estimate_position``
+    # hands it (latest copy per beacon, in beacon-id order), and the
+    # scalar SolverError must surface.
+    import repro.localization.beacon as scalar_beacon
+
+    solve = vec_localization._solve
+    received = []
+
+    def diverging(*args):
+        xs, ys, solved, broken = solve(*args)
+        return xs, ys, solved, np.ones_like(broken)
+
+    def scalar_solver(references):
+        received.append(references)
+        raise SolverError("diverged")
+
+    monkeypatch.setattr(vec_localization, "_solve", diverging)
+    monkeypatch.setattr(vec_localization, "mmse_multilaterate", scalar_solver)
+    monkeypatch.setattr(scalar_beacon, "mmse_multilaterate", scalar_solver)
+    refs = [
+        (2, 0.0, 0.0, 5.0),
+        (0, 10.0, 0.0, 7.0),
+        (1, 0.0, 10.0, 6.0),
+        (2, 3.0, 4.0, 8.0),
+    ]
+    agents = [_agent(0, (0.0, 0.0), refs[:2]), _agent(1, (1.0, 1.0), refs)]
+    with pytest.raises(SolverError):
+        _batched_errors(agents)
+    with pytest.raises(SolverError):
+        agents[1].estimate_position()
+    assert received[0] == received[1] == [
+        LocationReference(0, Point(10.0, 0.0), 7.0),
+        LocationReference(1, Point(0.0, 10.0), 6.0),
+        LocationReference(2, Point(3.0, 4.0), 8.0),
     ]
 
 
@@ -417,6 +478,6 @@ def test_pow_rounding_regression_agent_solves_identically():
         [LocationReference(i, Point(x, y), d) for i, x, y, d in refs]
     )
     agent = _agent(0, REGRESSION_TRUTH, refs)
-    assert batched_estimate_errors([agent]) == [529.5505102120442]
+    assert _batched_errors([agent]) == [529.5505102120442]
     assert agent.estimated_position == scalar.position
     assert scalar.position.distance_to(Point(*REGRESSION_TRUTH)) == 529.5505102120442

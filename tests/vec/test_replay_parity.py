@@ -11,8 +11,9 @@ carry: event counts, fault counters, the base
 station's alert log, the detector's diagnostics, the replay filters'
 counters and the per-node records (every beacon's probe outcomes and
 alerted targets, every agent's references and position estimate, and
-every node's next nonce). Unobserved, neither core records a protocol
-event; observed, both record the same ordered ``drop.*`` traces and
+every node's next nonce; the records are read after ``close()``, last
+node first). Unobserved, neither core records a protocol event;
+observed, both record the same ordered ``drop.*`` traces and
 the same ordered ``probe``, ``alert`` and ``revoke`` stream, which
 must not be empty where the run lost copies or judged replies. An
 observed case per detector compares the RTT histograms. The routing
@@ -87,7 +88,12 @@ def _run(config, *, vectorized):
 
 
 def _sim_state(pipeline):
-    """What the result does not carry, in comparable form."""
+    """What the result does not carry, in comparable form.
+
+    Closes the pipeline first, and reads the per-node records last node
+    first: the batch core builds a node's records on its first read.
+    """
+    pipeline.close()
     network = pipeline.network
     injector = pipeline.fault_injector
     # One wormhole detector serves every cascade of the trial.
@@ -99,8 +105,8 @@ def _sim_state(pipeline):
         "faults": None if injector is None else injector.counters(),
         "outcomes": [
             [(o.detecting_id, o.target_id, o.decision) for o in b.probe_outcomes]
-            for b in pipeline.benign_beacons
-        ],
+            for b in reversed(pipeline.benign_beacons)
+        ][::-1],
         "alerted_targets": [
             sorted(b.alerted_targets) for b in pipeline.benign_beacons
         ],
@@ -110,8 +116,8 @@ def _sim_state(pipeline):
                  r.received_at)
                 for r in a.references
             ]
-            for a in pipeline.agents
-        ],
+            for a in reversed(pipeline.agents)
+        ][::-1],
         "estimates": [a.estimated_position for a in pipeline.agents],
         "nonces": [
             node._next_nonce

@@ -89,8 +89,10 @@ class TestVectorizedCore:
 
         batched = vec_localization.batched_estimate_errors
 
-        def nudged(agents):
-            return [math.nextafter(e, math.inf) for e in batched(agents)]
+        def nudged(agents, references):
+            return [
+                math.nextafter(e, math.inf) for e in batched(agents, references)
+            ]
 
         monkeypatch.setattr(vec_localization, "batched_estimate_errors", nudged)
         report = differential_vectorized_core(1, seed=0)
